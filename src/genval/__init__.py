@@ -8,12 +8,9 @@ value per training point. Statistical helpers (one-sided Welch test,
 exact small-instance transport cost) validate the resulting values.
 """
 from .embeddings import (
-    DatasetManifest,
     EmbeddingMatrix,
     load_embeddings,
-    load_manifest,
     save_embeddings,
-    save_manifest,
     validate_pair,
 )
 from .errors import (
@@ -36,22 +33,17 @@ from .pq import (
     train_codebooks,
 )
 from .search import (
-    MatchResult,
     MatchTables,
     adc_lookup_table,
-    adc_topk,
     batch_match,
-    exact_topk,
     read_match_jsonl,
     recall_at_k,
     write_match_jsonl,
 )
 from .stats import (
-    GroupSummary,
     TTestResult,
     TransportResult,
     exact_wasserstein,
-    group_summary,
     welch_t_test,
 )
 from .synth import (
@@ -62,12 +54,10 @@ from .synth import (
     simulate_generated,
 )
 from .valuation import (
-    ScoreRow,
     ValuationResult,
     aggregate_values,
     discount_scores,
     rank_training_points,
-    top_contributors,
 )
 
 __version__ = "0.1.0"

@@ -1,11 +1,17 @@
 """Command-line pipeline: synth, build-index, match, value, compare,
 eval-recall, wasserstein.
 
-Every option can also come from a JSON config file with flat keys named
-after the flags (``--noise-sigma`` -> ``"noise_sigma"``); explicit flags
-win over the config file, which wins over built-in defaults. Exit codes:
-0 success, 2 usage/config/data error, 3 violated internal invariant.
-Data goes to stdout (or ``--output``), diagnostics to stderr.
+Every option is declared once, in ``OPTIONS``: its name, type, default,
+choices, help and the subcommands that take it. The flag is the name
+with dashes (``noise_sigma`` -> ``--noise-sigma``); a JSON config file
+given with ``--config`` uses the name itself as a flat key. A config
+value must have the option's JSON type (integer, number, string or
+true/false) and pass its choices, as a flag value must. Explicit flags
+win over the config file, which wins over built-in defaults. A config
+key that names no option exits 2; keys of other subcommands are ignored,
+so one file can drive a whole pipeline. Exit codes: 0 success, 2
+usage/config/data error, 3 violated internal invariant. Data goes to
+stdout (or ``--output``), diagnostics to stderr.
 """
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ import io
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,97 +28,169 @@ import numpy as np
 from . import embeddings, pq, search, stats, synth, valuation
 from .errors import ConfigError, FormatError, GenvalError, InternalError
 
-DEFAULTS = {
-    "k": 10,
-    "temperature": 1.0,
-    "mode": "exact",
-    "seed": 42,
-    "alpha": 0.01,
-    "threads": 1,
-    "num_subspaces": 8,
-    "codebook_size": 256,
-    "kmeans_iters": 25,
-    "dim": 64,
-    "n_per_split": 500,
-    "components": 4,
-    "spread": 8.0,
-    "noise_sigma": 0.3,
-    "m": 500,
-    "p": 2,
-    "format": "binary",
-    "header": False,
-    "group_a": "v1",
-    "group_b": "v2",
-}
-
 VALUE_FORMAT = "{:.9g}"
 
 
-def _resolve(args, key):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config", {})
-    if key in cfg:
-        return cfg[key]
-    return DEFAULTS.get(key)
+@dataclass(frozen=True)
+class Option:
+    name: str  # config key; the flag is --name with dashes
+    type: type  # bool, int, float or str
+    default: object
+    commands: tuple[str, ...]
+    help: str
+    choices: tuple = ()
 
 
-def _require_path(args, key, flag):
-    val = _resolve(args, key)
-    if val is None:
-        raise ConfigError(f"missing required input: {flag}")
-    return Path(val)
+_EMBEDDING_INPUTS = ("build-index", "match", "value", "eval-recall", "wasserstein")
+_MATCHING = ("match", "value", "eval-recall")
+
+OPTIONS = (
+    Option("seed", int, 42, ("synth", "build-index"), "random seed"),
+    Option("format", str, "binary", _EMBEDDING_INPUTS, "embedding file format",
+           choices=("binary", "csv")),
+    Option("header", bool, False, _EMBEDDING_INPUTS, "CSV inputs carry a header row to skip"),
+    Option("out_dir", str, None, ("synth",), "directory to write the experiment into"),
+    Option("dim", int, 64, ("synth",), "embedding dimension"),
+    Option("n_per_split", int, 500, ("synth",), "training rows per split"),
+    Option("components", int, 4, ("synth",), "mixture components"),
+    Option("spread", float, 8.0, ("synth",), "spread of the component means"),
+    Option("noise_sigma", float, 0.3, ("synth",), "noise added to memorized rows"),
+    Option("m", int, 500, ("synth",), "generated rows"),
+    Option("matches", str, None, ("value",), "JSON-lines match file, '-' for stdin"),
+    Option("inline", bool, False, ("value",), "run matching here instead of reading --matches"),
+    Option("n", int, None, ("value",), "training count (when reading --matches)"),
+    Option("mode", str, "exact", ("match", "value"), "exact scan or PQ index",
+           choices=("exact", "pq")),
+    Option("train", str, None, ("build-index", *_MATCHING), "training embeddings"),
+    Option("index", str, None, _MATCHING, "GMVI index file (pq mode)"),
+    Option("gen", str, None, _MATCHING, "generated embeddings"),
+    Option("k", int, 10, _MATCHING, "matches per generated row"),
+    Option("threads", int, 1, _MATCHING, "worker threads over generated rows"),
+    Option("num_subspaces", int, 8, ("build-index",), "PQ subspaces"),
+    Option("codebook_size", int, 256, ("build-index",), "centroids per subspace"),
+    Option("kmeans_iters", int, 25, ("build-index",), "Lloyd iterations"),
+    Option("temperature", float, 1.0, ("value",), "softmax sharpness"),
+    Option("output", str, None, ("build-index", "match", "value"), "output file ('-' or unset: stdout)"),
+    Option("summary", str, None, ("value",), "write a JSON run summary here"),
+    Option("values_a", str, None, ("compare",), "value CSV of group a"),
+    Option("values_b", str, None, ("compare",), "value CSV of group b"),
+    Option("values", str, None, ("compare",), "value CSV split by --partition"),
+    Option("partition", str, None, ("compare",), "partition JSON naming the groups"),
+    Option("group_a", str, "v1", ("compare",), "partition group tested as larger"),
+    Option("group_b", str, "v2", ("compare",), "partition group tested as smaller"),
+    Option("alpha", float, 0.01, ("compare",), "significance level"),
+    Option("source", str, None, ("wasserstein",), "source embeddings"),
+    Option("target", str, None, ("wasserstein",), "target embeddings"),
+    Option("p", int, 2, ("wasserstein",), "cost exponent", choices=(1, 2)),
+    Option("assignment", str, None, ("wasserstein",), "write the optimal pairing here as JSON"),
+)
 
 
-def _load_matrix(args, key, flag):
-    path = _require_path(args, key, flag)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+# a decoded JSON value is exactly one of these Python types, and a bool
+# is not taken for an int
+_JSON_TYPES = {
+    bool: ({bool}, "true or false"),
+    int: ({int}, "an integer"),
+    float: ({int, float}, "a number"),
+    str: ({str}, "a string"),
+}
+
+
+def _config_value(opt: Option, value):
+    """Check a config value against its option; return it as the option's type."""
+    accepted, expected = _JSON_TYPES[opt.type]
+    if type(value) not in accepted:
+        raise ConfigError(
+            f"config key {opt.name!r}: expected {expected}, got {json.dumps(value)}"
+        )
+    if opt.choices and value not in opt.choices:
+        raise ConfigError(
+            f"config key {opt.name!r}: invalid choice {json.dumps(value)} "
+            f"(choose from {', '.join(map(str, opt.choices))})"
+        )
+    return opt.type(value)
+
+
+def _load_config(path) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a flat JSON object")
+    return raw
+
+
+def _resolve_options(args) -> None:
+    """Set every option of the subcommand on ``args``: flag > config > default."""
+    config = _load_config(args.config) if args.config else {}
+    names = {opt.name for opt in OPTIONS}
+    for key in config:
+        if key not in names:
+            raise ConfigError(f"unknown config key {key!r}")
+    for opt in OPTIONS:
+        if args.command not in opt.commands:
+            continue
+        value = getattr(args, opt.name)
+        if opt.name in config:
+            from_config = _config_value(opt, config[opt.name])
+            if value is None:
+                value = from_config
+        setattr(args, opt.name, opt.default if value is None else value)
+
+
+def _required(args, name) -> Path:
+    value = getattr(args, name)
+    if value is None:
+        raise ConfigError(f"missing required input: {_flag(name)}")
+    return Path(value)
+
+
+def _load_matrix(args, name):
+    path = _required(args, name)
     if not path.exists():
-        raise ConfigError(f"{flag}: no such file: {path}")
-    return embeddings.load_embeddings(
-        path, format=_resolve(args, "format"), skip_header=bool(_resolve(args, "header"))
-    )
+        raise ConfigError(f"{_flag(name)}: no such file: {path}")
+    return embeddings.load_embeddings(path, format=args.format, skip_header=args.header)
 
 
-def _out_stream(args):
-    out = _resolve(args, "output")
-    if out is None or str(out) == "-":
+def _out_stream(path):
+    if path is None or path == "-":
         return nullcontext(sys.stdout)
-    return open(out, "w", newline="")
-
-
-def _pq_config(args) -> pq.PQConfig:
-    return pq.PQConfig(
-        num_subspaces=int(_resolve(args, "num_subspaces")),
-        codebook_size=int(_resolve(args, "codebook_size")),
-        kmeans_iters=int(_resolve(args, "kmeans_iters")),
-        seed=int(_resolve(args, "seed")),
-    )
+    return open(path, "w", newline="")
 
 
 def cmd_synth(args) -> int:
     spec = synth.ExperimentSpec(
-        dim=int(_resolve(args, "dim")),
-        n_per_split=int(_resolve(args, "n_per_split")),
-        mixture_components=int(_resolve(args, "components")),
-        component_spread=float(_resolve(args, "spread")),
-        noise_sigma=float(_resolve(args, "noise_sigma")),
-        m_generated=int(_resolve(args, "m")),
-        seed=int(_resolve(args, "seed")),
+        dim=args.dim,
+        n_per_split=args.n_per_split,
+        mixture_components=args.components,
+        component_spread=args.spread,
+        noise_sigma=args.noise_sigma,
+        m_generated=args.m,
+        seed=args.seed,
     )
-    out_dir = _require_path(args, "out_dir", "--out-dir")
-    files = synth.make_ra2_experiment(spec, out_dir)
+    files = synth.make_ra2_experiment(spec, _required(args, "out_dir"))
     print(files["manifest"].read_text(), end="")
     return 0
 
 
 def cmd_build_index(args) -> int:
-    train = _load_matrix(args, "train", "--train")
-    cfg = _pq_config(args)
+    train = _load_matrix(args, "train")
+    cfg = pq.PQConfig(
+        num_subspaces=args.num_subspaces,
+        codebook_size=args.codebook_size,
+        kmeans_iters=args.kmeans_iters,
+        seed=args.seed,
+    )
     codebook = pq.train_codebooks(train, cfg)
     codes = pq.encode(train, codebook)
-    out = _require_path(args, "output", "--output")
-    pq.save_index(codebook, codes, out)
+    pq.save_index(codebook, codes, _required(args, "output"))
     qe = pq.quantization_error(train, codebook)
     print("quantization_error=" + VALUE_FORMAT.format(qe))
     return 0
@@ -119,25 +198,19 @@ def cmd_build_index(args) -> int:
 
 def _match_tables(args) -> tuple[search.MatchTables, int]:
     """Run matching per the mode flags; returns (tables, training count)."""
-    mode = _resolve(args, "mode")
-    gen = _load_matrix(args, "gen", "--gen")
-    k = int(_resolve(args, "k"))
-    threads = int(_resolve(args, "threads"))
-    if mode == "exact":
-        train = _load_matrix(args, "train", "--train")
-        return search.batch_match(train, gen, k, threads=threads), train.count
-    if mode == "pq":
-        index_path = _resolve(args, "index")
-        if index_path is None:
-            raise ConfigError("pq mode needs --index pointing at a GMVI file")
-        codebook, codes = pq.load_index(index_path)
-        return search.batch_match((codebook, codes), gen, k, threads=threads), codes.count
-    raise ConfigError(f"unknown mode {mode!r}, expected 'exact' or 'pq'")
+    gen = _load_matrix(args, "gen")
+    if args.mode == "exact":
+        train = _load_matrix(args, "train")
+        return search.batch_match(train, gen, args.k, threads=args.threads), train.count
+    if args.index is None:
+        raise ConfigError("pq mode needs --index pointing at a GMVI file")
+    codebook, codes = pq.load_index(args.index)
+    return search.batch_match((codebook, codes), gen, args.k, threads=args.threads), codes.count
 
 
 def cmd_match(args) -> int:
     tables, _ = _match_tables(args)
-    with _out_stream(args) as fh:
+    with _out_stream(args.output) as fh:
         search.write_match_jsonl(tables, fh)
     return 0
 
@@ -150,8 +223,7 @@ def _value_rows(result: valuation.ValuationResult):
 
 
 def cmd_value(args) -> int:
-    temperature = float(_resolve(args, "temperature"))
-    if getattr(args, "inline", False):
+    if args.inline:
         tables, n = _match_tables(args)
         # route the tables through the JSON-lines text so that inline and
         # piped execution agree byte for byte
@@ -160,35 +232,32 @@ def cmd_value(args) -> int:
         buf.seek(0)
         tables = search.read_match_jsonl(buf)
     else:
-        matches = _resolve(args, "matches")
-        if matches is None or str(matches) == "-":
+        if args.matches is None or args.matches == "-":
             tables = search.read_match_jsonl(sys.stdin)
         else:
-            with open(matches) as fh:
+            with open(args.matches) as fh:
                 tables = search.read_match_jsonl(fh)
-        n_arg = _resolve(args, "n")
-        if n_arg is not None:
-            n = int(n_arg)
-        elif _resolve(args, "train") is not None:
-            n = _load_matrix(args, "train", "--train").count
+        if args.n is not None:
+            n = args.n
+        elif args.train is not None:
+            n = _load_matrix(args, "train").count
         else:
             raise ConfigError("need --n or --train to size the value vector")
-    result = valuation.aggregate_values(tables, n, temperature)
-    with _out_stream(args) as fh:
+    result = valuation.aggregate_values(tables, n, args.temperature)
+    with _out_stream(args.output) as fh:
         fh.write("train_index,value,rank\n")
         for i, value, rank in _value_rows(result):
             fh.write(f"{i},{VALUE_FORMAT.format(value)},{rank}\n")
-    summary_path = _resolve(args, "summary")
-    if summary_path is not None:
+    if args.summary is not None:
         summary = {
             "n": result.n,
             "m": result.m,
             "k": result.k,
-            "temperature": temperature,
+            "temperature": args.temperature,
             "sum_values": float(result.values.sum()),
             "top_indices": [int(i) for i in result.ranking[:10]],
         }
-        Path(summary_path).write_text(json.dumps(summary, sort_keys=True) + "\n")
+        Path(args.summary).write_text(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 
 
@@ -220,22 +289,17 @@ def _read_value_csv(path) -> dict[int, float]:
 
 
 def _compare_groups(args) -> tuple[list[float], list[float], str, str]:
-    values_a = _resolve(args, "values_a")
-    values_b = _resolve(args, "values_b")
-    values = _resolve(args, "values")
-    partition = _resolve(args, "partition")
-    if values_a is not None and values_b is not None:
-        a = list(_read_value_csv(values_a).values())
-        b = list(_read_value_csv(values_b).values())
+    if args.values_a is not None and args.values_b is not None:
+        a = list(_read_value_csv(args.values_a).values())
+        b = list(_read_value_csv(args.values_b).values())
         return a, b, "a", "b"
-    if values is not None and partition is not None:
-        table = _read_value_csv(values)
+    if args.values is not None and args.partition is not None:
+        table = _read_value_csv(args.values)
         try:
-            groups = json.loads(Path(partition).read_text())
+            groups = json.loads(Path(args.partition).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read partition file: {exc}") from None
-        name_a = str(_resolve(args, "group_a"))
-        name_b = str(_resolve(args, "group_b"))
+        name_a, name_b = args.group_a, args.group_b
         for name in (name_a, name_b):
             if name not in groups:
                 raise ConfigError(f"partition file has no group {name!r}")
@@ -259,7 +323,7 @@ def _compare_groups(args) -> tuple[list[float], list[float], str, str]:
 
 def cmd_compare(args) -> int:
     a, b, name_a, name_b = _compare_groups(args)
-    alpha = float(_resolve(args, "alpha"))
+    alpha = args.alpha
     if not 0 < alpha < 1:
         raise ConfigError("alpha must lie in (0, 1)")
     res = stats.welch_t_test(a, b, alternative="greater")
@@ -280,44 +344,39 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval_recall(args) -> int:
-    train = _load_matrix(args, "train", "--train")
-    gen = _load_matrix(args, "gen", "--gen")
-    index_path = _resolve(args, "index")
-    if index_path is None:
+    train = _load_matrix(args, "train")
+    gen = _load_matrix(args, "gen")
+    if args.index is None:
         raise ConfigError("eval-recall needs --index pointing at a GMVI file")
-    codebook, codes = pq.load_index(index_path)
-    threads = int(_resolve(args, "threads"))
-    ks = sorted({1, 10, int(_resolve(args, "k"))})
-    for k in ks:
-        exact = search.batch_match(train, gen, k, threads=threads)
-        approx = search.batch_match((codebook, codes), gen, k, threads=threads)
+    codebook, codes = pq.load_index(args.index)
+    for k in sorted({1, 10, args.k}):
+        exact = search.batch_match(train, gen, k, threads=args.threads)
+        approx = search.batch_match((codebook, codes), gen, k, threads=args.threads)
         print(f"recall@{k}={search.recall_at_k(approx, exact):.6f}")
     return 0
 
 
 def cmd_wasserstein(args) -> int:
-    source = _load_matrix(args, "source", "--source")
-    target = _load_matrix(args, "target", "--target")
-    p = int(_resolve(args, "p"))
-    res = stats.exact_wasserstein(source, target, p=p)
-    assignment_path = _resolve(args, "assignment")
-    if assignment_path is not None:
-        Path(assignment_path).write_text(
-            json.dumps({"p": p, "assignment": [int(j) for j in res.assignment]}) + "\n"
+    source = _load_matrix(args, "source")
+    target = _load_matrix(args, "target")
+    res = stats.exact_wasserstein(source, target, p=args.p)
+    if args.assignment is not None:
+        Path(args.assignment).write_text(
+            json.dumps({"p": args.p, "assignment": [int(j) for j in res.assignment]}) + "\n"
         )
     print("cost=" + VALUE_FORMAT.format(res.cost))
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file with flat flag-named keys")
-    p.add_argument("--seed", type=int)
-
-
-def _add_embedding_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["binary", "csv"], help="embedding file format")
-    p.add_argument("--header", action="store_true", default=None,
-                   help="CSV inputs carry a header row to skip")
+COMMANDS = {
+    "synth": (cmd_synth, "write a seeded two-split experiment"),
+    "build-index": (cmd_build_index, "train codebooks and write a GMVI index"),
+    "match": (cmd_match, "emit top-k match tables as JSON lines"),
+    "value": (cmd_value, "aggregate match tables into per-point values"),
+    "compare": (cmd_compare, "Welch-test two value groups"),
+    "eval-recall": (cmd_eval_recall, "ADC recall against the exact scan"),
+    "wasserstein": (cmd_wasserstein, "exact transport cost between two sets"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,101 +385,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Value training data against a fixed generated set by similarity matching.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="write a seeded two-split experiment")
-    _add_common(p)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--n-per-split", dest="n_per_split", type=int)
-    p.add_argument("--components", type=int)
-    p.add_argument("--spread", type=float)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--m", type=int)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("build-index", help="train codebooks and write a GMVI index")
-    _add_common(p)
-    _add_embedding_input_flags(p)
-    p.add_argument("--train")
-    p.add_argument("--output")
-    p.add_argument("--num-subspaces", dest="num_subspaces", type=int)
-    p.add_argument("--codebook-size", dest="codebook_size", type=int)
-    p.add_argument("--kmeans-iters", dest="kmeans_iters", type=int)
-    p.set_defaults(func=cmd_build_index)
-
-    p = sub.add_parser("match", help="emit top-k match tables as JSON lines")
-    _add_common(p)
-    _add_embedding_input_flags(p)
-    p.add_argument("--mode", choices=["exact", "pq"])
-    p.add_argument("--train")
-    p.add_argument("--index")
-    p.add_argument("--gen")
-    p.add_argument("--k", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("value", help="aggregate match tables into per-point values")
-    _add_common(p)
-    _add_embedding_input_flags(p)
-    p.add_argument("--matches", help="JSON-lines match file, '-' for stdin")
-    p.add_argument("--inline", action="store_true", default=None,
-                   help="run matching here instead of reading --matches")
-    p.add_argument("--n", type=int, help="training count (when reading --matches)")
-    p.add_argument("--mode", choices=["exact", "pq"])
-    p.add_argument("--train")
-    p.add_argument("--index")
-    p.add_argument("--gen")
-    p.add_argument("--k", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--output")
-    p.add_argument("--summary", help="write a JSON run summary here")
-    p.set_defaults(func=cmd_value)
-
-    p = sub.add_parser("compare", help="Welch-test two value groups")
-    _add_common(p)
-    p.add_argument("--values-a", dest="values_a")
-    p.add_argument("--values-b", dest="values_b")
-    p.add_argument("--values")
-    p.add_argument("--partition")
-    p.add_argument("--group-a", dest="group_a")
-    p.add_argument("--group-b", dest="group_b")
-    p.add_argument("--alpha", type=float)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("eval-recall", help="ADC recall against the exact scan")
-    _add_common(p)
-    _add_embedding_input_flags(p)
-    p.add_argument("--train")
-    p.add_argument("--gen")
-    p.add_argument("--index")
-    p.add_argument("--k", type=int)
-    p.add_argument("--threads", type=int)
-    p.set_defaults(func=cmd_eval_recall)
-
-    p = sub.add_parser("wasserstein", help="exact transport cost between two sets")
-    _add_common(p)
-    _add_embedding_input_flags(p)
-    p.add_argument("--source")
-    p.add_argument("--target")
-    p.add_argument("--p", type=int, choices=[1, 2])
-    p.add_argument("--assignment", help="write the optimal pairing here as JSON")
-    p.set_defaults(func=cmd_wasserstein)
-
+    for command, (func, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file with flat flag-named keys")
+        for opt in OPTIONS:
+            if command not in opt.commands:
+                continue
+            # default None marks "not given", so config and default can fill in
+            if opt.type is bool:
+                p.add_argument(_flag(opt.name), dest=opt.name, action="store_true",
+                               default=None, help=opt.help)
+            else:
+                p.add_argument(_flag(opt.name), dest=opt.name, type=opt.type,
+                               choices=opt.choices or None, help=opt.help)
+        p.set_defaults(func=func)
     return parser
-
-
-def _load_config(path) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a flat JSON object")
-    return raw
 
 
 def main(argv=None) -> int:
@@ -430,9 +409,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        args._config = _load_config(args.config) if args.config else {}
+        _resolve_options(args)
         return args.func(args)
-    except GenvalError as exc:
+    except (GenvalError, OSError) as exc:
         print(f"genval: error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

@@ -1,8 +1,7 @@
 """Embedding matrices: validation, persistence, and row identities.
 
 A training set and a generated set are both plain dense matrices of
-32-bit floats. The row index is the only identity used downstream; an
-optional JSON manifest maps row indices back to external sample ids.
+32-bit floats. The row index is the only identity used downstream.
 
 Two on-disk formats are supported:
 
@@ -13,7 +12,6 @@ Two on-disk formats are supported:
 """
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,26 +72,6 @@ class EmbeddingMatrix:
                 self.data.view(np.uint32), other.data.view(np.uint32)
             )
         )
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Maps row index -> opaque external id; indices must be 0..n-1 exactly."""
-
-    entries: tuple[tuple[int, str], ...]
-
-    def __post_init__(self):
-        indices = sorted(i for i, _ in self.entries)
-        if indices != list(range(len(self.entries))):
-            raise ValidationError(
-                "manifest indices must be exactly 0..n-1, each appearing once"
-            )
-
-    def id_of(self, index: int) -> str:
-        for i, ext in self.entries:
-            if i == index:
-                return ext
-        raise ValidationError(f"manifest has no entry for index {index}")
 
 
 def load_embeddings(path, format: str = "binary", skip_header: bool = False) -> EmbeddingMatrix:
@@ -211,24 +189,3 @@ def validate_pair(training: EmbeddingMatrix, generated: EmbeddingMatrix) -> None
             f"dimension mismatch: training dim {training.dim}, "
             f"generated dim {generated.dim}"
         )
-
-
-def load_manifest(path) -> DatasetManifest:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, list):
-        raise FormatError(f"{path}: manifest must be a JSON array")
-    entries = []
-    for item in raw:
-        if not isinstance(item, dict) or "index" not in item or "id" not in item:
-            raise FormatError(f"{path}: manifest entries need 'index' and 'id'")
-        entries.append((int(item["index"]), str(item["id"])))
-    return DatasetManifest(tuple(entries))
-
-
-def save_manifest(manifest: DatasetManifest, path) -> None:
-    payload = [{"index": i, "id": ext} for i, ext in manifest.entries]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")

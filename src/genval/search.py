@@ -16,25 +16,10 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
-from .pq import Codebook, PQCodes
+from .pq import Codebook
 
 # distances in JSON-lines output carry 9 significant digits
 DISTANCE_FORMAT = "{:.9g}"
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Nearest training points for one query: (train_index, distance) pairs."""
-
-    neighbors: tuple[tuple[int, float], ...]
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.array([i for i, _ in self.neighbors], dtype=np.int64)
-
-    @property
-    def distances(self) -> np.ndarray:
-        return np.array([d for _, d in self.neighbors])
 
 
 @dataclass(frozen=True)
@@ -62,14 +47,6 @@ class MatchTables:
     def k(self) -> int:
         return self.distances.shape[1]
 
-    def row(self, j: int) -> MatchResult:
-        return MatchResult(
-            tuple(
-                (int(i), float(d))
-                for i, d in zip(self.indices[j], self.distances[j])
-            )
-        )
-
 
 def _topk(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and squared distances of the k smallest entries.
@@ -93,22 +70,6 @@ def _exact_sq_dists(training: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def exact_topk(training: EmbeddingMatrix, query: np.ndarray, k: int) -> MatchResult:
-    """Exact top-k by full scan with 64-bit accumulation."""
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if query.shape[0] != training.dim:
-        raise ValidationError(
-            f"query dim {query.shape[0]} does not match training dim {training.dim}"
-        )
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    d2 = _exact_sq_dists(training.data.astype(np.float64), query)
-    idx, vals = _topk(d2, k)
-    return MatchResult(
-        tuple((int(i), float(np.sqrt(v))) for i, v in zip(idx, vals))
-    )
-
-
 def adc_lookup_table(codebook: Codebook, query: np.ndarray) -> np.ndarray:
     """Squared distances from each query subvector to every centroid.
 
@@ -126,20 +87,6 @@ def adc_lookup_table(codebook: Codebook, query: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff).astype(np.float32)
 
 
-def adc_topk(codebook: Codebook, codes: PQCodes, query: np.ndarray, k: int) -> MatchResult:
-    """Approximate top-k from PQ codes via a per-query lookup table."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    if codes.num_subspaces != codebook.num_subspaces:
-        raise ValidationError("codes/codebook subspace count mismatch")
-    table = adc_lookup_table(codebook, query)
-    d2 = _adc_sq_dists(table, codes.codes)
-    idx, vals = _topk(d2, k)
-    return MatchResult(
-        tuple((int(i), float(np.sqrt(v))) for i, v in zip(idx, vals))
-    )
-
-
 def _adc_sq_dists(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     acc = np.zeros(codes.shape[0], dtype=np.float64)
     for s in range(codes.shape[1]):
@@ -151,11 +98,14 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
     """Top-k match every generated row; rows are independent.
 
     ``training_repr`` is either an :class:`EmbeddingMatrix` (exact mode)
-    or a ``(Codebook, PQCodes)`` pair (ADC mode). ``threads`` splits the
-    query rows across workers; the result is identical for any count.
+    or a ``(Codebook, PQCodes)`` pair (ADC mode). A single query is a
+    one-row ``generated`` matrix. ``threads`` splits the query rows
+    across workers; the result is identical for any count.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
     if isinstance(training_repr, EmbeddingMatrix):
         validate_pair(training_repr, generated)
         train = training_repr.data.astype(np.float64)
@@ -171,6 +121,8 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
                 f"dimension mismatch: generated dim {generated.dim}, "
                 f"index dim {codebook.dim}"
             )
+        if codes.num_subspaces != codebook.num_subspaces:
+            raise ValidationError("codes/codebook subspace count mismatch")
         if codes.count < 1:
             raise ValidationError("training set is empty")
         n = codes.count
@@ -190,7 +142,6 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
             indices[j] = idx
             distances[j] = np.sqrt(vals)
 
-    threads = max(1, int(threads))
     if threads == 1 or m < 2:
         fill(0, m)
     else:
@@ -231,11 +182,18 @@ def write_match_jsonl(tables: MatchTables, fh) -> None:
         fh.write(f'{{"gen_index": {j}, "matches": [{pairs}]}}\n')
 
 
+# JSON decodes integers to int and other numbers to float; bool is
+# neither, so a type test (not isinstance) also rejects true/false
+_INT_TYPES = {int}
+_NUMBER_TYPES = {int, float}
+
+
 def read_match_jsonl(fh) -> MatchTables:
     """Parse JSON-lines matches back into tables.
 
     Lines may arrive in any order but must cover gen_index 0..m-1 exactly
-    once with a consistent k.
+    once with a consistent k >= 1. Indices must be JSON integers and
+    distances JSON numbers; nothing is coerced.
     """
     rows = {}
     k = None
@@ -244,24 +202,39 @@ def read_match_jsonl(fh) -> MatchTables:
             continue
         try:
             obj = json.loads(line)
-            j = int(obj["gen_index"])
-            matches = [(int(p["train_index"]), float(p["distance"])) for p in obj["matches"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            j = obj["gen_index"]
+            idx = [p["train_index"] for p in obj["matches"]]
+            dist = [p["distance"] for p in obj["matches"]]
+        except (json.JSONDecodeError, KeyError, TypeError):
             raise FormatError(f"match stream line {lineno}: malformed record") from None
-        if k is None:
-            k = len(matches)
-        elif len(matches) != k:
+        if (
+            type(j) is not int
+            or not set(map(type, idx)) <= _INT_TYPES
+            or not set(map(type, dist)) <= _NUMBER_TYPES
+        ):
             raise FormatError(
-                f"match stream line {lineno}: expected {k} matches, found {len(matches)}"
+                f"match stream line {lineno}: indices must be JSON integers "
+                "and distances JSON numbers"
+            )
+        if not idx:
+            raise FormatError(f"match stream line {lineno}: record has no matches")
+        if k is None:
+            k = len(idx)
+        elif len(idx) != k:
+            raise FormatError(
+                f"match stream line {lineno}: expected {k} matches, found {len(idx)}"
             )
         if j in rows:
             raise FormatError(f"match stream line {lineno}: duplicate gen_index {j}")
-        rows[j] = matches
+        rows[j] = idx, dist
     if not rows:
         raise FormatError("match stream is empty")
     m = len(rows)
     if sorted(rows) != list(range(m)):
         raise FormatError("match stream gen_index values must cover 0..m-1")
-    distances = np.array([[d for _, d in rows[j]] for j in range(m)])
-    indices = np.array([[i for i, _ in rows[j]] for j in range(m)], dtype=np.int64)
+    try:
+        indices = np.array([rows[j][0] for j in range(m)], dtype=np.int64)
+        distances = np.array([rows[j][1] for j in range(m)], dtype=np.float64)
+    except OverflowError:
+        raise FormatError("match stream holds a number outside the 64-bit range") from None
     return MatchTables(distances, indices)

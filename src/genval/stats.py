@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +39,6 @@ class TransportResult:
     cost: float
     p: int
     assignment: np.ndarray  # source row i pairs with target row assignment[i]
-
-
-class GroupSummary(NamedTuple):
-    mean: float
-    variance: float | None  # None when count < 2
-    count: int
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -149,15 +142,6 @@ def welch_t_test(a, b, alternative: str = "greater") -> TTestResult:
         n_a=n_a,
         n_b=n_b,
     )
-
-
-def group_summary(values) -> GroupSummary:
-    """Mean, unbiased variance (count >= 2 only), and count of a sample."""
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if v.size == 0:
-        raise ValidationError("empty sample")
-    variance = float(v.var(ddof=1)) if v.size >= 2 else None
-    return GroupSummary(mean=float(v.mean()), variance=variance, count=int(v.size))
 
 
 def _hungarian(cost: np.ndarray) -> np.ndarray:

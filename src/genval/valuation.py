@@ -21,14 +21,6 @@ MASS_TOLERANCE = 1e-6  # |sum(values) - m| <= MASS_TOLERANCE * m
 
 
 @dataclass(frozen=True)
-class ScoreRow:
-    """Per-pair credit scores for one generated point; sums to 1."""
-
-    gen_index: int
-    entries: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
 class ValuationResult:
     n: int
     m: int
@@ -48,26 +40,23 @@ class ValuationResult:
 def discount_scores(distances, temperature: float = 1.0) -> np.ndarray:
     """Softmax of negative distances: exp(-b*d_i) / sum_t exp(-b*d_t).
 
-    Shifting all distances by the minimum before exponentiation keeps
-    the computation stable without changing the result.
+    ``distances`` is one ``(k,)`` row or an ``(m, k)`` table; the softmax
+    runs along the last axis, so every row of a table gets exactly the
+    arithmetic a lone row gets. Shifting each row by its minimum before
+    exponentiation keeps the computation stable without changing the
+    result.
     """
-    d = np.asarray(distances, dtype=np.float64).reshape(-1)
-    if d.size == 0:
+    d = np.asarray(distances, dtype=np.float64)
+    if d.ndim not in (1, 2):
+        raise ValidationError("distances must be a (k,) row or an (m, k) table")
+    if d.shape[-1] == 0:
         raise ValidationError("distance row is empty")
     if not np.isfinite(d).all() or (d < 0).any():
         raise ValidationError("distances must be finite and >= 0")
     if not (temperature > 0 and np.isfinite(temperature)):
         raise ConfigError("temperature must be a positive finite real")
-    e = np.exp(-temperature * (d - d.min()))
-    return e / e.sum()
-
-
-def _row_scores(distances: np.ndarray, temperature: float) -> np.ndarray:
-    # vectorized form of discount_scores over all rows at once; the
-    # per-row arithmetic is identical to the single-row path
-    shifted = distances - distances.min(axis=1, keepdims=True)
-    e = np.exp(-temperature * shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(-temperature * (d - d.min(axis=-1, keepdims=True)))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def aggregate_values(tables: MatchTables, n: int, temperature: float = 1.0) -> ValuationResult:
@@ -87,11 +76,7 @@ def aggregate_values(tables: MatchTables, n: int, temperature: float = 1.0) -> V
             f"match row {bad[0]} references training index "
             f"{tables.indices[bad[0], bad[1]]} outside [0, {n})"
         )
-    if not np.isfinite(tables.distances).all() or (tables.distances < 0).any():
-        raise CorruptionError("match distances must be finite and >= 0")
-    if not (temperature > 0 and np.isfinite(temperature)):
-        raise ConfigError("temperature must be a positive finite real")
-    scores = _row_scores(tables.distances, temperature)
+    scores = discount_scores(tables.distances, temperature)
     values = np.zeros(n, dtype=np.float64)
     np.add.at(values, tables.indices.ravel(), scores.ravel())
     total = float(values.sum())
@@ -107,16 +92,3 @@ def rank_training_points(result: ValuationResult, top: int | None = None) -> lis
     """(train_index, value) pairs, best first; ties go to the lower index."""
     order = result.ranking if top is None else result.ranking[:top]
     return [(int(i), float(result.values[i])) for i in order]
-
-
-def top_contributors(tables: MatchTables, gen_index: int, temperature: float = 1.0) -> ScoreRow:
-    """Credit breakdown for one generated point, for provenance tracebacks."""
-    if not 0 <= gen_index < tables.m:
-        raise ValidationError(
-            f"gen_index {gen_index} outside [0, {tables.m})"
-        )
-    scores = discount_scores(tables.distances[gen_index], temperature)
-    entries = tuple(
-        (int(i), float(s)) for i, s in zip(tables.indices[gen_index], scores)
-    )
-    return ScoreRow(gen_index=gen_index, entries=entries)

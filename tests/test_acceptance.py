@@ -18,12 +18,10 @@ from genval import (
     EmbeddingMatrix,
     ExperimentSpec,
     PQConfig,
-    adc_topk,
     aggregate_values,
     batch_match,
     discount_scores,
     encode,
-    exact_topk,
     exact_wasserstein,
     quantization_error,
     recall_at_k,
@@ -213,9 +211,9 @@ def test_lossless_codebook_matches_exact_search():
         assert quantization_error(train, codebook) == 0.0
         codes = encode(train, codebook)
         for _ in range(int(rng.integers(1, 6))):
-            q = rng.standard_normal(d)
-            ex = exact_topk(train, q, k)
-            ad = adc_topk(codebook, codes, q, k)
+            q = EmbeddingMatrix(rng.standard_normal((1, d)))
+            ex = batch_match(train, q, k)
+            ad = batch_match((codebook, codes), q, k)
             if not np.array_equal(ad.indices, ex.indices):
                 index_mismatches += 1
             rel = np.abs(ad.distances - ex.distances) / np.maximum(ex.distances, 1e-30)

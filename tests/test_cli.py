@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import genval.cli as cli
 from conftest import run_cli, write_embx
-from genval import load_embeddings
+from genval import load_embeddings, save_embeddings
 from genval.errors import InternalError
 
 
@@ -361,8 +362,9 @@ def test_wasserstein_unbalanced(tmp_path, rng):
 
 def test_config_file_supplies_defaults(exp_dir, tmp_path):
     cfg = tmp_path / "c.json"
+    # seed and alpha belong to other subcommands and are ignored here
     cfg.write_text(json.dumps({"k": 2, "train": str(exp_dir / "x_train.embx"),
-                               "gen": str(exp_dir / "x_hat.embx")}))
+                               "gen": str(exp_dir / "x_hat.embx"), "seed": 3, "alpha": 0.5}))
     r = run_cli("match", "--config", cfg)
     assert r.code == 0
     first = json.loads(r.stdout.split("\n")[0])
@@ -409,3 +411,164 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch, rng):
     r = run_cli("wasserstein", "--source", pts, "--target", pts)
     assert r.code == 3
     assert "internal error" in r.stderr
+
+
+def test_seed_is_not_a_flag_where_it_does_nothing(exp_dir):
+    r = run_cli("match", "--seed", 3,
+                "--train", exp_dir / "x_train.embx", "--gen", exp_dir / "x_hat.embx")
+    assert r.code == 2
+    assert "--seed" in r.stderr
+
+
+def assert_one_error_line(r, *needles):
+    assert r.code == 2
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("genval: error: "), r.stderr
+    for needle in needles:
+        assert needle in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("match", {"k": "ten"}, "k"),
+        ("match", {"k": 1.9}, "k"),
+        ("match", {"k": None}, "k"),
+        ("match", {"k": True}, "k"),
+        ("match", {"header": "false"}, "header"),
+        ("value", {"temperature": "hot"}, "temperature"),
+        ("synth", {"seed": "x"}, "seed"),
+        ("build-index", {"kmeans_iter": 5}, "kmeans_iter"),
+        ("match", {"mode": "fast"}, "mode"),
+        ("wasserstein", {"p": 3}, "p"),
+        ("match", {"output": 7}, "output"),
+    ],
+)
+def test_bad_config_value_exits_two_naming_the_key(exp_dir, tmp_path, command, config, key):
+    train, gen = exp_dir / "x_train.embx", exp_dir / "x_hat.embx"
+    # each invocation runs cleanly without the config file
+    argv = {
+        "synth": ["--out-dir", tmp_path / "s", "--dim", 4, "--n-per-split", 5, "--m", 3],
+        "build-index": ["--train", train, "--output", tmp_path / "i.gmvi",
+                        "--num-subspaces", 2, "--codebook-size", 4, "--kmeans-iters", 2],
+        "match": ["--train", train, "--gen", gen],
+        "value": ["--inline", "--train", train, "--gen", gen],
+        "wasserstein": ["--source", exp_dir / "x_v1.embx", "--target", exp_dir / "x_v2.embx"],
+    }[command]
+    assert run_cli(command, *argv).code == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert_one_error_line(run_cli(command, "--config", cfg, *argv), f"'{key}'")
+
+
+def write_csv_with_header(src, path):
+    embeddings = load_embeddings(src)
+    save_embeddings(embeddings, path, format="csv")
+    path.write_text("c" + ",c" * (embeddings.dim - 1) + "\n" + path.read_text())
+    return path
+
+
+@pytest.fixture
+def option_scenarios(exp_dir, tmp_path):
+    """Invocations that between them give every option of every subcommand
+    a value that changes the output (where the option can change it)."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    train, gen = exp_dir / "x_train.embx", exp_dir / "x_hat.embx"
+    csv = {name: write_csv_with_header(exp_dir / f"{name}.embx", inputs / f"{name}.csv")
+           for name in ("x_train", "x_hat", "x_v1", "x_v2")}
+    idx = inputs / "i.gmvi"
+    assert run_cli("build-index", "--train", train, "--output", idx, "--num-subspaces", 2,
+                   "--codebook-size", 8, "--kmeans-iters", 4).code == 0
+    matches = inputs / "m.jsonl"
+    values, values_b = inputs / "v.csv", inputs / "vb.csv"
+    assert run_cli("match", "--train", train, "--gen", gen, "--k", 3, "--output", matches).code == 0
+    assert run_cli("value", "--matches", matches, "--n", 60, "--output", values).code == 0
+    assert run_cli("value", "--matches", matches, "--n", 60, "--temperature", 3.0,
+                   "--output", values_b).code == 0
+    embedded_csv = {"format": "csv", "header": True}
+    return [
+        ("synth", {"out_dir": "s", "dim": 6, "n_per_split": 9, "components": 3, "spread": 5.5,
+                   "noise_sigma": 0.25, "m": 7, "seed": 11}),
+        ("build-index", {"train": csv["x_train"], **embedded_csv, "output": "i.gmvi",
+                         "num_subspaces": 4, "codebook_size": 5, "kmeans_iters": 3, "seed": 4}),
+        ("match", {"mode": "pq", "index": idx, "gen": csv["x_hat"], **embedded_csv, "k": 3,
+                   "threads": 2, "output": "m.jsonl"}),
+        ("match", {"train": train, "gen": gen, "k": 4}),
+        ("value", {"inline": True, "mode": "exact", "train": csv["x_train"], "gen": csv["x_hat"],
+                   **embedded_csv, "k": 3, "threads": 3, "temperature": 0.5, "output": "v.csv",
+                   "summary": "s.json"}),
+        ("value", {"inline": True, "mode": "pq", "index": idx, "gen": gen, "k": 2}),
+        ("value", {"matches": matches, "n": 61, "temperature": 2}),
+        ("compare", {"values": values, "partition": exp_dir / "partition.json",
+                     "group_a": "v2", "group_b": "v1", "alpha": 0.2}),
+        ("compare", {"values_a": values, "values_b": values_b}),
+        ("eval-recall", {"train": csv["x_train"], "gen": csv["x_hat"], **embedded_csv,
+                         "index": idx, "k": 4, "threads": 2}),
+        ("wasserstein", {"source": csv["x_v1"], "target": csv["x_v2"], **embedded_csv, "p": 1,
+                         "assignment": "a.json"}),
+    ]
+
+
+def test_option_scenarios_cover_every_option(option_scenarios):
+    given = {(command, name) for command, opts in option_scenarios for name in opts}
+    declared = {(command, opt.name) for opt in cli.OPTIONS for command in opt.commands}
+    assert given == declared
+
+
+def test_every_option_reads_the_same_from_flag_and_config(option_scenarios, tmp_path, monkeypatch):
+    def run_in_fresh_dir(command, flags, config):
+        run_dir = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: str(v) if isinstance(v, Path) else v
+                                   for k, v in config.items()}))
+        argv = [command, "--config", cfg]
+        for name, value in flags.items():
+            argv += [f"--{name.replace('_', '-')}"] + ([] if value is True else [value])
+        r = run_cli(*argv)
+        files = {p.relative_to(run_dir): p.read_bytes()
+                 for p in sorted(run_dir.rglob("*")) if p.is_file()}
+        return r.code, r.stdout, files
+
+    for command, opts in option_scenarios:
+        by_flag = run_in_fresh_dir(command, opts, {})
+        assert by_flag[0] == 0, (command, opts)
+        assert run_in_fresh_dir(command, {}, opts) == by_flag, (command, "all in config")
+        for name in opts:
+            rest = {k: v for k, v in opts.items() if k != name}
+            assert run_in_fresh_dir(command, rest, {name: opts[name]}) == by_flag, (command, name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value", "--matches", "{tmp}/missing.jsonl", "--n", 4],
+        ["match", "--train", "{exp}/x_train.embx", "--gen", "{exp}/x_hat.embx",
+         "--output", "{tmp}/no-such-dir/x.jsonl"],
+        ["build-index", "--train", "{exp}/x_train.embx", "--num-subspaces", 2,
+         "--codebook-size", 4, "--kmeans-iters", 2, "--output", "{tmp}/no-such-dir/x.gmvi"],
+    ],
+)
+def test_os_errors_exit_two(exp_dir, tmp_path, argv):
+    argv = [str(a).format(tmp=tmp_path, exp=exp_dir) for a in argv]
+    assert_one_error_line(run_cli(*argv), "No such file")
+
+
+def test_match_rejects_zero_threads(exp_dir):
+    r = run_cli("match", "--train", exp_dir / "x_train.embx", "--gen", exp_dir / "x_hat.embx",
+                "--threads", 0)
+    assert_one_error_line(r, "threads must be >= 1")
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"gen_index": 0, "matches": []}', "line 1: record has no matches"),
+        ('{"gen_index": 0, "matches": [{"train_index": 1.7, "distance": 1}]}', "line 1"),
+    ],
+)
+def test_value_rejects_bad_match_records(record, message):
+    assert_one_error_line(run_cli("value", "--matches", "-", "--n", 4, stdin=record + "\n"), message)

@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genval import (
-    DatasetManifest,
     EmbeddingMatrix,
     load_embeddings,
-    load_manifest,
     save_embeddings,
-    save_manifest,
     validate_pair,
 )
 from genval.errors import FormatError, ValidationError
@@ -197,7 +194,7 @@ def test_unknown_format_rejected(tmp_path):
         load_embeddings(tmp_path / "m.bin", format="parquet")
 
 
-# ------------------------------------------------------ pair + manifest
+# ------------------------------------------------------------------ pair
 
 
 def test_validate_pair():
@@ -208,19 +205,3 @@ def test_validate_pair():
         validate_pair(t, EmbeddingMatrix(np.zeros((5, 32), dtype=np.float32)))
     with pytest.raises(ValidationError, match="empty"):
         validate_pair(EmbeddingMatrix(np.zeros((0, 64), dtype=np.float32)), g)
-
-
-def test_manifest_roundtrip(tmp_path):
-    man = DatasetManifest(entries=((0, "a"), (1, "b"), (2, "c")))
-    path = tmp_path / "man.json"
-    save_manifest(man, path)
-    back = load_manifest(path)
-    assert back.entries == man.entries
-    assert back.id_of(2) == "c"
-    with pytest.raises(ValidationError):
-        back.id_of(3)
-
-
-def test_manifest_rejects_index_gaps():
-    with pytest.raises(ValidationError):
-        DatasetManifest(entries=((0, "a"), (2, "c")))

@@ -10,11 +10,10 @@ from genval import (
     EmbeddingMatrix,
     MatchTables,
     PQConfig,
+    PQCodes,
     adc_lookup_table,
-    adc_topk,
     batch_match,
     encode,
-    exact_topk,
     quantization_error,
     read_match_jsonl,
     recall_at_k,
@@ -35,50 +34,56 @@ def tables(dist_rows, idx_rows):
 # --------------------------------------------------------------- exact scan
 
 
+def query(row):
+    """One query as a one-row matrix: batch_match is the only matcher."""
+    return mat([row])
+
+
 def test_self_match_is_first(rng):
     train = mat(rng.standard_normal((12, 3)))
-    res = exact_topk(train, train.row(7), k=3)
-    assert res.neighbors[0] == (7, 0.0)
+    t = batch_match(train, query(train.row(7)), k=3)
+    assert (t.indices[0, 0], t.distances[0, 0]) == (7, 0.0)
 
 
 def test_three_four_five_triangle():
     train = mat([[0, 0], [3, 4], [6, 8]])
-    res = exact_topk(train, np.array([0.0, 0.0]), k=2)
-    assert res.neighbors == ((0, 0.0), (1, 5.0))
+    t = batch_match(train, query([0.0, 0.0]), k=2)
+    assert t.indices.tolist() == [[0, 1]]
+    assert t.distances.tolist() == [[0.0, 5.0]]
 
 
 def test_duplicate_training_rows_keep_index_order():
     train = mat([[5, 5], [1, 1], [1, 1], [9, 9]])
-    res = exact_topk(train, np.array([1.0, 1.0]), k=2)
-    assert res.indices.tolist() == [1, 2]
-    assert res.distances.tolist() == [0.0, 0.0]
+    t = batch_match(train, query([1.0, 1.0]), k=2)
+    assert t.indices[0].tolist() == [1, 2]
+    assert t.distances[0].tolist() == [0.0, 0.0]
 
 
 def test_distances_match_naive_full_scan(rng):
     train_rows = rng.standard_normal((30, 5))
     q = rng.standard_normal(5)
-    res = exact_topk(mat(train_rows), q, k=6)
+    t = batch_match(mat(train_rows), query(q), k=6)
     # float32 storage quantizes the inputs; compare against the oracle on
     # the same float32 values
     rows32 = train_rows.astype(np.float32).tolist()
-    expect = reference.full_scan_topk(rows32, q, 6)
-    assert [i for i, _ in res.neighbors] == [i for i, _ in expect]
-    for (_, d_got), (_, d_want) in zip(res.neighbors, expect):
+    expect = reference.full_scan_topk(rows32, q.astype(np.float32).tolist(), 6)
+    assert t.indices[0].tolist() == [i for i, _ in expect]
+    for d_got, (_, d_want) in zip(t.distances[0], expect):
         assert d_got == pytest.approx(d_want, rel=1e-9)
 
 
 def test_k_of_at_least_n_returns_everything(rng):
     train = mat(rng.standard_normal((4, 2)))
-    res = exact_topk(train, np.zeros(2), k=99)
-    assert sorted(res.indices.tolist()) == [0, 1, 2, 3]
-    assert np.all(np.diff(res.distances) >= 0)
+    t = batch_match(train, query(np.zeros(2)), k=99)
+    assert sorted(t.indices[0].tolist()) == [0, 1, 2, 3]
+    assert np.all(np.diff(t.distances[0]) >= 0)
 
 
 def test_query_dim_mismatch():
     with pytest.raises(ValidationError):
-        exact_topk(mat([[1.0, 2.0]]), np.zeros(3), k=1)
+        batch_match(mat([[1.0, 2.0]]), query(np.zeros(3)), k=1)
     with pytest.raises(ConfigError):
-        exact_topk(mat([[1.0, 2.0]]), np.zeros(2), k=0)
+        batch_match(mat([[1.0, 2.0]]), query(np.zeros(2)), k=0)
 
 
 # ---------------------------------------------------------------------- adc
@@ -91,10 +96,16 @@ def test_adc_lookup_table_hand_example():
     assert table.shape == (2, 2)
     np.testing.assert_allclose(table, [[1.0, 81.0], [81.0, 1.0]])
     # vector coded (0, 1) reconstructs to (0, 10): estimated sq dist 1 + 1
-    from genval import PQCodes
+    codes = PQCodes(np.array([[0, 1]], dtype=np.uint8))
+    t = batch_match((cb, codes), query([1.0, 9.0]), k=1)
+    assert t.distances[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
-    res = adc_topk(cb, PQCodes(np.array([[0, 1]], dtype=np.uint8)), [1.0, 9.0], k=1)
-    assert res.distances[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+def test_adc_rejects_codes_from_another_codebook():
+    cb = Codebook(np.array([[[0.0], [10.0]], [[0.0], [10.0]]], dtype=np.float32))
+    codes = PQCodes(np.array([[0]], dtype=np.uint8))
+    with pytest.raises(ValidationError, match="subspace count"):
+        batch_match((cb, codes), query([1.0, 9.0]), k=1)
 
 
 def test_adc_equals_exact_on_zero_error_codebook(rng):
@@ -103,9 +114,9 @@ def test_adc_equals_exact_on_zero_error_codebook(rng):
     cb = train_codebooks(train, PQConfig(2, 9, 4, seed=0))
     codes = encode(train, cb)
     assert quantization_error(train, cb) == 0.0
-    q = rng.standard_normal(4)
-    ex = exact_topk(train, q, k=4)
-    ad = adc_topk(cb, codes, q, k=4)
+    q = query(rng.standard_normal(4))
+    ex = batch_match(train, q, k=4)
+    ad = batch_match((cb, codes), q, k=4)
     assert ex.indices.tolist() == ad.indices.tolist()
     np.testing.assert_allclose(ad.distances, ex.distances, rtol=1e-5)
 
@@ -117,8 +128,8 @@ def test_adc_single_subspace_full_codebook(rng):
     codes = encode(train, cb)
     for q in rng.standard_normal((5, 3)):
         assert (
-            adc_topk(cb, codes, q, k=3).indices.tolist()
-            == exact_topk(train, q, k=3).indices.tolist()
+            batch_match((cb, codes), query(q), k=3).indices.tolist()
+            == batch_match(train, query(q), k=3).indices.tolist()
         )
 
 
@@ -126,13 +137,18 @@ def test_adc_single_subspace_full_codebook(rng):
 
 
 def test_batch_single_row_matches_single_scan(rng):
-    train = mat(rng.standard_normal((20, 4)))
-    gen = mat(rng.standard_normal((1, 4)))
-    t = batch_match(train, gen, k=5)
-    single = exact_topk(train, gen.row(0), k=5)
-    assert t.m == 1
-    assert t.indices[0].tolist() == single.indices.tolist()
-    np.testing.assert_array_equal(t.distances[0], single.distances)
+    train_rows = rng.standard_normal((20, 4)).astype(np.float32)
+    gen = mat(rng.standard_normal((6, 4)))
+    full = batch_match(mat(train_rows), gen, k=5)
+    for j in range(gen.count):
+        single = batch_match(mat(train_rows), query(gen.row(j)), k=5)
+        assert single.m == 1
+        # a one-row query gives bit for bit the row a full batch gives
+        assert single.indices[0].tobytes() == full.indices[j].tobytes()
+        assert single.distances[0].tobytes() == full.distances[j].tobytes()
+        expect = reference.full_scan_topk(train_rows.tolist(), gen.row(j).tolist(), 5)
+        assert single.indices[0].tolist() == [i for i, _ in expect]
+        np.testing.assert_allclose(single.distances[0], [d for _, d in expect], rtol=1e-9)
 
 
 def test_identity_matching():
@@ -202,6 +218,12 @@ def test_threads_do_not_change_output(rng):
 def test_batch_match_validates_pair():
     with pytest.raises(ValidationError):
         batch_match(mat([[1.0, 2.0]]), mat([[1.0, 2.0, 3.0]]), k=1)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_batch_match_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ConfigError, match="threads"):
+        batch_match(mat([[1.0, 2.0]]), mat([[1.0, 2.0]]), k=1, threads=threads)
 
 
 # ------------------------------------------------------------------- recall
@@ -277,6 +299,19 @@ def test_jsonl_lines_may_arrive_out_of_order():
             r"cover 0\.\.m-1",
         ),
         ("", r"empty"),
+        ('{"gen_index": 0, "matches": []}\n', r"line 1: record has no matches"),
+        ('{"gen_index": 0, "matches": [{"train_index": 1.7, "distance": 1}]}\n', r"line 1: indices"),
+        ('{"gen_index": 0, "matches": [{"train_index": true, "distance": 1}]}\n', r"line 1: indices"),
+        ('{"gen_index": 0, "matches": [{"train_index": "3", "distance": 1}]}\n', r"line 1: indices"),
+        ('{"gen_index": 0.0, "matches": [{"train_index": 1, "distance": 1}]}\n', r"line 1: indices"),
+        ('{"gen_index": false, "matches": [{"train_index": 1, "distance": 1}]}\n', r"line 1: indices"),
+        ('{"gen_index": 0, "matches": [{"train_index": 1, "distance": "1"}]}\n', r"distances"),
+        ('{"gen_index": 0, "matches": [{"train_index": 1, "distance": null}]}\n', r"distances"),
+        ('{"gen_index": 0, "matches": [{"train_index": 1, "distance": true}]}\n', r"distances"),
+        (
+            '{"gen_index": 0, "matches": [{"train_index": 99999999999999999999, "distance": 1}]}\n',
+            r"64-bit",
+        ),
     ],
 )
 def test_jsonl_rejects_malformed_streams(text, message):

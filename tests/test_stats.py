@@ -9,7 +9,6 @@ import reference
 from genval import (
     EmbeddingMatrix,
     exact_wasserstein,
-    group_summary,
     welch_t_test,
 )
 from genval.errors import ValidationError
@@ -167,17 +166,6 @@ def test_one_degenerate_group_is_fine():
     res = welch_t_test([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
     assert math.isfinite(res.t_statistic)
     assert 0.0 < res.p_one_sided < 0.5
-
-
-# ------------------------------------------------------------ group summary
-
-
-def test_group_summary_cases():
-    assert group_summary([1.0]) == (1.0, None, 1)
-    assert group_summary([1.0, 2.0, 3.0]) == (2.0, 1.0, 3)
-    assert group_summary([4.0, 4.0]).variance == 0.0
-    with pytest.raises(ValidationError):
-        group_summary([])
 
 
 # -------------------------------------------------------------- wasserstein

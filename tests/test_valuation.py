@@ -11,7 +11,6 @@ from genval import (
     batch_match,
     discount_scores,
     rank_training_points,
-    top_contributors,
 )
 from genval.errors import ConfigError, CorruptionError, ValidationError
 from genval.valuation import MASS_TOLERANCE, ValuationResult
@@ -92,11 +91,25 @@ def test_huge_distances_stay_finite():
 
 @pytest.mark.parametrize(
     "bad",
-    [[], [-1.0], [np.nan], [np.inf], [1.0, -0.5]],
+    [[], [-1.0], [np.nan], [np.inf], [1.0, -0.5],
+     np.zeros((3, 0)), np.zeros((2, 2, 2)), 3.7, [[1.0], [-1.0]], [[0.5, np.nan]]],
 )
 def test_score_input_validation(bad):
     with pytest.raises(ValidationError):
         discount_scores(bad)
+
+
+def test_table_rows_equal_lone_rows(rng):
+    d = rng.uniform(0, 30, size=(7, 5))
+    for tau in (0.25, 1.0, 4.0):
+        table = discount_scores(d, temperature=tau)
+        assert table.shape == (7, 5)
+        for j in range(7):
+            lone = discount_scores(d[j], temperature=tau)
+            assert table[j].tobytes() == lone.tobytes()
+            np.testing.assert_allclose(
+                table[j], reference.softmax_scores(d[j].tolist(), tau), atol=1e-12
+            )
 
 
 def test_temperature_validation():
@@ -197,16 +210,3 @@ def test_equal_values_rank_in_index_order():
         (1, pytest.approx(1 / 3)),
         (2, pytest.approx(1 / 3)),
     ]
-
-
-def test_top_contributors_matches_row_scores(rng):
-    d = np.sort(rng.uniform(0, 3, size=4))
-    idx = [5, 2, 8, 1]
-    t = tables([d], [idx])
-    row = top_contributors(t, gen_index=0)
-    assert row.gen_index == 0
-    assert [i for i, _ in row.entries] == idx
-    np.testing.assert_allclose(
-        [s for _, s in row.entries], discount_scores(d), atol=1e-12
-    )
-    assert sum(s for _, s in row.entries) == pytest.approx(1.0, abs=1e-9)
