@@ -191,7 +191,7 @@ def cmd_build_index(args) -> int:
     codebook = pq.train_codebooks(train, cfg)
     codes = pq.encode(train, codebook)
     pq.save_index(codebook, codes, _required(args, "output"))
-    qe = pq.quantization_error(train, codebook)
+    qe = pq.quantization_error(train, codebook, codes)
     print("quantization_error=" + VALUE_FORMAT.format(qe))
     return 0
 
@@ -299,20 +299,27 @@ def _compare_groups(args) -> tuple[list[float], list[float], str, str]:
             groups = json.loads(Path(args.partition).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read partition file: {exc}") from None
+        if not isinstance(groups, dict):
+            raise ConfigError("partition file must hold a JSON object of groups")
         name_a, name_b = args.group_a, args.group_b
         for name in (name_a, name_b):
             if name not in groups:
                 raise ConfigError(f"partition file has no group {name!r}")
+            # a type test, not isinstance: true/false are not row indices
+            if type(groups[name]) is not list or not set(map(type, groups[name])) <= {int}:
+                raise ConfigError(
+                    f"partition group {name!r} must be a list of JSON integers"
+                )
 
         def pick(name):
             vals = []
             for idx in groups[name]:
-                if int(idx) not in table:
+                if idx not in table:
                     raise ConfigError(
                         f"group {name!r} references train_index {idx} "
                         "missing from the value CSV"
                     )
-                vals.append(table[int(idx)])
+                vals.append(table[idx])
             return vals
 
         return pick(name_a), pick(name_b), name_a, name_b
@@ -349,11 +356,18 @@ def cmd_eval_recall(args) -> int:
     if args.index is None:
         raise ConfigError("eval-recall needs --index pointing at a GMVI file")
     codebook, codes = pq.load_index(args.index)
-    for k in sorted({1, 10, args.k}):
-        exact = search.batch_match(train, gen, k, threads=args.threads)
-        approx = search.batch_match((codebook, codes), gen, k, threads=args.threads)
-        print(f"recall@{k}={search.recall_at_k(approx, exact):.6f}")
+    # rows are sorted with ties to the lower index, so the top k of a row
+    # is a prefix of its top max(ks): one scan of each kind serves every k
+    ks = sorted({1, 10, args.k})
+    exact = search.batch_match(train, gen, ks[-1], threads=args.threads)
+    approx = search.batch_match((codebook, codes), gen, ks[-1], threads=args.threads)
+    for k in ks:
+        print(f"recall@{k}={search.recall_at_k(_prefix(approx, k), _prefix(exact, k)):.6f}")
     return 0
+
+
+def _prefix(tables: search.MatchTables, k: int) -> search.MatchTables:
+    return search.MatchTables(tables.distances[:, :k], tables.indices[:, :k])
 
 
 def cmd_wasserstein(args) -> int:

@@ -1,4 +1,5 @@
-"""Embedding matrices: validation, persistence, and row identities.
+"""Embedding matrices: validation, persistence, row identities, and the
+nearest-row kernel that exact matching and PQ encoding share.
 
 A training set and a generated set are both plain dense matrices of
 32-bit floats. The row index is the only identity used downstream.
@@ -176,6 +177,97 @@ def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return EmbeddingMatrix(np.array(rows, dtype=np.float64))
+
+
+# Scratch bytes one block of a blocked kernel may hold. A fixed budget,
+# not a setting: block buffers come on top of the float64 corpus, and
+# larger blocks raise peak memory without making the GEMM much faster.
+BLOCK_BYTES = 8 << 20
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows per block when each row needs ``row_bytes`` of scratch."""
+    return max(1, BLOCK_BYTES // row_bytes)
+
+
+def _exact_sq_dists(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Squared distances by subtraction, row t of ``rows`` against row t
+    (or the one row) of ``queries``: the arithmetic every reported
+    distance is defined by."""
+    diff = rows - queries
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _pair_sq_dists(train, queries, rows, cols) -> np.ndarray:
+    """``_exact_sq_dists`` of every pair (train[cols[t]], queries[rows[t]])."""
+    n, d = train.shape
+    # einsum sums a lone row of more than 8192 entries in buffer-sized
+    # pieces but a row of a taller matrix in one go; a full scan of n
+    # rows is what defines each distance, so a call gets one row only
+    # when n is 1
+    if n > 1 and rows.size == 1:
+        return _exact_sq_dists(train[np.repeat(cols, 2)], queries[np.repeat(rows, 2)])[:1]
+    # three (step, d) temporaries; chunks of at least step/2 >= 2 rows
+    step = 1 if n == 1 else max(4, block_rows(24 * d))
+    bounds = np.linspace(0, rows.size, -(-rows.size // step) + 1, dtype=np.int64)
+    out = np.empty(rows.size)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        out[lo:hi] = _exact_sq_dists(train[cols[lo:hi]], queries[rows[lo:hi]])
+    return out
+
+
+def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k rows of ``train`` (n >= 1 rows, float64) for each query row.
+
+    Returns ``(m, min(k, n))`` index and squared-distance tables, each
+    row sorted ascending by distance with ties to the lower index. The
+    distances are bitwise those of a full scan by ``_exact_sq_dists``.
+
+    One GEMM per block of query rows gives A = |q|² - 2q·x + |x|² for
+    every training row. A and the subtracted distance differ by at most
+    E = c·(|q|² + |x|²), with c = 8·(d + 4)·2⁻⁵³ twice the first-order
+    bound of the two computations' dot-product errors (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, §3.1); float32
+    inputs cannot underflow or overflow in float64. A row whose A - E
+    exceeds the k-th smallest A + E therefore has k rows strictly
+    closer. Only the other rows, the candidates, are recomputed by
+    subtraction and ranked. Near ties lengthen the candidate list, up
+    to all n rows, but never change the result.
+    """
+    n, d = train.shape
+    m = queries.shape[0]
+    k = min(k, n)
+    c = 8.0 * (d + 4) * 2.0**-53
+    x2 = np.einsum("ij,ij->i", train, train)
+    ex = c * x2
+    b = max(1, min(m, block_rows(17 * n)))  # two float64 and one bool entry per pair
+    approx = np.empty((b, n))
+    upper = np.empty((b, n))
+    keep = np.empty((b, n), dtype=bool)
+    indices = np.empty((m, k), dtype=np.int64)
+    sq_dists = np.empty((m, k))
+    for lo in range(0, m, b):
+        q = queries[lo : lo + b]
+        r = q.shape[0]
+        a, u = approx[:r], upper[:r]
+        # a = A - |q|²: |q|² is constant along a row and cancels from the
+        # test A - E <= k-th smallest A + E, which leaves
+        # a - c·|x|² <= k-th smallest (a + c·|x|²) + 2c·|q|²
+        np.matmul(-2.0 * q, train.T, out=a)
+        a += x2
+        np.add(a, ex, out=u)
+        u.partition(k - 1, axis=1)
+        tau = u[:, k - 1] + 2.0 * c * np.einsum("ij,ij->i", q, q)
+        a -= ex
+        np.less_equal(a, tau[:, None], out=keep[:r])
+        rows, cols = np.nonzero(keep[:r])  # by row, then ascending index
+        dist = _pair_sq_dists(train, q, rows, cols)
+        order = np.lexsort((cols, dist, rows))
+        counts = np.bincount(rows, minlength=r)  # each row keeps at least k
+        pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        indices[lo : lo + r] = cols[pick]
+        sq_dists[lo : lo + r] = dist[pick]
+    return indices, sq_dists
 
 
 def validate_pair(training: EmbeddingMatrix, generated: EmbeddingMatrix) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, block_rows, nearest_rows
 from .errors import ConfigError, CorruptionError, FormatError, InternalError
 
 GMVI_MAGIC = b"GMVI"
@@ -150,15 +150,42 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points[np.array(chosen)].copy()
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest-centroid assignment (ties to lowest index) and objective."""
+# _assign runs its GEMM over row blocks, and a row's product is bitwise
+# the one of a single full GEMM only while BLAS computes the row the same
+# way: blocks start at multiples of 64 rows (a multiple of every kernel's
+# row unroll) and the last one takes the remainder, so no short tail
+# block falls to gemv or a small-matrix kernel.
+_ASSIGN_ALIGN = 64
+
+
+def _assign_blocks(n: int, k: int) -> list[tuple[int, int]]:
+    """[lo, hi) row blocks of fewer than 2 * step rows, step a multiple of 64."""
+    step = max(_ASSIGN_ALIGN, block_rows(16 * k) // _ASSIGN_ALIGN * _ASSIGN_ALIGN)
+    starts = list(range(0, max(n - step, 0) + 1, step))
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nearest-centroid assignment (ties to lowest index) and objective.
+
+    ``x2`` holds the squared norms of ``points``.
+    """
+    n, k = points.shape[0], centroids.shape[0]
     # |x-c|^2 = |x|^2 - 2 x.c + |c|^2; the |x|^2 term does not affect argmin
-    cross = points @ centroids.T
     c2 = np.einsum("ij,ij->i", centroids, centroids)
-    scores = c2[None, :] - 2.0 * cross
-    assign = np.argmin(scores, axis=1)
-    x2 = np.einsum("ij,ij->i", points, points)
-    obj = float(np.maximum(scores[np.arange(points.shape[0]), assign] + x2, 0.0).sum())
+    # scaling by -2 is exact, so x.(-2c) is bitwise -2 (x.c)
+    neg2c = -2.0 * centroids
+    blocks = _assign_blocks(n, k)
+    buf = np.empty((max(hi - lo for lo, hi in blocks), k))
+    assign = np.empty(n, dtype=np.int64)
+    best = np.empty(n)
+    for lo, hi in blocks:
+        scores = buf[: hi - lo]
+        np.matmul(points[lo:hi], neg2c.T, out=scores)
+        scores += c2
+        assign[lo:hi] = np.argmin(scores, axis=1)
+        best[lo:hi] = scores[np.arange(hi - lo), assign[lo:hi]]
+    obj = float(np.maximum(best + x2, 0.0).sum())
     return assign, obj
 
 
@@ -166,10 +193,11 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> 
     """Lloyd's algorithm; returns (centroids, per-iteration objectives)."""
     n, d = points.shape
     centroids = _kmeans_pp_init(points, k, rng)
+    x2 = np.einsum("ij,ij->i", points, points)
     prev_assign = None
     objectives: list[float] = []
     for _ in range(iters):
-        assign, obj = _assign(points, centroids)
+        assign, obj = _assign(points, centroids, x2)
         if objectives and obj > objectives[-1] * (1.0 + _OBJECTIVE_SLACK) + 1e-12:
             raise InternalError(
                 f"k-means objective increased: {objectives[-1]} -> {obj}"
@@ -177,8 +205,10 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> 
         objectives.append(obj)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
-        sums = np.zeros((k, d))
-        np.add.at(sums, assign, points)
+        # bincount adds each cluster's rows in row order, as np.add.at did
+        sums = np.empty((k, d))
+        for j in range(d):
+            sums[:, j] = np.bincount(assign, weights=points[:, j], minlength=k)
         counts = np.bincount(assign, minlength=k)
         empty = np.flatnonzero(counts == 0)
         nonempty = counts > 0
@@ -212,11 +242,12 @@ def _code_dtype(codebook_size: int):
     return np.uint8 if codebook_size <= 256 else np.uint16
 
 
-def encode(data: EmbeddingMatrix, codebook: Codebook, chunk: int = 1024) -> PQCodes:
+def encode(data: EmbeddingMatrix, codebook: Codebook) -> PQCodes:
     """Map each subvector to its nearest centroid (ties to lowest index).
 
-    Distances are evaluated by direct subtraction in float64 so that
-    exactly equidistant centroids really compare equal.
+    Distances are those of direct subtraction in float64, so exactly
+    equidistant centroids really compare equal; ``nearest_rows`` finds
+    the nearest one with a GEMM shortlist and an exact recheck.
     """
     if data.dim != codebook.dim:
         raise ConfigError(
@@ -224,15 +255,10 @@ def encode(data: EmbeddingMatrix, codebook: Codebook, chunk: int = 1024) -> PQCo
         )
     m, sd = codebook.num_subspaces, codebook.subspace_dim
     codes = np.empty((data.count, m), dtype=_code_dtype(codebook.codebook_size))
-    points = data.data.astype(np.float64)
     cents = codebook.centroids.astype(np.float64)
     for s in range(m):
-        sub = points[:, s * sd : (s + 1) * sd]
-        for lo in range(0, data.count, chunk):
-            block = sub[lo : lo + chunk]
-            diff = block[:, None, :] - cents[s][None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            codes[lo : lo + chunk, s] = np.argmin(d2, axis=1)
+        sub = data.data[:, s * sd : (s + 1) * sd].astype(np.float64)
+        codes[:, s] = nearest_rows(cents[s], sub, 1)[0][:, 0]
     return PQCodes(codes)
 
 
@@ -256,9 +282,15 @@ def decode(codes: PQCodes, codebook: Codebook) -> EmbeddingMatrix:
     return EmbeddingMatrix(out)
 
 
-def quantization_error(data: EmbeddingMatrix, codebook: Codebook) -> float:
-    """Mean squared Euclidean distance between vectors and reconstructions."""
-    recon = decode(encode(data, codebook), codebook)
+def quantization_error(data: EmbeddingMatrix, codebook: Codebook, codes: PQCodes | None = None) -> float:
+    """Mean squared Euclidean distance between vectors and reconstructions.
+
+    ``codes`` are ``encode(data, codebook)``; they are computed here
+    unless the caller has them already.
+    """
+    if codes is None:
+        codes = encode(data, codebook)
+    recon = decode(codes, codebook)
     diff = data.data.astype(np.float64) - recon.data.astype(np.float64)
     return float(np.einsum("ij,ij->i", diff, diff).mean())
 

@@ -1,10 +1,14 @@
 """Top-k matching of generated points against training points.
 
-Two routes produce the same table shapes: an exact full scan (the
-oracle) and asymmetric distance computation over PQ codes (the fast
-path). Reported distances are non-squared Euclidean; rows are sorted
-ascending by distance with ties broken by ascending training index, so
-output is reproducible bit for bit regardless of scheduling.
+Two routes produce the same table shapes. The exact route (the oracle)
+takes a shortlist from one BLAS GEMM per block of query rows and
+recomputes only the shortlist by direct subtraction; a rigorous rounding
+bound keeps every row that could still be in the top k, so its tables
+are bitwise those of a full subtraction scan (``embeddings.nearest_rows``).
+The compressed route scores PQ codes by asymmetric distance computation.
+Reported distances are non-squared Euclidean; rows are sorted ascending
+by distance with ties broken by ascending training index, so output is
+reproducible bit for bit regardless of scheduling.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, validate_pair
+from .embeddings import EmbeddingMatrix, nearest_rows, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
 from .pq import Codebook
 
@@ -65,11 +69,6 @@ def _topk(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, d2[order]
 
 
-def _exact_sq_dists(training: np.ndarray, query: np.ndarray) -> np.ndarray:
-    diff = training - query[None, :]
-    return np.einsum("ij,ij->i", diff, diff)
-
-
 def adc_lookup_table(codebook: Codebook, query: np.ndarray) -> np.ndarray:
     """Squared distances from each query subvector to every centroid.
 
@@ -106,13 +105,17 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
         raise ConfigError("k must be >= 1")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
+    queries = generated.data.astype(np.float64)
+    m = queries.shape[0]
     if isinstance(training_repr, EmbeddingMatrix):
         validate_pair(training_repr, generated)
         train = training_repr.data.astype(np.float64)
-        n = train.shape[0]
+        k_eff = min(k, train.shape[0])
 
-        def row_sq_dists(q):
-            return _exact_sq_dists(train, q)
+        def fill(lo: int, hi: int) -> None:
+            idx, sq = nearest_rows(train, queries[lo:hi], k_eff)
+            indices[lo:hi] = idx
+            distances[lo:hi] = np.sqrt(sq)
 
     else:
         codebook, codes = training_repr
@@ -125,23 +128,17 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
             raise ValidationError("codes/codebook subspace count mismatch")
         if codes.count < 1:
             raise ValidationError("training set is empty")
-        n = codes.count
+        k_eff = min(k, codes.count)
 
-        def row_sq_dists(q):
-            return _adc_sq_dists(adc_lookup_table(codebook, q), codes.codes)
+        def fill(lo: int, hi: int) -> None:
+            for j in range(lo, hi):
+                table = adc_lookup_table(codebook, queries[j])
+                idx, vals = _topk(_adc_sq_dists(table, codes.codes), k_eff)
+                indices[j] = idx
+                distances[j] = np.sqrt(vals)
 
-    k_eff = min(k, n)
-    queries = generated.data.astype(np.float64)
-    m = queries.shape[0]
     distances = np.empty((m, k_eff), dtype=np.float64)
     indices = np.empty((m, k_eff), dtype=np.int64)
-
-    def fill(lo: int, hi: int) -> None:
-        for j in range(lo, hi):
-            idx, vals = _topk(row_sq_dists(queries[j]), k_eff)
-            indices[j] = idx
-            distances[j] = np.sqrt(vals)
-
     if threads == 1 or m < 2:
         fill(0, m)
     else:

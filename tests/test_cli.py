@@ -6,7 +6,7 @@ import pytest
 
 import genval.cli as cli
 from conftest import run_cli, write_embx
-from genval import load_embeddings, save_embeddings
+from genval import embeddings, load_embeddings, pq, save_embeddings, search
 from genval.errors import InternalError
 
 
@@ -62,6 +62,21 @@ def test_build_index_and_quantization_report(exp_dir, tmp_path):
     assert r.stdout.startswith("quantization_error=")
     assert float(r.stdout.split("=")[1]) >= 0.0
     assert idx.read_bytes()[:4] == b"GMVI"
+
+
+def test_build_index_encodes_once(exp_dir, tmp_path, monkeypatch):
+    encoded = []
+    encode = pq.encode
+    monkeypatch.setattr(pq, "encode", lambda *a: encoded.append(a) or encode(*a))
+    r = run_cli(
+        "build-index", "--train", exp_dir / "x_train.embx", "--output", tmp_path / "i.gmvi",
+        "--num-subspaces", 2, "--codebook-size", 8, "--kmeans-iters", 5,
+    )
+    assert r.code == 0
+    assert len(encoded) == 1
+    train = load_embeddings(exp_dir / "x_train.embx")
+    codebook, _ = pq.load_index(tmp_path / "i.gmvi")
+    assert r.stdout == "quantization_error=%.9g\n" % pq.quantization_error(train, codebook)
 
 
 def test_build_index_rejects_oversized_codebook(exp_dir, tmp_path):
@@ -135,6 +150,18 @@ def test_match_threads_do_not_change_bytes(exp_dir):
     eight = run_cli(*args, "--threads", 8)
     assert one.code == eight.code == 0
     assert one.stdout == eight.stdout
+
+
+def test_threads_split_rows_across_scan_blocks(exp_dir, monkeypatch):
+    # 60 training rows and 40 queries: a budget of 3 rows per block puts
+    # every thread boundary somewhere inside or between blocks
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 3 * 17 * 60)
+    args = ("match", "--train", exp_dir / "x_train.embx",
+            "--gen", exp_dir / "x_hat.embx", "--k", 5)
+    one = run_cli(*args, "--threads", 1)
+    three = run_cli(*args, "--threads", 3)
+    assert one.code == three.code == 0
+    assert one.stdout == three.stdout
 
 
 def test_match_output_flag_matches_stdout(exp_dir, tmp_path):
@@ -278,6 +305,26 @@ def test_compare_unknown_group(exp_dir, tmp_path):
     assert "no group 'nope'" in r.stderr
 
 
+@pytest.mark.parametrize("group", ["5", '["x"]', "[1.7]", "[true]"])
+def test_compare_rejects_malformed_partition_groups(tmp_path, group):
+    values = make_value_csv(tmp_path / "v.csv", [0.5, 0.2, 0.9, 0.1])
+    partition = tmp_path / "p.json"
+    partition.write_text('{"v1": %s, "v2": [2, 3]}' % group)
+    r = run_cli("compare", "--values", values, "--partition", partition)
+    assert r.code == 2
+    assert r.stderr == "genval: error: partition group 'v1' must be a list of JSON integers\n"
+    assert r.stdout == ""
+
+
+def test_compare_rejects_a_partition_that_is_not_an_object(tmp_path):
+    values = make_value_csv(tmp_path / "v.csv", [0.5, 0.2, 0.9, 0.1])
+    partition = tmp_path / "p.json"
+    partition.write_text("[[0, 1], [2, 3]]")
+    r = run_cli("compare", "--values", values, "--partition", partition)
+    assert r.code == 2
+    assert r.stderr.startswith("genval: error: ") and r.stderr.count("\n") == 1
+
+
 def test_compare_alpha_validation(tmp_path):
     csv = make_value_csv(tmp_path / "v.csv", [0.9, 0.5, 0.1])
     r = run_cli("compare", "--values-a", csv, "--values-b", csv, "--alpha", 2.0)
@@ -305,6 +352,31 @@ def test_eval_recall_zero_error_codebook(tmp_path, rng):
     assert r.code == 0
     assert "recall@1=1.000000\n" in r.stdout
     assert "recall@10=1.000000\n" in r.stdout
+
+
+def test_eval_recall_reads_every_k_off_one_scan_per_route(exp_dir, tmp_path, monkeypatch):
+    idx = tmp_path / "i.gmvi"
+    train, gen = exp_dir / "x_train.embx", exp_dir / "x_hat.embx"
+    assert run_cli(
+        "build-index", "--train", train, "--output", idx,
+        "--num-subspaces", 2, "--codebook-size", 8, "--kmeans-iters", 5,
+    ).code == 0
+    scans = []
+    batch_match = search.batch_match
+    monkeypatch.setattr(
+        search, "batch_match", lambda t, g, k, threads: scans.append(k) or batch_match(t, g, k, threads)
+    )
+    r = run_cli("eval-recall", "--train", train, "--gen", gen, "--index", idx, "--k", 5)
+    assert r.code == 0
+    assert scans == [10, 10]
+    # each line equals the recall of scans run at its own k
+    train_m, gen_m = load_embeddings(train), load_embeddings(gen)
+    index = pq.load_index(idx)
+    expect = "".join(
+        f"recall@{k}={search.recall_at_k(batch_match(index, gen_m, k), batch_match(train_m, gen_m, k)):.6f}\n"
+        for k in (1, 5, 10)
+    )
+    assert r.stdout == expect
 
 
 def test_eval_recall_mismatched_tables(tmp_path, rng):

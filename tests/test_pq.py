@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference
+from genval import embeddings, pq
 from genval import (
     Codebook,
     EmbeddingMatrix,
@@ -171,6 +172,73 @@ def test_quantization_error_zero_iff_representable():
     off_grid = mat([[0.0], [2.25]])
     assert quantization_error(on_grid, cb) == 0.0
     assert quantization_error(off_grid, cb) > 0.0
+
+
+def subtraction_encode(data, codebook):
+    """encode before the GEMM shortlist: subtract every centroid in
+    float64, sum squares with einsum, argmin (ties to the lower index)."""
+    m, sd = codebook.num_subspaces, codebook.subspace_dim
+    points = data.data.astype(np.float64)
+    cents = codebook.centroids.astype(np.float64)
+    codes = np.empty((data.count, m), dtype=np.int64)
+    for s in range(m):
+        diff = points[:, None, s * sd : (s + 1) * sd] - cents[s][None, :, :]
+        codes[:, s] = np.argmin(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
+    return codes
+
+
+def test_encode_equals_subtraction_encode(rng, monkeypatch):
+    # small blocks: 300 rows against 16 centroids make 8 blocks
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 40 * 17 * 16)
+    data = mat(rng.standard_normal((300, 12)))
+    trained = train_codebooks(data, PQConfig(num_subspaces=3, codebook_size=16, kmeans_iters=5, seed=4))
+    # a coarse lattice: many exactly equidistant centroids
+    grid = mat(rng.integers(-2, 3, size=(300, 12)) * 0.5)
+    lattice = Codebook(rng.integers(-2, 3, size=(3, 16, 4)).astype(np.float32))
+    # 1e4 plus 1e-3 steps at dim 128: the GEMM rounds, the 1e-3 gaps do not
+    far = np.float32(1e4) + rng.integers(-3, 4, size=(316, 128)) * np.float32(2.0**-10)
+    far_book = Codebook(far[None, 300:])
+    for points, book in ((data, trained), (grid, lattice), (mat(far[:300]), far_book)):
+        np.testing.assert_array_equal(encode(points, book).codes, subtraction_encode(points, book))
+
+
+def unblocked_assign(points, centroids):
+    """Lloyd's assignment step before blocking: one full GEMM."""
+    cross = points @ centroids.T
+    c2 = np.einsum("ij,ij->i", centroids, centroids)
+    scores = c2[None, :] - 2.0 * cross
+    assign = np.argmin(scores, axis=1)
+    x2 = np.einsum("ij,ij->i", points, points)
+    obj = float(np.maximum(scores[np.arange(points.shape[0]), assign] + x2, 0.0).sum())
+    return assign, obj
+
+
+def test_blocked_assign_equals_one_gemm(rng, monkeypatch):
+    # a budget this small gives 64-row blocks: 5 of them, the last 101 rows
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 1)
+    points = rng.standard_normal((357, 8)) * 3
+    centroids = rng.standard_normal((40, 8))
+    x2 = np.einsum("ij,ij->i", points, points)
+    assign, obj = pq._assign(points, centroids, x2)
+    want_assign, want_obj = unblocked_assign(points, centroids)
+    np.testing.assert_array_equal(assign, want_assign)
+    assert obj == want_obj
+    assert [hi - lo for lo, hi in pq._assign_blocks(357, 40)] == [64, 64, 64, 64, 101]
+
+
+def test_training_does_not_depend_on_the_block_size(rng, monkeypatch):
+    data = mat(rng.standard_normal((700, 8)))
+    cfg = PQConfig(num_subspaces=2, codebook_size=32, kmeans_iters=10, seed=3)
+    one_block = train_codebooks(data, cfg)
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 1)
+    blocked = train_codebooks(data, cfg)
+    assert one_block.centroids.tobytes() == blocked.centroids.tobytes()
+
+
+def test_quantization_error_reuses_given_codes(rng):
+    data = mat(rng.standard_normal((90, 6)))
+    cb = train_codebooks(data, PQConfig(num_subspaces=3, codebook_size=8, kmeans_iters=6, seed=1))
+    assert quantization_error(data, cb, encode(data, cb)) == quantization_error(data, cb)
 
 
 # ------------------------------------------------------------- serialization

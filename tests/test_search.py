@@ -1,10 +1,12 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference
+from genval import embeddings
 from genval import (
     Codebook,
     EmbeddingMatrix,
@@ -224,6 +226,124 @@ def test_batch_match_validates_pair():
 def test_batch_match_rejects_fewer_than_one_thread(threads):
     with pytest.raises(ConfigError, match="threads"):
         batch_match(mat([[1.0, 2.0]]), mat([[1.0, 2.0]]), k=1, threads=threads)
+
+
+# ------------------------------------------------------------ gemm shortlist
+
+
+def subtraction_scan(train, gen, k):
+    """The exact route before the GEMM shortlist: per query row, subtract
+    every training row, sum squares with einsum, stable-sort by distance."""
+    t = train.data.astype(np.float64)
+    idx, dist = [], []
+    for q in gen.data.astype(np.float64):
+        diff = t - q[None, :]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        order = np.argsort(d2, kind="stable")[:k]
+        idx.append(order)
+        dist.append(np.sqrt(d2[order]))
+    return np.array(idx), np.array(dist)
+
+
+def shortlist_case(name, rng, n, m, d=6):
+    """Training and query rows whose squared distances are exact in any
+    summation order (except "gaussian"), so the loop oracle's ties are
+    the true ties."""
+    if name == "gaussian":
+        pts = rng.standard_normal((n + m, d))
+    elif name == "lattice":  # small integers: exact ties everywhere
+        pts = rng.integers(-2, 3, size=(n + m, d)).astype(float)
+    elif name == "duplicates":  # 4 distinct rows, repeated
+        pts = rng.integers(-3, 4, size=(4, d))[rng.integers(0, 4, size=n + m)].astype(float)
+    elif name == "near_ties":  # one row plus a few 2^-12 steps
+        base = np.round(rng.standard_normal(d) * 8)
+        pts = base + rng.integers(-2, 3, size=(n + m, d)) * 2.0**-12
+    else:  # "large_offset": 1e4 plus 1e-3 noise, one float32 ulp there
+        pts = np.float32(1e4) + rng.integers(-3, 4, size=(n + m, d)) * np.float32(2.0**-10)
+    pts = pts.astype(np.float32)
+    return mat(pts[:n]), mat(pts[n:])
+
+
+CASES = ["gaussian", "lattice", "duplicates", "near_ties", "large_offset"]
+
+
+@pytest.fixture
+def four_row_blocks(monkeypatch):
+    """Shrink the block budget so a 30-row corpus gets 4 query rows per block."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 17 * 30)
+    assert embeddings.block_rows(17 * 30) == 4
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 9])  # below, at and above one block, and three blocks
+@pytest.mark.parametrize("case", CASES)
+def test_shortlist_equals_full_scan(case, m, four_row_blocks):
+    rng = np.random.default_rng(CASES.index(case) * 100 + m)
+    # at d=128 the GEMM rounds at norm 1e4 while the 1e-3 gaps stay exact
+    train, gen = shortlist_case(case, rng, 30, m, d=128 if case == "large_offset" else 6)
+    for k in (1, 3, 30, 45):
+        t = batch_match(train, gen, k=k)
+        idx, dist = subtraction_scan(train, gen, k)
+        assert t.indices.tobytes() == idx.tobytes()
+        assert t.distances.tobytes() == dist.tobytes()
+        for j in range(m):
+            expect = reference.full_scan_topk(train.data.tolist(), gen.data[j].tolist(), k)
+            assert t.indices[j].tolist() == [i for i, _ in expect]
+            np.testing.assert_allclose(t.distances[j], [x for _, x in expect], rtol=1e-12)
+
+
+def test_shortlist_survives_a_rounding_bound_as_wide_as_the_corpus(rng, monkeypatch):
+    """At norm 1e4 the bound dwarfs the 1e-3 gaps, so most rows stay
+    candidates; the result is still the full scan's."""
+    rechecked = []
+    pair_sq_dists = embeddings._pair_sq_dists
+
+    def counting(train, queries, rows, cols):
+        rechecked.append(rows.size)
+        return pair_sq_dists(train, queries, rows, cols)
+
+    monkeypatch.setattr(embeddings, "_pair_sq_dists", counting)
+    train, gen = shortlist_case("large_offset", rng, 200, 30, d=128)
+    t = batch_match(train, gen, k=5)
+    idx, dist = subtraction_scan(train, gen, 5)
+    assert t.indices.tobytes() == idx.tobytes()
+    assert t.distances.tobytes() == dist.tobytes()
+    assert sum(rechecked) > 30 * 200 // 2
+
+
+@pytest.mark.parametrize("n, m, k", [(1, 3, 1), (5, 1, 1), (5, 4, 2)])
+def test_rows_longer_than_the_einsum_buffer(rng, n, m, k):
+    # einsum sums a lone row of more than 8192 entries in pieces and a
+    # row of a taller matrix in one go; the recheck keeps the full scan's
+    train = mat(rng.standard_normal((n, 9000)))
+    gen = mat(rng.standard_normal((m, 9000)))
+    t = batch_match(train, gen, k=k)
+    idx, dist = subtraction_scan(train, gen, k)
+    assert t.indices.tobytes() == idx.tobytes()
+    assert t.distances.tobytes() == dist.tobytes()
+
+
+def test_threads_split_across_blocks(rng, four_row_blocks):
+    train, gen = shortlist_case("near_ties", rng, 30, 23)
+    one = batch_match(train, gen, k=6, threads=1)
+    three = batch_match(train, gen, k=6, threads=3)
+    assert one.indices.tobytes() == three.indices.tobytes()
+    assert one.distances.tobytes() == three.distances.tobytes()
+
+
+def test_exact_scan_scratch_stays_below_one_corpus_copy(rng):
+    """Guards peak memory: block buffers on top of batch_match's float64
+    corpus must stay below a second float64 copy of the corpus."""
+    train = mat(rng.standard_normal((20_000, 128)))
+    gen = mat(rng.standard_normal((500, 128)))
+    corpus64 = train.data.size * 8
+    tracemalloc.start()
+    try:
+        batch_match(train, gen, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = peak - corpus64
+    assert scratch < corpus64, f"scratch {scratch / 2**20:.1f} MiB"
 
 
 # ------------------------------------------------------------------- recall
