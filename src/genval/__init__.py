@@ -57,7 +57,6 @@ from .valuation import (
     ValuationResult,
     aggregate_values,
     discount_scores,
-    rank_training_points,
 )
 
 __version__ = "0.1.0"

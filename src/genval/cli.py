@@ -351,6 +351,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval_recall(args) -> int:
+    if args.k < 1:
+        raise ConfigError("k must be >= 1")
     train = _load_matrix(args, "train")
     gen = _load_matrix(args, "gen")
     if args.index is None:

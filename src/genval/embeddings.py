@@ -1,5 +1,6 @@
-"""Embedding matrices: validation, persistence, row identities, and the
-nearest-row kernel that exact matching and PQ encoding share.
+"""Embedding matrices: validation, persistence, row identities, the
+nearest-row kernel that exact matching and PQ encoding share, and the
+top-k selection that both matching routes share.
 
 A training set and a generated set are both plain dense matrices of
 32-bit floats. The row index is the only identity used downstream.
@@ -190,29 +191,29 @@ def block_rows(row_bytes: int) -> int:
     return max(1, BLOCK_BYTES // row_bytes)
 
 
-def _exact_sq_dists(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def exact_sq_dists(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Squared distances by subtraction, row t of ``rows`` against row t
-    (or the one row) of ``queries``: the arithmetic every reported
-    distance is defined by."""
+    of ``queries`` (or against its one row, or one point): the arithmetic
+    every reported distance and k-means++ weight is defined by."""
     diff = rows - queries
     return np.einsum("ij,ij->i", diff, diff)
 
 
 def _pair_sq_dists(train, queries, rows, cols) -> np.ndarray:
-    """``_exact_sq_dists`` of every pair (train[cols[t]], queries[rows[t]])."""
+    """``exact_sq_dists`` of every pair (train[cols[t]], queries[rows[t]])."""
     n, d = train.shape
     # einsum sums a lone row of more than 8192 entries in buffer-sized
     # pieces but a row of a taller matrix in one go; a full scan of n
     # rows is what defines each distance, so a call gets one row only
     # when n is 1
     if n > 1 and rows.size == 1:
-        return _exact_sq_dists(train[np.repeat(cols, 2)], queries[np.repeat(rows, 2)])[:1]
+        return exact_sq_dists(train[np.repeat(cols, 2)], queries[np.repeat(rows, 2)])[:1]
     # three (step, d) temporaries; chunks of at least step/2 >= 2 rows
     step = 1 if n == 1 else max(4, block_rows(24 * d))
     bounds = np.linspace(0, rows.size, -(-rows.size // step) + 1, dtype=np.int64)
     out = np.empty(rows.size)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out[lo:hi] = _exact_sq_dists(train[cols[lo:hi]], queries[rows[lo:hi]])
+        out[lo:hi] = exact_sq_dists(train[cols[lo:hi]], queries[rows[lo:hi]])
     return out
 
 
@@ -221,7 +222,7 @@ def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.nda
 
     Returns ``(m, min(k, n))`` index and squared-distance tables, each
     row sorted ascending by distance with ties to the lower index. The
-    distances are bitwise those of a full scan by ``_exact_sq_dists``.
+    distances are bitwise those of a full scan by ``exact_sq_dists``.
 
     One GEMM per block of query rows gives A = |q|² - 2q·x + |x|² for
     every training row. A and the subtracted distance differ by at most
@@ -260,14 +261,22 @@ def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.nda
         tau = u[:, k - 1] + 2.0 * c * np.einsum("ij,ij->i", q, q)
         a -= ex
         np.less_equal(a, tau[:, None], out=keep[:r])
-        rows, cols = np.nonzero(keep[:r])  # by row, then ascending index
+        rows, cols = np.nonzero(keep[:r])
         dist = _pair_sq_dists(train, q, rows, cols)
-        order = np.lexsort((cols, dist, rows))
-        counts = np.bincount(rows, minlength=r)  # each row keeps at least k
-        pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        indices[lo : lo + r] = cols[pick]
-        sq_dists[lo : lo + r] = dist[pick]
+        indices[lo : lo + r], sq_dists[lo : lo + r] = select_topk(rows, cols, dist, k)
     return indices, sq_dists
+
+
+def select_topk(rows, cols, dist, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top k of each query row among candidate pairs, as (r, k) index and
+    squared-distance tables sorted ascending with ties to the lower index.
+
+    ``rows, cols`` are ``np.nonzero`` of an (r, n) mask with at least k
+    pairs per row; ``dist`` holds their squared distances."""
+    order = np.lexsort((cols, dist, rows))
+    counts = np.bincount(rows)
+    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return cols[pick], dist[pick]
 
 
 def validate_pair(training: EmbeddingMatrix, generated: EmbeddingMatrix) -> None:

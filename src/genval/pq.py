@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, block_rows, nearest_rows
+from .embeddings import EmbeddingMatrix, block_rows, exact_sq_dists, nearest_rows
 from .errors import ConfigError, CorruptionError, FormatError, InternalError
 
 GMVI_MAGIC = b"GMVI"
@@ -124,16 +124,11 @@ def _subspace_rng(seed: int, subspace: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, subspace])))
 
 
-def _sq_dists_to_point(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = points - center
-    return np.einsum("ij,ij->i", diff, diff)
-
-
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding; returns initial centroids (k, dim) float64."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists_to_point(points, points[chosen[0]])
+    d2 = exact_sq_dists(points, points[chosen[0]])
     for _ in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -146,7 +141,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             taken = set(chosen)
             idx = next((i for i in range(n) if i not in taken), chosen[0])
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_dists_to_point(points, points[idx]))
+        d2 = np.minimum(d2, exact_sq_dists(points, points[idx]))
     return points[np.array(chosen)].copy()
 
 
@@ -216,7 +211,7 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> 
         for j in empty:
             # reseed an orphaned centroid to the point farthest from its
             # stale position; argmax takes the lowest row index on ties
-            far = int(np.argmax(_sq_dists_to_point(points, centroids[j])))
+            far = int(np.argmax(exact_sq_dists(points, centroids[j])))
             centroids[j] = points[far]
         prev_assign = assign
     return centroids, objectives

@@ -5,7 +5,9 @@ takes a shortlist from one BLAS GEMM per block of query rows and
 recomputes only the shortlist by direct subtraction; a rigorous rounding
 bound keeps every row that could still be in the top k, so its tables
 are bitwise those of a full subtraction scan (``embeddings.nearest_rows``).
-The compressed route scores PQ codes by asymmetric distance computation.
+The compressed route scores PQ codes by asymmetric distance computation,
+summing lookup tables for a block of query rows at once. Both routes pick
+each row's top k with the one selection, ``embeddings.select_topk``.
 Reported distances are non-squared Euclidean; rows are sorted ascending
 by distance with ties broken by ascending training index, so output is
 reproducible bit for bit regardless of scheduling.
@@ -13,12 +15,14 @@ reproducible bit for bit regardless of scheduling.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, nearest_rows, validate_pair
+from .embeddings import EmbeddingMatrix, block_rows, nearest_rows, select_topk, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
 from .pq import Codebook
 
@@ -52,45 +56,56 @@ class MatchTables:
         return self.distances.shape[1]
 
 
-def _topk(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and squared distances of the k smallest entries.
+def adc_lookup_table(codebook: Codebook, queries: np.ndarray) -> np.ndarray:
+    """Squared distances from each query row's subvectors to every centroid.
 
-    Sorted ascending by value; exact ties resolved by ascending index.
+    ``queries`` is an ``(r, dim)`` block; the tables have shape
+    ``(r, M, codebook_size)``, stored float32. ADC sums their entries in
+    float64.
     """
-    n = d2.shape[0]
-    if k >= n:
-        order = np.argsort(d2, kind="stable")
-        return order, d2[order]
-    kth = np.partition(d2, k - 1)[k - 1]
-    strict = np.flatnonzero(d2 < kth)
-    equal = np.flatnonzero(d2 == kth)
-    cand = np.concatenate([strict, equal[: k - strict.size]])
-    order = cand[np.argsort(d2[cand], kind="stable")]
-    return order, d2[order]
-
-
-def adc_lookup_table(codebook: Codebook, query: np.ndarray) -> np.ndarray:
-    """Squared distances from each query subvector to every centroid.
-
-    Shape (M, codebook_size), stored float32; ADC sums entries of this
-    table in float64.
-    """
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if query.shape[0] != codebook.dim:
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != codebook.dim:
         raise ValidationError(
-            f"query dim {query.shape[0]} does not match codebook dim {codebook.dim}"
+            f"queries of shape {queries.shape} do not match codebook dim {codebook.dim}"
         )
-    m, sd = codebook.num_subspaces, codebook.subspace_dim
-    sub = query.reshape(m, sd)
-    diff = codebook.centroids.astype(np.float64) - sub[:, None, :]
-    return np.einsum("ijk,ijk->ij", diff, diff).astype(np.float32)
+    sub = queries.reshape(queries.shape[0], codebook.num_subspaces, 1, codebook.subspace_dim)
+    diff = codebook.centroids.astype(np.float64) - sub
+    return np.einsum("rijk,rijk->rij", diff, diff).astype(np.float32)
 
 
-def _adc_sq_dists(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    acc = np.zeros(codes.shape[0], dtype=np.float64)
-    for s in range(codes.shape[1]):
-        acc += table[s][codes[:, s]]
-    return acc
+def _adc_nearest(codebook: Codebook, codes: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """ADC top-k of ``codes`` (n >= 1 rows) for each query row, as
+    ``(m, min(k, n))`` index and squared-distance tables.
+
+    Per block of query rows the tables' entries are added into one
+    float64 sum per pair, in subspace order; the sums are final, so a
+    row's candidates are its entries up to its k-th smallest.
+    """
+    n, num_sub = codes.shape
+    m = queries.shape[0]
+    k = min(k, n)
+    # per query row: the tables' float64 differences and the tables in
+    # float64 and float32; per pair, two float64s, a float32 and a bool
+    row_bytes = (8 * codebook.dim + 12 * num_sub) * codebook.codebook_size + 21 * n
+    b = max(1, min(m, block_rows(row_bytes)))
+    sums = np.empty((b, n))
+    kth = np.empty((b, n))
+    keep = np.empty((b, n), dtype=bool)
+    indices = np.empty((m, k), dtype=np.int64)
+    sq_dists = np.empty((m, k))
+    for lo in range(0, m, b):
+        tables = adc_lookup_table(codebook, queries[lo : lo + b])
+        r = tables.shape[0]
+        acc, part = sums[:r], kth[:r]
+        acc.fill(0.0)
+        for s in range(num_sub):
+            acc += tables[:, s, codes[:, s]]
+        np.copyto(part, acc)
+        part.partition(k - 1, axis=1)
+        np.less_equal(acc, part[:, k - 1 : k], out=keep[:r])
+        rows, cols = np.nonzero(keep[:r])
+        indices[lo : lo + r], sq_dists[lo : lo + r] = select_topk(rows, cols, acc[rows, cols], k)
+    return indices, sq_dists
 
 
 def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int = 1) -> MatchTables:
@@ -99,24 +114,17 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
     ``training_repr`` is either an :class:`EmbeddingMatrix` (exact mode)
     or a ``(Codebook, PQCodes)`` pair (ADC mode). A single query is a
     one-row ``generated`` matrix. ``threads`` splits the query rows
-    across workers; the result is identical for any count.
+    across at most that many workers, and never more than there are
+    rows or CPUs; the result is identical for any count.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     queries = generated.data.astype(np.float64)
-    m = queries.shape[0]
     if isinstance(training_repr, EmbeddingMatrix):
         validate_pair(training_repr, generated)
-        train = training_repr.data.astype(np.float64)
-        k_eff = min(k, train.shape[0])
-
-        def fill(lo: int, hi: int) -> None:
-            idx, sq = nearest_rows(train, queries[lo:hi], k_eff)
-            indices[lo:hi] = idx
-            distances[lo:hi] = np.sqrt(sq)
-
+        kernel = partial(nearest_rows, training_repr.data.astype(np.float64), k=k)
     else:
         codebook, codes = training_repr
         if generated.dim != codebook.dim:
@@ -128,30 +136,16 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
             raise ValidationError("codes/codebook subspace count mismatch")
         if codes.count < 1:
             raise ValidationError("training set is empty")
-        k_eff = min(k, codes.count)
-
-        def fill(lo: int, hi: int) -> None:
-            for j in range(lo, hi):
-                table = adc_lookup_table(codebook, queries[j])
-                idx, vals = _topk(_adc_sq_dists(table, codes.codes), k_eff)
-                indices[j] = idx
-                distances[j] = np.sqrt(vals)
-
-    distances = np.empty((m, k_eff), dtype=np.float64)
-    indices = np.empty((m, k_eff), dtype=np.int64)
-    if threads == 1 or m < 2:
-        fill(0, m)
+        kernel = partial(_adc_nearest, codebook, codes.codes, k=k)
+    workers = min(threads, queries.shape[0], os.cpu_count() or 1)
+    if workers <= 1:
+        indices, sq_dists = kernel(queries)
     else:
-        bounds = np.linspace(0, m, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(fill, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for fut in futures:
-                fut.result()
-    return MatchTables(distances, indices)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(kernel, np.array_split(queries, workers)))
+        indices = np.concatenate([idx for idx, _ in parts])
+        sq_dists = np.concatenate([sq for _, sq in parts])
+    return MatchTables(np.sqrt(sq_dists), indices)
 
 
 def recall_at_k(approx: MatchTables, exact: MatchTables) -> float:

@@ -86,9 +86,3 @@ def aggregate_values(tables: MatchTables, n: int, temperature: float = 1.0) -> V
         )
     ranking = np.lexsort((np.arange(n), -values))
     return ValuationResult(n=n, m=tables.m, k=tables.k, values=values, ranking=ranking)
-
-
-def rank_training_points(result: ValuationResult, top: int | None = None) -> list[tuple[int, float]]:
-    """(train_index, value) pairs, best first; ties go to the lower index."""
-    order = result.ranking if top is None else result.ranking[:top]
-    return [(int(i), float(result.values[i])) for i in order]

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 
 import numpy as np
 import pytest
@@ -46,6 +47,13 @@ def run_cli(*argv, stdin=""):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """Workers are capped at the CPU count; let a test start up to 8
+    whatever the machine has."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
 
 def write_embx(path, array):

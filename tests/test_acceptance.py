@@ -430,7 +430,7 @@ def _run_pipeline(root):
     return captured
 
 
-def test_cli_determinism(tmp_path):
+def test_cli_determinism(tmp_path, eight_cpus):
     first = _run_pipeline(tmp_path / "a")
     second = _run_pipeline(tmp_path / "b")
     assert first.keys() == second.keys()

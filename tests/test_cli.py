@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +144,7 @@ def test_match_malformed_embx_names_offset(tmp_path):
     assert "byte 3" in r.stderr
 
 
-def test_match_threads_do_not_change_bytes(exp_dir):
+def test_match_threads_do_not_change_bytes(exp_dir, eight_cpus):
     args = ("match", "--train", exp_dir / "x_train.embx",
             "--gen", exp_dir / "x_hat.embx", "--k", 5)
     one = run_cli(*args, "--threads", 1)
@@ -152,7 +153,7 @@ def test_match_threads_do_not_change_bytes(exp_dir):
     assert one.stdout == eight.stdout
 
 
-def test_threads_split_rows_across_scan_blocks(exp_dir, monkeypatch):
+def test_threads_split_rows_across_scan_blocks(exp_dir, monkeypatch, eight_cpus):
     # 60 training rows and 40 queries: a budget of 3 rows per block puts
     # every thread boundary somewhere inside or between blocks
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 3 * 17 * 60)
@@ -633,6 +634,42 @@ def test_match_rejects_zero_threads(exp_dir):
     r = run_cli("match", "--train", exp_dir / "x_train.embx", "--gen", exp_dir / "x_hat.embx",
                 "--threads", 0)
     assert_one_error_line(r, "threads must be >= 1")
+
+
+@pytest.mark.parametrize("mode", ["exact", "pq"])
+def test_huge_thread_count_gives_one_threads_bytes(exp_dir, tmp_path, monkeypatch, mode):
+    # workers are capped at the CPU count, here 2, and at the row count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    idx = tmp_path / "i.gmvi"
+    assert run_cli(
+        "build-index", "--train", exp_dir / "x_train.embx", "--output", idx,
+        "--num-subspaces", 2, "--codebook-size", 8, "--kmeans-iters", 5,
+    ).code == 0
+    args = ("match", "--mode", mode, "--train", exp_dir / "x_train.embx", "--index", idx,
+            "--gen", exp_dir / "x_hat.embx", "--k", 5)
+    one = run_cli(*args, "--threads", 1)
+    huge = run_cli(*args, "--threads", 10**30)
+    assert one.code == huge.code == 0
+    assert one.stdout == huge.stdout
+
+
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_eval_recall_rejects_k_below_one(exp_dir, tmp_path, k, by_config):
+    idx = tmp_path / "i.gmvi"
+    assert run_cli(
+        "build-index", "--train", exp_dir / "x_train.embx", "--output", idx,
+        "--num-subspaces", 2, "--codebook-size", 8, "--kmeans-iters", 5,
+    ).code == 0
+    argv = ["eval-recall", "--train", exp_dir / "x_train.embx",
+            "--gen", exp_dir / "x_hat.embx", "--index", idx]
+    if by_config:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"k": k}))
+        argv += ["--config", cfg]
+    else:
+        argv += ["--k", k]
+    assert_one_error_line(run_cli(*argv), "k must be >= 1")
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference
-from genval import embeddings
+from genval import embeddings, search
 from genval import (
     Codebook,
     EmbeddingMatrix,
@@ -94,9 +95,9 @@ def test_query_dim_mismatch():
 def test_adc_lookup_table_hand_example():
     """Two 1-D subspaces with centroids {0, 10} each; query (1, 9)."""
     cb = Codebook(np.array([[[0.0], [10.0]], [[0.0], [10.0]]], dtype=np.float32))
-    table = adc_lookup_table(cb, np.array([1.0, 9.0]))
-    assert table.shape == (2, 2)
-    np.testing.assert_allclose(table, [[1.0, 81.0], [81.0, 1.0]])
+    table = adc_lookup_table(cb, np.array([[1.0, 9.0]]))  # a one-row block
+    assert table.shape == (1, 2, 2)
+    np.testing.assert_allclose(table, [[[1.0, 81.0], [81.0, 1.0]]])
     # vector coded (0, 1) reconstructs to (0, 10): estimated sq dist 1 + 1
     codes = PQCodes(np.array([[0, 1]], dtype=np.uint8))
     t = batch_match((cb, codes), query([1.0, 9.0]), k=1)
@@ -208,7 +209,7 @@ def test_k_larger_than_n_covers_every_index(rng):
         assert sorted(t.indices[j].tolist()) == [0, 1, 2, 3, 4]
 
 
-def test_threads_do_not_change_output(rng):
+def test_threads_do_not_change_output(rng, eight_cpus):
     train = mat(rng.standard_normal((101, 8)))
     gen = mat(rng.standard_normal((37, 8)))
     one = batch_match(train, gen, k=7, threads=1)
@@ -226,6 +227,47 @@ def test_batch_match_validates_pair():
 def test_batch_match_rejects_fewer_than_one_thread(threads):
     with pytest.raises(ConfigError, match="threads"):
         batch_match(mat([[1.0, 2.0]]), mat([[1.0, 2.0]]), k=1, threads=threads)
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records its size, runs serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, parts):
+        return [fn(part) for part in parts]
+
+
+@pytest.mark.parametrize(
+    "cpus, threads, m, pool_size",
+    [
+        (2, 10**30, 37, 2),  # capped at the CPU count
+        (64, 8, 3, 3),  # capped at the row count
+        (4, 3, 37, 3),  # as asked
+        (None, 8, 37, None),  # CPU count unknown: one worker, no pool
+        (64, 8, 1, None),  # one row: no pool
+    ],
+)
+def test_workers_are_capped_at_rows_and_cpus(rng, monkeypatch, cpus, threads, m, pool_size):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(search, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    train = mat(rng.standard_normal((20, 4)))
+    gen = mat(rng.standard_normal((m, 4)))
+    t = batch_match(train, gen, k=3, threads=threads)
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    one = batch_match(train, gen, k=3, threads=1)
+    assert t.indices.tobytes() == one.indices.tobytes()
+    assert t.distances.tobytes() == one.distances.tobytes()
 
 
 # ------------------------------------------------------------ gemm shortlist
@@ -322,8 +364,15 @@ def test_rows_longer_than_the_einsum_buffer(rng, n, m, k):
     assert t.distances.tobytes() == dist.tobytes()
 
 
-def test_threads_split_across_blocks(rng, four_row_blocks):
-    train, gen = shortlist_case("near_ties", rng, 30, 23)
+@pytest.mark.parametrize("route", ["exact", "adc"])
+def test_threads_split_across_blocks(rng, monkeypatch, eight_cpus, route):
+    if route == "exact":
+        train, gen = shortlist_case("near_ties", rng, 30, 23)
+        monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 17 * 30)
+    else:
+        codebook, codes, gen = adc_case("lattice", rng, 30, 23)
+        adc_blocks_of(4, codebook, codes, monkeypatch)
+        train = (codebook, codes)
     one = batch_match(train, gen, k=6, threads=1)
     three = batch_match(train, gen, k=6, threads=3)
     assert one.indices.tobytes() == three.indices.tobytes()
@@ -344,6 +393,107 @@ def test_exact_scan_scratch_stays_below_one_corpus_copy(rng):
         tracemalloc.stop()
     scratch = peak - corpus64
     assert scratch < corpus64, f"scratch {scratch / 2**20:.1f} MiB"
+
+
+# -------------------------------------------------------------- blocked adc
+
+
+def _topk(d2, k):
+    """The per-row ADC route's selection: the k smallest entries, sorted
+    ascending by value, exact ties to the lower index."""
+    n = d2.shape[0]
+    if k >= n:
+        order = np.argsort(d2, kind="stable")
+        return order, d2[order]
+    kth = np.partition(d2, k - 1)[k - 1]
+    strict = np.flatnonzero(d2 < kth)
+    equal = np.flatnonzero(d2 == kth)
+    cand = np.concatenate([strict, equal[: k - strict.size]])
+    order = cand[np.argsort(d2[cand], kind="stable")]
+    return order, d2[order]
+
+
+def per_row_adc(codebook, codes, gen, k):
+    """The ADC route before blocking: per query row, one (M, Ks) float32
+    table, its entries summed in float64 subspace by subspace, then _topk."""
+    cents = codebook.centroids.astype(np.float64)
+    idx, dist = [], []
+    for q in gen.data.astype(np.float64):
+        diff = cents - q.reshape(codebook.num_subspaces, codebook.subspace_dim)[:, None, :]
+        table = np.einsum("ijk,ijk->ij", diff, diff).astype(np.float32)
+        acc = np.zeros(codes.count)
+        for s in range(codes.num_subspaces):
+            acc += table[s][codes.codes[:, s]]
+        order, vals = _topk(acc, min(k, codes.count))
+        idx.append(order)
+        dist.append(np.sqrt(vals))
+    return np.array(idx), np.array(dist)
+
+
+def adc_case(name, rng, n, m):
+    """A PQ index of n codes and m query rows. "lattice" and "wide_codes"
+    hold small integers, so their ADC sums tie exactly; "wide_codes" has
+    300 centroids per subspace and so two-byte codes."""
+    if name == "gaussian":
+        cents, q = rng.standard_normal((4, 16, 3)), rng.standard_normal((m, 12))
+    elif name == "lattice":
+        cents, q = rng.integers(-2, 3, size=(3, 5, 2)), rng.integers(-2, 3, size=(m, 6))
+    else:
+        cents, q = rng.integers(-3, 4, size=(2, 300, 2)), rng.integers(-3, 4, size=(m, 4))
+    codebook = Codebook(cents.astype(np.float32))
+    ks = codebook.codebook_size
+    codes = rng.integers(0, ks, size=(n, codebook.num_subspaces))
+    return codebook, PQCodes(codes.astype(np.uint8 if ks <= 256 else np.uint16)), mat(q)
+
+
+def adc_blocks_of(rows, codebook, codes, monkeypatch):
+    """Shrink the block budget so the ADC route takes ``rows`` query rows
+    per block; returns the list of block sizes it records."""
+    per_row = (8 * codebook.dim + 12 * codebook.num_subspaces) * codebook.codebook_size
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", rows * (per_row + 21 * codes.count))
+    blocks = []
+    lookup = search.adc_lookup_table
+    monkeypatch.setattr(
+        search, "adc_lookup_table", lambda cb, q: blocks.append(len(q)) or lookup(cb, q)
+    )
+    return blocks
+
+
+ADC_CASES = ["gaussian", "lattice", "wide_codes"]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 9])  # below, at and above one block, and three blocks
+@pytest.mark.parametrize("case", ADC_CASES)
+def test_blocked_adc_equals_per_row_adc(case, m, monkeypatch):
+    rng = np.random.default_rng(ADC_CASES.index(case) * 100 + m)
+    codebook, codes, gen = adc_case(case, rng, 30, m)
+    blocks = adc_blocks_of(4, codebook, codes, monkeypatch)
+    for k in (1, 3, 30, 35):
+        blocks.clear()
+        t = batch_match((codebook, codes), gen, k=k)
+        assert blocks == [min(4, m - lo) for lo in range(0, m, 4)]
+        idx, dist = per_row_adc(codebook, codes, gen, k)
+        assert t.indices.tobytes() == idx.tobytes()
+        assert t.distances.tobytes() == dist.tobytes()
+
+
+@pytest.mark.parametrize("n", [2_000, 20_000])
+def test_adc_scratch_stays_inside_the_block_budget(rng, n):
+    """Guards peak memory: the ADC route's block buffers, lookup tables
+    included, fit the block budget. Besides them it holds the float64
+    queries and less than 0.5 MiB: output tables, the float64 centroids
+    and one column of codes as indices."""
+    codebook = Codebook(rng.standard_normal((8, 256, 8)).astype(np.float32))
+    codes = PQCodes(rng.integers(0, 256, size=(n, 8)).astype(np.uint8))
+    gen = mat(rng.standard_normal((500, 64)))
+    tracemalloc.start()
+    try:
+        batch_match((codebook, codes), gen, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = peak - gen.data.size * 8
+    assert scratch < embeddings.BLOCK_BYTES + (1 << 19), f"scratch {scratch / 2**20:.2f} MiB"
 
 
 # ------------------------------------------------------------------- recall

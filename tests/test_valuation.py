@@ -10,10 +10,9 @@ from genval import (
     aggregate_values,
     batch_match,
     discount_scores,
-    rank_training_points,
 )
 from genval.errors import ConfigError, CorruptionError, ValidationError
-from genval.valuation import MASS_TOLERANCE, ValuationResult
+from genval.valuation import MASS_TOLERANCE
 
 
 def tables(dist_rows, idx_rows):
@@ -175,6 +174,13 @@ def test_ranking_descending_value_ties_by_index():
     assert res.ranking.tolist() == [1, 3, 0, 2, 4]
 
 
+def test_equal_values_rank_in_index_order():
+    t = tables([[2.0, 2.0, 2.0]], [[0, 1, 2]])
+    res = aggregate_values(t, n=3)
+    assert res.ranking.tolist() == [0, 1, 2]
+    np.testing.assert_allclose(res.values[res.ranking], [1 / 3] * 3)
+
+
 def test_out_of_range_index_is_corruption():
     t = tables([[1.0]], [[9]])
     with pytest.raises(CorruptionError, match=r"row 0"):
@@ -190,23 +196,3 @@ def test_result_arrays_are_frozen():
     with pytest.raises(ValueError):
         res.ranking[0] = 1
 
-
-# ---------------------------------------------------------------- reporting
-
-
-def test_rank_training_points_order():
-    res = ValuationResult(
-        n=3, m=1, k=1, values=np.array([0.2, 0.9, 0.2]), ranking=np.array([1, 0, 2])
-    )
-    assert rank_training_points(res) == [(1, 0.9), (0, 0.2), (2, 0.2)]
-    assert rank_training_points(res, top=1) == [(1, 0.9)]
-
-
-def test_equal_values_rank_in_index_order():
-    t = tables([[2.0, 2.0, 2.0]], [[0, 1, 2]])
-    res = aggregate_values(t, n=3)
-    assert rank_training_points(res) == [
-        (0, pytest.approx(1 / 3)),
-        (1, pytest.approx(1 / 3)),
-        (2, pytest.approx(1 / 3)),
-    ]
