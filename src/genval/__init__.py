@@ -34,7 +34,6 @@ from .pq import (
 )
 from .search import (
     MatchTables,
-    adc_lookup_table,
     batch_match,
     read_match_jsonl,
     recall_at_k,

@@ -10,8 +10,9 @@ true/false) and pass its choices, as a flag value must. Explicit flags
 win over the config file, which wins over built-in defaults. A config
 key that names no option exits 2; keys of other subcommands are ignored,
 so one file can drive a whole pipeline. Exit codes: 0 success, 2
-usage/config/data error, 3 violated internal invariant. Data goes to
-stdout (or ``--output``), diagnostics to stderr.
+usage/config/data error or an input too large for memory, 3 violated
+internal invariant. Data goes to stdout (or ``--output``), diagnostics
+to stderr.
 """
 from __future__ import annotations
 
@@ -333,7 +334,7 @@ def cmd_compare(args) -> int:
     alpha = args.alpha
     if not 0 < alpha < 1:
         raise ConfigError("alpha must lie in (0, 1)")
-    res = stats.welch_t_test(a, b, alternative="greater")
+    res = stats.welch_t_test(a, b)
     for name, mean, var, count in (
         (name_a, res.mean_a, res.var_a, res.n_a),
         (name_b, res.mean_b, res.var_b, res.n_b),
@@ -429,6 +430,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GenvalError, OSError) as exc:
         print(f"genval: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"genval: error: out of memory: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:
         print(f"genval: internal error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Embedding matrices: validation, persistence, row identities, the
-nearest-row kernel that exact matching and PQ encoding share, and the
-top-k selection that both matching routes share.
+nearest-row kernel that exact matching, PQ matching and PQ encoding
+share, and the top-k selection.
 
 A training set and a generated set are both plain dense matrices of
 32-bit floats. The row index is the only identity used downstream.
@@ -62,9 +62,6 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingMatrix):
@@ -186,9 +183,10 @@ def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
 BLOCK_BYTES = 8 << 20
 
 
-def block_rows(row_bytes: int) -> int:
-    """Rows per block when each row needs ``row_bytes`` of scratch."""
-    return max(1, BLOCK_BYTES // row_bytes)
+def block_rows(row_bytes: int, budget: int | None = None) -> int:
+    """Rows per block when each row needs ``row_bytes`` of scratch out of
+    ``budget`` bytes (default ``BLOCK_BYTES``)."""
+    return max(1, (BLOCK_BYTES if budget is None else budget) // row_bytes)
 
 
 def exact_sq_dists(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -199,7 +197,7 @@ def exact_sq_dists(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _pair_sq_dists(train, queries, rows, cols) -> np.ndarray:
+def _pair_sq_dists(train, queries, rows, cols, budget=None) -> np.ndarray:
     """``exact_sq_dists`` of every pair (train[cols[t]], queries[rows[t]])."""
     n, d = train.shape
     # einsum sums a lone row of more than 8192 entries in buffer-sized
@@ -209,7 +207,7 @@ def _pair_sq_dists(train, queries, rows, cols) -> np.ndarray:
     if n > 1 and rows.size == 1:
         return exact_sq_dists(train[np.repeat(cols, 2)], queries[np.repeat(rows, 2)])[:1]
     # three (step, d) temporaries; chunks of at least step/2 >= 2 rows
-    step = 1 if n == 1 else max(4, block_rows(24 * d))
+    step = 1 if n == 1 else max(4, block_rows(24 * d, budget))
     bounds = np.linspace(0, rows.size, -(-rows.size // step) + 1, dtype=np.int64)
     out = np.empty(rows.size)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -217,12 +215,14 @@ def _pair_sq_dists(train, queries, rows, cols) -> np.ndarray:
     return out
 
 
-def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int, budget: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k rows of ``train`` (n >= 1 rows, float64) for each query row.
 
     Returns ``(m, min(k, n))`` index and squared-distance tables, each
     row sorted ascending by distance with ties to the lower index. The
     distances are bitwise those of a full scan by ``exact_sq_dists``.
+    The block buffers take at most ``budget`` bytes (default
+    ``BLOCK_BYTES``), and so do the recheck's temporaries.
 
     One GEMM per block of query rows gives A = |q|² - 2q·x + |x|² for
     every training row. A and the subtracted distance differ by at most
@@ -241,7 +241,7 @@ def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.nda
     c = 8.0 * (d + 4) * 2.0**-53
     x2 = np.einsum("ij,ij->i", train, train)
     ex = c * x2
-    b = max(1, min(m, block_rows(17 * n)))  # two float64 and one bool entry per pair
+    b = max(1, min(m, block_rows(17 * n, budget)))  # two float64 and one bool entry per pair
     approx = np.empty((b, n))
     upper = np.empty((b, n))
     keep = np.empty((b, n), dtype=bool)
@@ -262,7 +262,7 @@ def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.nda
         a -= ex
         np.less_equal(a, tau[:, None], out=keep[:r])
         rows, cols = np.nonzero(keep[:r])
-        dist = _pair_sq_dists(train, q, rows, cols)
+        dist = _pair_sq_dists(train, q, rows, cols, budget)
         indices[lo : lo + r], sq_dists[lo : lo + r] = select_topk(rows, cols, dist, k)
     return indices, sq_dists
 

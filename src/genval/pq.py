@@ -52,6 +52,8 @@ class PQConfig:
             raise ConfigError("codebook_size must be in [1, 65536]")
         if self.kmeans_iters < 1:
             raise ConfigError("kmeans_iters must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if dim % self.num_subspaces != 0:
             raise ConfigError(
                 f"dim {dim} is not divisible by num_subspaces {self.num_subspaces}"
@@ -160,10 +162,11 @@ def _assign_blocks(n: int, k: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, float]:
+def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest-centroid assignment (ties to lowest index) and objective.
 
-    ``x2`` holds the squared norms of ``points``.
+    ``x2`` holds the squared norms of ``points``; ``buf`` is scratch of
+    at least (largest block's rows, k) float64 entries.
     """
     n, k = points.shape[0], centroids.shape[0]
     # |x-c|^2 = |x|^2 - 2 x.c + |c|^2; the |x|^2 term does not affect argmin
@@ -171,7 +174,6 @@ def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray) -> tuple[
     # scaling by -2 is exact, so x.(-2c) is bitwise -2 (x.c)
     neg2c = -2.0 * centroids
     blocks = _assign_blocks(n, k)
-    buf = np.empty((max(hi - lo for lo, hi in blocks), k))
     assign = np.empty(n, dtype=np.int64)
     best = np.empty(n)
     for lo, hi in blocks:
@@ -189,10 +191,13 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> 
     n, d = points.shape
     centroids = _kmeans_pp_init(points, k, rng)
     x2 = np.einsum("ij,ij->i", points, points)
+    # one score buffer for all iterations: one freed and allocated again
+    # per iteration can fragment the heap and raise peak RSS by a buffer
+    buf = np.empty((max(hi - lo for lo, hi in _assign_blocks(n, k)), k))
     prev_assign = None
     objectives: list[float] = []
     for _ in range(iters):
-        assign, obj = _assign(points, centroids, x2)
+        assign, obj = _assign(points, centroids, x2, buf)
         if objectives and obj > objectives[-1] * (1.0 + _OBJECTIVE_SLACK) + 1e-12:
             raise InternalError(
                 f"k-means objective increased: {objectives[-1]} -> {obj}"

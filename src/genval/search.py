@@ -1,13 +1,13 @@
 """Top-k matching of generated points against training points.
 
-Two routes produce the same table shapes. The exact route (the oracle)
+One scan kernel, ``embeddings.nearest_rows``, serves both routes. It
 takes a shortlist from one BLAS GEMM per block of query rows and
 recomputes only the shortlist by direct subtraction; a rigorous rounding
 bound keeps every row that could still be in the top k, so its tables
-are bitwise those of a full subtraction scan (``embeddings.nearest_rows``).
-The compressed route scores PQ codes by asymmetric distance computation,
-summing lookup tables for a block of query rows at once. Both routes pick
-each row's top k with the one selection, ``embeddings.select_topk``.
+are bitwise those of a full subtraction scan. The exact route scans the
+training rows. The PQ route scans the decoded codes, one block of rows
+at a time, so its distance is the asymmetric distance of product
+quantization: the exact distance from the query to the decoded row.
 Reported distances are non-squared Euclidean; rows are sorted ascending
 by distance with ties broken by ascending training index, so output is
 reproducible bit for bit regardless of scheduling.
@@ -22,6 +22,7 @@ from functools import partial
 
 import numpy as np
 
+from . import embeddings
 from .embeddings import EmbeddingMatrix, block_rows, nearest_rows, select_topk, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
 from .pq import Codebook
@@ -56,55 +57,37 @@ class MatchTables:
         return self.distances.shape[1]
 
 
-def adc_lookup_table(codebook: Codebook, queries: np.ndarray) -> np.ndarray:
-    """Squared distances from each query row's subvectors to every centroid.
+def _pq_nearest(codebook: Codebook, codes: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k rows of the decoded ``codes`` (n >= 1 rows) for each
+    query row, as ``(m, min(k, n))`` index and squared-distance tables.
 
-    ``queries`` is an ``(r, dim)`` block; the tables have shape
-    ``(r, M, codebook_size)``, stored float32. ADC sums their entries in
-    float64.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != codebook.dim:
-        raise ValidationError(
-            f"queries of shape {queries.shape} do not match codebook dim {codebook.dim}"
-        )
-    sub = queries.reshape(queries.shape[0], codebook.num_subspaces, 1, codebook.subspace_dim)
-    diff = codebook.centroids.astype(np.float64) - sub
-    return np.einsum("rijk,rijk->rij", diff, diff).astype(np.float32)
-
-
-def _adc_nearest(codebook: Codebook, codes: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """ADC top-k of ``codes`` (n >= 1 rows) for each query row, as
-    ``(m, min(k, n))`` index and squared-distance tables.
-
-    Per block of query rows the tables' entries are added into one
-    float64 sum per pair, in subspace order; the sums are final, so a
-    row's candidates are its entries up to its k-th smallest.
+    The codes are decoded into float64 one block of rows at a time, and
+    ``nearest_rows`` ranks each block. A block's distances are final, so
+    the top k by (distance, index) of the running top k and the block's
+    top k is the top k of every row so far: the tables are bitwise those
+    of ``nearest_rows`` on the whole decoded corpus, whatever the block
+    size.
     """
     n, num_sub = codes.shape
     m = queries.shape[0]
-    k = min(k, n)
-    # per query row: the tables' float64 differences and the tables in
-    # float64 and float32; per pair, two float64s, a float32 and a bool
-    row_bytes = (8 * codebook.dim + 12 * num_sub) * codebook.codebook_size + 21 * n
-    b = max(1, min(m, block_rows(row_bytes)))
-    sums = np.empty((b, n))
-    kth = np.empty((b, n))
-    keep = np.empty((b, n), dtype=bool)
-    indices = np.empty((m, k), dtype=np.int64)
-    sq_dists = np.empty((m, k))
-    for lo in range(0, m, b):
-        tables = adc_lookup_table(codebook, queries[lo : lo + b])
-        r = tables.shape[0]
-        acc, part = sums[:r], kth[:r]
-        acc.fill(0.0)
+    sd = codebook.subspace_dim
+    # the decoded block takes half the block budget; the kernel's buffers
+    # and its recheck's temporaries take a quarter each
+    budget = embeddings.BLOCK_BYTES // 4
+    b = min(n, block_rows(8 * codebook.dim, 2 * budget))
+    b = -(-n // -(-n // b))  # as few blocks, all of one size but the last
+    block = np.empty((b, codebook.dim))
+    indices = np.empty((m, 0), dtype=np.int64)
+    sq_dists = np.empty((m, 0))
+    for lo in range(0, n, b):
+        rows = block[: n - lo]
         for s in range(num_sub):
-            acc += tables[:, s, codes[:, s]]
-        np.copyto(part, acc)
-        part.partition(k - 1, axis=1)
-        np.less_equal(acc, part[:, k - 1 : k], out=keep[:r])
-        rows, cols = np.nonzero(keep[:r])
-        indices[lo : lo + r], sq_dists[lo : lo + r] = select_topk(rows, cols, acc[rows, cols], k)
+            rows[:, s * sd : (s + 1) * sd] = codebook.centroids[s][codes[lo : lo + len(rows), s]]
+        cols, dist = nearest_rows(rows, queries, k, budget)
+        cols = np.concatenate([indices, cols + lo], axis=1)
+        dist = np.concatenate([sq_dists, dist], axis=1)
+        pairs = np.repeat(np.arange(m), cols.shape[1])
+        indices, sq_dists = select_topk(pairs, cols.ravel(), dist.ravel(), min(k, lo + len(rows)))
     return indices, sq_dists
 
 
@@ -112,7 +95,7 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
     """Top-k match every generated row; rows are independent.
 
     ``training_repr`` is either an :class:`EmbeddingMatrix` (exact mode)
-    or a ``(Codebook, PQCodes)`` pair (ADC mode). A single query is a
+    or a ``(Codebook, PQCodes)`` pair (PQ mode). A single query is a
     one-row ``generated`` matrix. ``threads`` splits the query rows
     across at most that many workers, and never more than there are
     rows or CPUs; the result is identical for any count.
@@ -136,7 +119,7 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
             raise ValidationError("codes/codebook subspace count mismatch")
         if codes.count < 1:
             raise ValidationError("training set is empty")
-        kernel = partial(_adc_nearest, codebook, codes.codes, k=k)
+        kernel = partial(_pq_nearest, codebook, codes.codes, k=k)
     workers = min(threads, queries.shape[0], os.cpu_count() or 1)
     if workers <= 1:
         indices, sq_dists = kernel(queries)

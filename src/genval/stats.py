@@ -106,14 +106,12 @@ def student_t_sf(t: float, df: float) -> float:
     return tail if t >= 0 else 1.0 - tail
 
 
-def welch_t_test(a, b, alternative: str = "greater") -> TTestResult:
+def welch_t_test(a, b) -> TTestResult:
     """One-sided Welch test of mean(a) > mean(b), unequal variances.
 
     Uses unbiased sample variances and the Welch-Satterthwaite degrees
     of freedom.
     """
-    if alternative != "greater":
-        raise ValidationError(f"unsupported alternative {alternative!r}")
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.size < 2 or b.size < 2:

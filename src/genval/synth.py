@@ -56,6 +56,13 @@ class ExperimentSpec:
             raise ConfigError("noise_sigma must be >= 0 and finite")
         if self.m_generated < 1:
             raise ConfigError("m_generated must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        # numpy holds no array of more than intp-max bytes; the largest
+        # float64 array here has one of these row counts
+        rows = max(self.n_per_split, self.m_generated, self.mixture_components)
+        if rows * self.dim > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"{rows} rows of dim {self.dim} exceed numpy's array size limit")
 
 
 def _rng(seed: int, domain: int, offset: int = 0) -> np.random.Generator:

@@ -68,6 +68,8 @@ def aggregate_values(tables: MatchTables, n: int, temperature: float = 1.0) -> V
     """
     if n < 1:
         raise ValidationError("training count must be >= 1")
+    if n > np.iinfo(np.intp).max // 8:
+        raise ValidationError(f"training count {n} exceeds numpy's array size limit")
     if tables.indices.size and (
         tables.indices.min() < 0 or tables.indices.max() >= n
     ):

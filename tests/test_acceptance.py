@@ -193,7 +193,7 @@ def test_pipeline_matches_naive_reimplementation():
 
 def test_lossless_codebook_matches_exact_search():
     # One subspace with as many centroids as points drives quantization
-    # error to zero, so table lookups must reproduce the exact scan.
+    # error to zero, so the PQ route must reproduce the exact scan.
     rng = np.random.default_rng(6174)
     instances = 0
     index_mismatches = 0

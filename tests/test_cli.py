@@ -118,12 +118,10 @@ def test_match_self_identity(tmp_path):
 
 
 def test_match_pq_equals_exact_on_zero_error_codebook(tmp_path, rng):
-    # integer coordinates keep every partial squared sum exactly
-    # representable in float32, so the two pipelines agree to the digit
-    pts = rng.integers(-8, 9, size=(6, 4)).astype(np.float32)
-    assert len({r.tobytes() for r in pts}) == 6
-    train = write_embx(tmp_path / "t.embx", pts)
-    gen = write_embx(tmp_path / "g.embx", rng.integers(-8, 9, size=(5, 4)))
+    # six distinct rows and six centroids: the codes decode to the rows,
+    # so the PQ route's distances are the exact route's, bit for bit
+    train = write_embx(tmp_path / "t.embx", rng.standard_normal((6, 4)))
+    gen = write_embx(tmp_path / "g.embx", rng.standard_normal((5, 4)))
     idx = tmp_path / "i.gmvi"
     r = run_cli(
         "build-index", "--train", train, "--output", idx,
@@ -681,3 +679,41 @@ def test_eval_recall_rejects_k_below_one(exp_dir, tmp_path, k, by_config):
 )
 def test_value_rejects_bad_match_records(record, message):
     assert_one_error_line(run_cli("value", "--matches", "-", "--n", 4, stdin=record + "\n"), message)
+
+
+@pytest.mark.parametrize("command", ["synth", "build-index"])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_negative_seed_exits_two(exp_dir, tmp_path, command, by_config):
+    argv = {
+        "synth": ["--out-dir", tmp_path / "s", "--dim", 4, "--n-per-split", 5, "--m", 3],
+        "build-index": ["--train", exp_dir / "x_train.embx", "--output", tmp_path / "i.gmvi",
+                        "--num-subspaces", 2, "--codebook-size", 4, "--kmeans-iters", 2],
+    }[command]
+    assert run_cli(command, *argv, "--seed", 0).code == 0
+    if by_config:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", cfg]
+    else:
+        argv += ["--seed", -1]
+    assert_one_error_line(run_cli(command, *argv), "seed must be >= 0")
+
+
+# sizes that fail before anything is allocated: 10**30 is past numpy's
+# index range, and an array of 10**14 rows needs far more address space
+# than a 64-bit process has, so the request fails at once
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["value", "--matches", "-", "--n", 10**30], "exceeds numpy's array size limit"),
+        (["value", "--matches", "-", "--n", 10**14], "out of memory"),
+        (["synth", "--dim", 10**30], "exceed numpy's array size limit"),
+        (["synth", "--n-per-split", 10**30], "exceed numpy's array size limit"),
+        (["synth", "--dim", 10**14], "out of memory"),
+    ],
+)
+def test_sizes_no_array_can_hold_exit_two(tmp_path, argv, message):
+    if argv[0] == "synth":
+        argv = argv + ["--out-dir", tmp_path / "s"]
+    record = '{"gen_index": 0, "matches": [{"train_index": 1, "distance": 1}]}\n'
+    assert_one_error_line(run_cli(*argv, stdin=record), message)

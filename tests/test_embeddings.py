@@ -21,7 +21,7 @@ def test_matrix_basic_properties():
     assert m.data.dtype == np.float32
     assert m.data.flags.c_contiguous
     assert not m.data.flags.writeable
-    np.testing.assert_array_equal(m.row(1), [3, 4, 5])
+    np.testing.assert_array_equal(m.data[1], [3, 4, 5])
 
 
 def test_matrix_rejects_bad_shapes():

@@ -219,7 +219,7 @@ def test_blocked_assign_equals_one_gemm(rng, monkeypatch):
     points = rng.standard_normal((357, 8)) * 3
     centroids = rng.standard_normal((40, 8))
     x2 = np.einsum("ij,ij->i", points, points)
-    assign, obj = pq._assign(points, centroids, x2)
+    assign, obj = pq._assign(points, centroids, x2, np.empty((101, 40)))
     want_assign, want_obj = unblocked_assign(points, centroids)
     np.testing.assert_array_equal(assign, want_assign)
     assert obj == want_obj

@@ -14,8 +14,8 @@ from genval import (
     MatchTables,
     PQConfig,
     PQCodes,
-    adc_lookup_table,
     batch_match,
+    decode,
     encode,
     quantization_error,
     read_match_jsonl,
@@ -44,7 +44,7 @@ def query(row):
 
 def test_self_match_is_first(rng):
     train = mat(rng.standard_normal((12, 3)))
-    t = batch_match(train, query(train.row(7)), k=3)
+    t = batch_match(train, query(train.data[7]), k=3)
     assert (t.indices[0, 0], t.distances[0, 0]) == (7, 0.0)
 
 
@@ -92,12 +92,9 @@ def test_query_dim_mismatch():
 # ---------------------------------------------------------------------- adc
 
 
-def test_adc_lookup_table_hand_example():
+def test_adc_hand_example():
     """Two 1-D subspaces with centroids {0, 10} each; query (1, 9)."""
     cb = Codebook(np.array([[[0.0], [10.0]], [[0.0], [10.0]]], dtype=np.float32))
-    table = adc_lookup_table(cb, np.array([[1.0, 9.0]]))  # a one-row block
-    assert table.shape == (1, 2, 2)
-    np.testing.assert_allclose(table, [[[1.0, 81.0], [81.0, 1.0]]])
     # vector coded (0, 1) reconstructs to (0, 10): estimated sq dist 1 + 1
     codes = PQCodes(np.array([[0, 1]], dtype=np.uint8))
     t = batch_match((cb, codes), query([1.0, 9.0]), k=1)
@@ -120,8 +117,9 @@ def test_adc_equals_exact_on_zero_error_codebook(rng):
     q = query(rng.standard_normal(4))
     ex = batch_match(train, q, k=4)
     ad = batch_match((cb, codes), q, k=4)
-    assert ex.indices.tolist() == ad.indices.tolist()
-    np.testing.assert_allclose(ad.distances, ex.distances, rtol=1e-5)
+    # a lossless codebook decodes to the training rows themselves
+    assert ex.indices.tobytes() == ad.indices.tobytes()
+    assert ex.distances.tobytes() == ad.distances.tobytes()
 
 
 def test_adc_single_subspace_full_codebook(rng):
@@ -144,12 +142,12 @@ def test_batch_single_row_matches_single_scan(rng):
     gen = mat(rng.standard_normal((6, 4)))
     full = batch_match(mat(train_rows), gen, k=5)
     for j in range(gen.count):
-        single = batch_match(mat(train_rows), query(gen.row(j)), k=5)
+        single = batch_match(mat(train_rows), query(gen.data[j]), k=5)
         assert single.m == 1
         # a one-row query gives bit for bit the row a full batch gives
         assert single.indices[0].tobytes() == full.indices[j].tobytes()
         assert single.distances[0].tobytes() == full.distances[j].tobytes()
-        expect = reference.full_scan_topk(train_rows.tolist(), gen.row(j).tolist(), 5)
+        expect = reference.full_scan_topk(train_rows.tolist(), gen.data[j].tolist(), 5)
         assert single.indices[0].tolist() == [i for i, _ in expect]
         np.testing.assert_allclose(single.distances[0], [d for _, d in expect], rtol=1e-9)
 
@@ -339,9 +337,9 @@ def test_shortlist_survives_a_rounding_bound_as_wide_as_the_corpus(rng, monkeypa
     rechecked = []
     pair_sq_dists = embeddings._pair_sq_dists
 
-    def counting(train, queries, rows, cols):
+    def counting(train, queries, rows, cols, budget):
         rechecked.append(rows.size)
-        return pair_sq_dists(train, queries, rows, cols)
+        return pair_sq_dists(train, queries, rows, cols, budget)
 
     monkeypatch.setattr(embeddings, "_pair_sq_dists", counting)
     train, gen = shortlist_case("large_offset", rng, 200, 30, d=128)
@@ -371,7 +369,7 @@ def test_threads_split_across_blocks(rng, monkeypatch, eight_cpus, route):
         monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 17 * 30)
     else:
         codebook, codes, gen = adc_case("lattice", rng, 30, 23)
-        adc_blocks_of(4, codebook, codes, monkeypatch)
+        decoded_blocks_of(4, codebook, monkeypatch)
         train = (codebook, codes)
     one = batch_match(train, gen, k=6, threads=1)
     three = batch_match(train, gen, k=6, threads=3)
@@ -395,44 +393,12 @@ def test_exact_scan_scratch_stays_below_one_corpus_copy(rng):
     assert scratch < corpus64, f"scratch {scratch / 2**20:.1f} MiB"
 
 
-# -------------------------------------------------------------- blocked adc
-
-
-def _topk(d2, k):
-    """The per-row ADC route's selection: the k smallest entries, sorted
-    ascending by value, exact ties to the lower index."""
-    n = d2.shape[0]
-    if k >= n:
-        order = np.argsort(d2, kind="stable")
-        return order, d2[order]
-    kth = np.partition(d2, k - 1)[k - 1]
-    strict = np.flatnonzero(d2 < kth)
-    equal = np.flatnonzero(d2 == kth)
-    cand = np.concatenate([strict, equal[: k - strict.size]])
-    order = cand[np.argsort(d2[cand], kind="stable")]
-    return order, d2[order]
-
-
-def per_row_adc(codebook, codes, gen, k):
-    """The ADC route before blocking: per query row, one (M, Ks) float32
-    table, its entries summed in float64 subspace by subspace, then _topk."""
-    cents = codebook.centroids.astype(np.float64)
-    idx, dist = [], []
-    for q in gen.data.astype(np.float64):
-        diff = cents - q.reshape(codebook.num_subspaces, codebook.subspace_dim)[:, None, :]
-        table = np.einsum("ijk,ijk->ij", diff, diff).astype(np.float32)
-        acc = np.zeros(codes.count)
-        for s in range(codes.num_subspaces):
-            acc += table[s][codes.codes[:, s]]
-        order, vals = _topk(acc, min(k, codes.count))
-        idx.append(order)
-        dist.append(np.sqrt(vals))
-    return np.array(idx), np.array(dist)
+# ------------------------------------------------------- decoded-block adc
 
 
 def adc_case(name, rng, n, m):
     """A PQ index of n codes and m query rows. "lattice" and "wide_codes"
-    hold small integers, so their ADC sums tie exactly; "wide_codes" has
+    hold small integers, so their distances tie exactly; "wide_codes" has
     300 centroids per subspace and so two-byte codes."""
     if name == "gaussian":
         cents, q = rng.standard_normal((4, 16, 3)), rng.standard_normal((m, 12))
@@ -446,15 +412,15 @@ def adc_case(name, rng, n, m):
     return codebook, PQCodes(codes.astype(np.uint8 if ks <= 256 else np.uint16)), mat(q)
 
 
-def adc_blocks_of(rows, codebook, codes, monkeypatch):
-    """Shrink the block budget so the ADC route takes ``rows`` query rows
-    per block; returns the list of block sizes it records."""
-    per_row = (8 * codebook.dim + 12 * codebook.num_subspaces) * codebook.codebook_size
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", rows * (per_row + 21 * codes.count))
+def decoded_blocks_of(rows, codebook, monkeypatch):
+    """Shrink the block budget so the PQ route decodes ``rows`` training
+    rows per block (half the budget, float64); returns the list of block
+    sizes it records."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * rows * 8 * codebook.dim)
     blocks = []
-    lookup = search.adc_lookup_table
+    kernel = search.nearest_rows
     monkeypatch.setattr(
-        search, "adc_lookup_table", lambda cb, q: blocks.append(len(q)) or lookup(cb, q)
+        search, "nearest_rows", lambda train, *a: blocks.append(len(train)) or kernel(train, *a)
     )
     return blocks
 
@@ -462,27 +428,31 @@ def adc_blocks_of(rows, codebook, codes, monkeypatch):
 ADC_CASES = ["gaussian", "lattice", "wide_codes"]
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 9])  # below, at and above one block, and three blocks
+# n = 29 leaves a last decoded block of one row
+@pytest.mark.parametrize("n, m", [(30, 3), (30, 4), (30, 5), (30, 9), (29, 5)])
 @pytest.mark.parametrize("case", ADC_CASES)
-def test_blocked_adc_equals_per_row_adc(case, m, monkeypatch):
-    rng = np.random.default_rng(ADC_CASES.index(case) * 100 + m)
-    codebook, codes, gen = adc_case(case, rng, 30, m)
-    blocks = adc_blocks_of(4, codebook, codes, monkeypatch)
-    for k in (1, 3, 30, 35):
+def test_decoded_blocks_equal_subtraction_scan(case, n, m, monkeypatch):
+    """The PQ route's tables, bit for bit, against a subtraction scan
+    over the whole decoded corpus, with 4-row decoded blocks."""
+    rng = np.random.default_rng(ADC_CASES.index(case) * 100 + n + m)
+    codebook, codes, gen = adc_case(case, rng, n, m)
+    decoded = decode(codes, codebook)
+    blocks = decoded_blocks_of(4, codebook, monkeypatch)
+    for k in (1, 3, n, n + 5):
         blocks.clear()
         t = batch_match((codebook, codes), gen, k=k)
-        assert blocks == [min(4, m - lo) for lo in range(0, m, 4)]
-        idx, dist = per_row_adc(codebook, codes, gen, k)
+        assert blocks == [min(4, n - lo) for lo in range(0, n, 4)]
+        idx, dist = subtraction_scan(decoded, gen, k)
         assert t.indices.tobytes() == idx.tobytes()
         assert t.distances.tobytes() == dist.tobytes()
 
 
 @pytest.mark.parametrize("n", [2_000, 20_000])
 def test_adc_scratch_stays_inside_the_block_budget(rng, n):
-    """Guards peak memory: the ADC route's block buffers, lookup tables
-    included, fit the block budget. Besides them it holds the float64
-    queries and less than 0.5 MiB: output tables, the float64 centroids
-    and one column of codes as indices."""
+    """Guards peak memory: the PQ route's decoded block and the kernel's
+    buffers fit the block budget. Besides them it holds the float64
+    queries and less than 0.5 MiB: the running and the block's top-k
+    tables, and one block column of codes as indices."""
     codebook = Codebook(rng.standard_normal((8, 256, 8)).astype(np.float32))
     codes = PQCodes(rng.integers(0, 256, size=(n, 8)).astype(np.uint8))
     gen = mat(rng.standard_normal((500, 64)))
