@@ -1,6 +1,6 @@
-"""Embedding matrices: validation, persistence, row identities, the
+"""Embedding matrices: validation, persistence, row identities, and the
 nearest-row kernel that exact matching, PQ matching and PQ encoding
-share, and the top-k selection.
+share.
 
 A training set and a generated set are both plain dense matrices of
 32-bit floats. The row index is the only identity used downstream.
@@ -99,7 +99,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path, format: str = "binary") -> No
         )
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(matrix.data, dtype="<f4"))
     elif format == "csv":
         with open(path, "w") as fh:
             for row in matrix.data:
@@ -178,7 +178,7 @@ def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
 
 
 # Scratch bytes one block of a blocked kernel may hold. A fixed budget,
-# not a setting: block buffers come on top of the float64 corpus, and
+# not a setting: block buffers come on top of the float32 corpus, and
 # larger blocks raise peak memory without making the GEMM much faster.
 BLOCK_BYTES = 8 << 20
 
@@ -197,17 +197,16 @@ def exact_sq_dists(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _pair_sq_dists(train, queries, rows, cols, budget=None) -> np.ndarray:
+def _pair_sq_dists(train, queries, rows, cols, budget, corpus_rows) -> np.ndarray:
     """``exact_sq_dists`` of every pair (train[cols[t]], queries[rows[t]])."""
-    n, d = train.shape
     # einsum sums a lone row of more than 8192 entries in buffer-sized
-    # pieces but a row of a taller matrix in one go; a full scan of n
-    # rows is what defines each distance, so a call gets one row only
-    # when n is 1
-    if n > 1 and rows.size == 1:
+    # pieces but a row of a taller matrix in one go; a full scan of the
+    # corpus is what defines each distance, so a call gets one row only
+    # when the corpus has one row, however few rows its block has
+    if corpus_rows > 1 and rows.size == 1:
         return exact_sq_dists(train[np.repeat(cols, 2)], queries[np.repeat(rows, 2)])[:1]
     # three (step, d) temporaries; chunks of at least step/2 >= 2 rows
-    step = 1 if n == 1 else max(4, block_rows(24 * d, budget))
+    step = 1 if corpus_rows == 1 else max(4, block_rows(24 * train.shape[1], budget))
     bounds = np.linspace(0, rows.size, -(-rows.size // step) + 1, dtype=np.int64)
     out = np.empty(rows.size)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -215,14 +214,15 @@ def _pair_sq_dists(train, queries, rows, cols, budget=None) -> np.ndarray:
     return out
 
 
-def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int, budget: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int, budget: int | None = None, corpus_rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k rows of ``train`` (n >= 1 rows, float64) for each query row.
 
     Returns ``(m, min(k, n))`` index and squared-distance tables, each
     row sorted ascending by distance with ties to the lower index. The
-    distances are bitwise those of a full scan by ``exact_sq_dists``.
-    The block buffers take at most ``budget`` bytes (default
-    ``BLOCK_BYTES``), and so do the recheck's temporaries.
+    distances are bitwise those of a full scan by ``exact_sq_dists`` of
+    the corpus that ``train`` is a block of, which has ``corpus_rows``
+    rows (default n). The block buffers take at most ``budget`` bytes
+    (default ``BLOCK_BYTES``), and so do the recheck's temporaries.
 
     One GEMM per block of query rows gives A = |q|² - 2q·x + |x|² for
     every training row. A and the subtracted distance differ by at most
@@ -262,31 +262,26 @@ def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int, budget: int | N
         a -= ex
         np.less_equal(a, tau[:, None], out=keep[:r])
         rows, cols = np.nonzero(keep[:r])
-        dist = _pair_sq_dists(train, q, rows, cols, budget)
-        indices[lo : lo + r], sq_dists[lo : lo + r] = select_topk(rows, cols, dist, k)
+        dist = _pair_sq_dists(train, q, rows, cols, budget, n if corpus_rows is None else corpus_rows)
+        # the first k candidates of each query row by (distance, index);
+        # every row has at least k
+        order = np.lexsort((cols, dist, rows))
+        counts = np.bincount(rows)
+        pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        indices[lo : lo + r], sq_dists[lo : lo + r] = cols[pick], dist[pick]
     return indices, sq_dists
 
 
-def select_topk(rows, cols, dist, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top k of each query row among candidate pairs, as (r, k) index and
-    squared-distance tables sorted ascending with ties to the lower index.
-
-    ``rows, cols`` are ``np.nonzero`` of an (r, n) mask with at least k
-    pairs per row; ``dist`` holds their squared distances."""
-    order = np.lexsort((cols, dist, rows))
-    counts = np.bincount(rows)
-    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-    return cols[pick], dist[pick]
-
-
-def validate_pair(training: EmbeddingMatrix, generated: EmbeddingMatrix) -> None:
-    """Check that a training/generated pair can be matched against each other."""
-    if training.count < 1:
+def validate_pair(training_shape: tuple[int, int], generated: EmbeddingMatrix) -> None:
+    """Check that a training set of ``(count, dim)`` rows and a generated
+    set can be matched against each other."""
+    count, dim = training_shape
+    if count < 1:
         raise ValidationError("training set is empty")
     if generated.count < 1:
         raise ValidationError("generated set is empty")
-    if training.dim != generated.dim:
+    if dim != generated.dim:
         raise ValidationError(
-            f"dimension mismatch: training dim {training.dim}, "
+            f"dimension mismatch: training dim {dim}, "
             f"generated dim {generated.dim}"
         )

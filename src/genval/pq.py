@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingMatrix, block_rows, exact_sq_dists, nearest_rows
-from .errors import ConfigError, CorruptionError, FormatError, InternalError
+from .errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
 
 GMVI_MAGIC = b"GMVI"
 GMVI_VERSION = 1
@@ -226,12 +226,11 @@ def train_codebooks(data: EmbeddingMatrix, cfg: PQConfig) -> Codebook:
     """Train one k-means codebook per subspace; deterministic in (data, cfg)."""
     cfg.validate(data.dim, data.count)
     sub_dim = data.dim // cfg.num_subspaces
-    points = data.data.astype(np.float64)
     tables = np.empty(
         (cfg.num_subspaces, cfg.codebook_size, sub_dim), dtype=np.float32
     )
     for s in range(cfg.num_subspaces):
-        sub = np.ascontiguousarray(points[:, s * sub_dim : (s + 1) * sub_dim])
+        sub = data.data[:, s * sub_dim : (s + 1) * sub_dim].astype(np.float64)
         rng = _subspace_rng(cfg.seed, s)
         centroids, _ = _lloyd(sub, cfg.codebook_size, cfg.kmeans_iters, rng)
         tables[s] = centroids.astype(np.float32)
@@ -262,23 +261,32 @@ def encode(data: EmbeddingMatrix, codebook: Codebook) -> PQCodes:
     return PQCodes(codes)
 
 
-def decode(codes: PQCodes, codebook: Codebook) -> EmbeddingMatrix:
-    """Reconstruct vectors by concatenating the addressed centroids."""
+def check_codes(codes: PQCodes, codebook: Codebook) -> None:
+    """Raise unless ``codes`` have ``codebook``'s subspaces and every code
+    addresses one of its centroids."""
     if codes.num_subspaces != codebook.num_subspaces:
-        raise CorruptionError(
-            f"codes have {codes.num_subspaces} subspaces, "
-            f"codebook has {codebook.num_subspaces}"
-        )
+        raise ValidationError("codes/codebook subspace count mismatch")
     if codes.count and codes.codes.max() >= codebook.codebook_size:
         bad = np.argwhere(codes.codes >= codebook.codebook_size)[0]
         raise CorruptionError(
             f"code {codes.codes[bad[0], bad[1]]} at row {bad[0]}, subspace {bad[1]} "
             f"addresses no centroid (codebook_size {codebook.codebook_size})"
         )
-    m, sd = codebook.num_subspaces, codebook.subspace_dim
+
+
+def decode_into(codebook: Codebook, out: np.ndarray, codes: np.ndarray) -> None:
+    """Write the rows that ``codes`` (checked, one row per row of ``out``)
+    decode to into ``out``, converting to its dtype."""
+    sd = codebook.subspace_dim
+    for s in range(codebook.num_subspaces):
+        out[:, s * sd : (s + 1) * sd] = codebook.centroids[s][codes[:, s]]
+
+
+def decode(codes: PQCodes, codebook: Codebook) -> EmbeddingMatrix:
+    """Reconstruct vectors by concatenating the addressed centroids."""
+    check_codes(codes, codebook)
     out = np.empty((codes.count, codebook.dim), dtype=np.float32)
-    for s in range(m):
-        out[:, s * sd : (s + 1) * sd] = codebook.centroids[s][codes.codes[:, s]]
+    decode_into(codebook, out, codes.codes)
     return EmbeddingMatrix(out)
 
 
@@ -290,15 +298,13 @@ def quantization_error(data: EmbeddingMatrix, codebook: Codebook, codes: PQCodes
     """
     if codes is None:
         codes = encode(data, codebook)
-    recon = decode(codes, codebook)
-    diff = data.data.astype(np.float64) - recon.data.astype(np.float64)
+    diff = np.subtract(data.data, decode(codes, codebook).data, dtype=np.float64)
     return float(np.einsum("ij,ij->i", diff, diff).mean())
 
 
 def save_index(codebook: Codebook, codes: PQCodes, path) -> None:
     """Write codebook + codes as a GMVI v1 file."""
-    if codes.num_subspaces != codebook.num_subspaces:
-        raise CorruptionError("codes/codebook subspace count mismatch")
+    check_codes(codes, codebook)
     header = _HEADER.pack(
         GMVI_MAGIC,
         GMVI_VERSION,

@@ -114,7 +114,7 @@ def simulate_generated(training_subset: EmbeddingMatrix, spec: ExperimentSpec) -
         raise ConfigError("training subset is empty")
     rng = _rng(spec.seed, _DOMAIN_GENERATOR)
     picks = rng.integers(0, training_subset.count, size=spec.m_generated)
-    base = training_subset.data.astype(np.float64)[picks]
+    base = training_subset.data[picks].astype(np.float64)
     noise = spec.noise_sigma * rng.standard_normal(
         (spec.m_generated, training_subset.dim)
     )

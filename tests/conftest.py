@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,3 +60,13 @@ def eight_cpus(monkeypatch):
 def write_embx(path, array):
     save_embeddings(EmbeddingMatrix(np.asarray(array, dtype=np.float32)), path)
     return path
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -651,6 +651,26 @@ def test_huge_thread_count_gives_one_threads_bytes(exp_dir, tmp_path, monkeypatc
     assert one.stdout == huge.stdout
 
 
+@pytest.mark.parametrize("bad", ["code", "empty_gen"])
+def test_match_pq_rejects_a_bad_code_and_an_empty_generated_set(exp_dir, tmp_path, bad):
+    idx = tmp_path / "i.gmvi"
+    assert run_cli(
+        "build-index", "--train", exp_dir / "x_train.embx", "--output", idx,
+        "--num-subspaces", 2, "--codebook-size", 8, "--kmeans-iters", 5,
+    ).code == 0
+    gen = exp_dir / "x_hat.embx"
+    if bad == "code":
+        blob = bytearray(idx.read_bytes())
+        blob[-1] = 250  # codebook_size is 8
+        idx.write_bytes(bytes(blob))
+        message = "codebook_size"
+    else:
+        gen = write_embx(tmp_path / "empty.embx", np.zeros((0, 8)))
+        message = "generated set is empty"
+    r = run_cli("match", "--mode", "pq", "--index", idx, "--gen", gen, "--k", 3)
+    assert_one_error_line(r, message)
+
+
 @pytest.mark.parametrize("k", [0, -3])
 @pytest.mark.parametrize("by_config", [False, True])
 def test_eval_recall_rejects_k_below_one(exp_dir, tmp_path, k, by_config):

@@ -200,8 +200,8 @@ def test_unknown_format_rejected(tmp_path):
 def test_validate_pair():
     t = EmbeddingMatrix(np.zeros((100, 64), dtype=np.float32))
     g = EmbeddingMatrix(np.zeros((50, 64), dtype=np.float32))
-    validate_pair(t, g)  # ok
+    validate_pair(t.data.shape, g)  # ok
     with pytest.raises(ValidationError, match="dimension mismatch"):
-        validate_pair(t, EmbeddingMatrix(np.zeros((5, 32), dtype=np.float32)))
+        validate_pair(t.data.shape, EmbeddingMatrix(np.zeros((5, 32), dtype=np.float32)))
     with pytest.raises(ValidationError, match="empty"):
-        validate_pair(EmbeddingMatrix(np.zeros((0, 64), dtype=np.float32)), g)
+        validate_pair(EmbeddingMatrix(np.zeros((0, 64), dtype=np.float32)).data.shape, g)

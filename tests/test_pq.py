@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import traced_peak
 from genval import embeddings, pq
 from genval import (
     Codebook,
@@ -233,6 +234,23 @@ def test_training_does_not_depend_on_the_block_size(rng, monkeypatch):
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 1)
     blocked = train_codebooks(data, cfg)
     assert one_block.centroids.tobytes() == blocked.centroids.tobytes()
+
+
+def test_training_converts_one_subspace_at_a_time(rng):
+    """Guards peak memory: no float64 copy of the corpus."""
+    data = mat(rng.standard_normal((20_000, 64)))
+    peak = traced_peak(lambda: train_codebooks(data, PQConfig(8, 16, 2, seed=0)))
+    assert peak < data.data.size * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_quantization_error_holds_one_float64_matrix(rng):
+    """Guards peak memory: besides the float64 difference, the error holds
+    the float32 reconstruction and less than 1 MiB."""
+    data = mat(rng.standard_normal((20_000, 64)))
+    cb = train_codebooks(data, PQConfig(8, 16, 2, seed=0))
+    codes = encode(data, cb)
+    peak = traced_peak(lambda: quantization_error(data, cb, codes))
+    assert peak - data.data.size * 8 < data.data.nbytes + (1 << 20), f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_quantization_error_reuses_given_codes(rng):

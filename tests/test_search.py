@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import traced_peak
 from genval import embeddings, search
 from genval import (
     Codebook,
@@ -23,7 +24,7 @@ from genval import (
     train_codebooks,
     write_match_jsonl,
 )
-from genval.errors import ConfigError, FormatError, ValidationError
+from genval.errors import ConfigError, CorruptionError, FormatError, ValidationError
 
 
 def mat(rows):
@@ -106,6 +107,27 @@ def test_adc_rejects_codes_from_another_codebook():
     codes = PQCodes(np.array([[0]], dtype=np.uint8))
     with pytest.raises(ValidationError, match="subspace count"):
         batch_match((cb, codes), query([1.0, 9.0]), k=1)
+
+
+def test_adc_rejects_codes_that_address_no_centroid():
+    cb = Codebook(np.array([[[0.0], [10.0]], [[0.0], [10.0]]], dtype=np.float32))
+    codes = PQCodes(np.array([[0, 1], [2, 0]], dtype=np.uint8))
+    with pytest.raises(CorruptionError, match="row 1, subspace 0"):
+        batch_match((cb, codes), query([1.0, 9.0]), k=1)
+
+
+@pytest.mark.parametrize("route", ["exact", "adc"])
+def test_both_routes_reject_empty_sets(route):
+    cb = Codebook(np.array([[[0.0], [10.0]], [[0.0], [10.0]]], dtype=np.float32))
+
+    def train(n):
+        codes = PQCodes(np.zeros((n, 2), dtype=np.uint8))
+        return decode(codes, cb) if route == "exact" else (cb, codes)
+
+    with pytest.raises(ValidationError, match="generated set is empty"):
+        batch_match(train(3), mat(np.zeros((0, 2))), k=1)
+    with pytest.raises(ValidationError, match="training set is empty"):
+        batch_match(train(0), query([1.0, 9.0]), k=1)
 
 
 def test_adc_equals_exact_on_zero_error_codebook(rng):
@@ -309,9 +331,11 @@ CASES = ["gaussian", "lattice", "duplicates", "near_ties", "large_offset"]
 
 @pytest.fixture
 def four_row_blocks(monkeypatch):
-    """Shrink the block budget so a 30-row corpus gets 4 query rows per block."""
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 17 * 30)
-    assert embeddings.block_rows(17 * 30) == 4
+    """Shrink the block budget so a 30-row corpus of dim 6 is one block of
+    training rows, scanned 4 query rows per block (the kernel gets a
+    quarter of the budget)."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 4 * 17 * 30)
+    assert embeddings.block_rows(17 * 30, embeddings.BLOCK_BYTES // 4) == 4
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 9])  # below, at and above one block, and three blocks
@@ -337,9 +361,9 @@ def test_shortlist_survives_a_rounding_bound_as_wide_as_the_corpus(rng, monkeypa
     rechecked = []
     pair_sq_dists = embeddings._pair_sq_dists
 
-    def counting(train, queries, rows, cols, budget):
+    def counting(train, queries, rows, cols, budget, corpus_rows):
         rechecked.append(rows.size)
-        return pair_sq_dists(train, queries, rows, cols, budget)
+        return pair_sq_dists(train, queries, rows, cols, budget, corpus_rows)
 
     monkeypatch.setattr(embeddings, "_pair_sq_dists", counting)
     train, gen = shortlist_case("large_offset", rng, 200, 30, d=128)
@@ -362,15 +386,36 @@ def test_rows_longer_than_the_einsum_buffer(rng, n, m, k):
     assert t.distances.tobytes() == dist.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("route", ["exact", "adc"])
+def test_a_last_block_of_one_long_row_keeps_the_corpus_arithmetic(rng, monkeypatch, route, m):
+    """A block of one training row still sums its rows of 9 000 entries
+    as a row of the whole corpus does, not as einsum sums a lone row."""
+    if route == "exact":
+        train = corpus = mat(rng.standard_normal((3, 9000)))
+    else:
+        codebook = Codebook(rng.standard_normal((1, 4, 9000)).astype(np.float32))
+        codes = PQCodes(np.array([[0], [1], [2]], dtype=np.uint8))
+        train, corpus = (codebook, codes), decode(codes, codebook)
+    gen = mat(rng.standard_normal((m, 9000)))
+    one_block = batch_match(train, gen, k=3)
+    blocks = training_blocks_of(2, 9000, monkeypatch)
+    t = batch_match(train, gen, k=3)
+    assert blocks == [2, 1]
+    idx, dist = subtraction_scan(corpus, gen, 3)
+    for want_idx, want_dist in [(one_block.indices, one_block.distances), (idx, dist)]:
+        assert t.indices.tobytes() == want_idx.tobytes()
+        assert t.distances.tobytes() == want_dist.tobytes()
+
+
 @pytest.mark.parametrize("route", ["exact", "adc"])
 def test_threads_split_across_blocks(rng, monkeypatch, eight_cpus, route):
     if route == "exact":
         train, gen = shortlist_case("near_ties", rng, 30, 23)
-        monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 17 * 30)
     else:
         codebook, codes, gen = adc_case("lattice", rng, 30, 23)
-        decoded_blocks_of(4, codebook, monkeypatch)
         train = (codebook, codes)
+    training_blocks_of(4, gen.dim, monkeypatch)
     one = batch_match(train, gen, k=6, threads=1)
     three = batch_match(train, gen, k=6, threads=3)
     assert one.indices.tobytes() == three.indices.tobytes()
@@ -393,7 +438,7 @@ def test_exact_scan_scratch_stays_below_one_corpus_copy(rng):
     assert scratch < corpus64, f"scratch {scratch / 2**20:.1f} MiB"
 
 
-# ------------------------------------------------------- decoded-block adc
+# ---------------------------------------------------- training-row blocks
 
 
 def adc_case(name, rng, n, m):
@@ -412,11 +457,11 @@ def adc_case(name, rng, n, m):
     return codebook, PQCodes(codes.astype(np.uint8 if ks <= 256 else np.uint16)), mat(q)
 
 
-def decoded_blocks_of(rows, codebook, monkeypatch):
-    """Shrink the block budget so the PQ route decodes ``rows`` training
-    rows per block (half the budget, float64); returns the list of block
-    sizes it records."""
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * rows * 8 * codebook.dim)
+def training_blocks_of(rows, dim, monkeypatch):
+    """Shrink the block budget so either route scans ``rows`` training
+    rows of dim ``dim`` per block (half the budget, float64); returns the
+    list of block sizes it records."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * rows * 8 * dim)
     blocks = []
     kernel = search.nearest_rows
     monkeypatch.setattr(
@@ -425,26 +470,45 @@ def decoded_blocks_of(rows, codebook, monkeypatch):
     return blocks
 
 
+def assert_blocks_equal_subtraction_scan(train, corpus, gen, monkeypatch):
+    """``train``'s tables, bit for bit, against a subtraction scan over
+    ``corpus``, with blocks of 4 training rows."""
+    n = corpus.count
+    blocks = training_blocks_of(4, gen.dim, monkeypatch)
+    for k in (1, 3, n, n + 5):
+        blocks.clear()
+        t = batch_match(train, gen, k=k)
+        assert blocks == [min(4, n - lo) for lo in range(0, n, 4)]
+        idx, dist = subtraction_scan(corpus, gen, k)
+        assert t.indices.tobytes() == idx.tobytes()
+        assert t.distances.tobytes() == dist.tobytes()
+
+
+# n = 29 leaves a last block of one row
+BLOCK_SHAPES = [(30, 3), (30, 4), (30, 5), (30, 9), (29, 5)]
+EXACT_BLOCK_CASES = ["gaussian", "lattice", "near_ties"]
+
+
+@pytest.mark.parametrize("n, m", BLOCK_SHAPES)
+@pytest.mark.parametrize("case", EXACT_BLOCK_CASES)
+def test_training_row_blocks_equal_subtraction_scan(case, n, m, monkeypatch):
+    """The exact route's tables with 4-row blocks of training rows."""
+    rng = np.random.default_rng(EXACT_BLOCK_CASES.index(case) * 100 + n + m)
+    train, gen = shortlist_case(case, rng, n, m)
+    assert_blocks_equal_subtraction_scan(train, train, gen, monkeypatch)
+
+
 ADC_CASES = ["gaussian", "lattice", "wide_codes"]
 
 
-# n = 29 leaves a last decoded block of one row
-@pytest.mark.parametrize("n, m", [(30, 3), (30, 4), (30, 5), (30, 9), (29, 5)])
+@pytest.mark.parametrize("n, m", BLOCK_SHAPES)
 @pytest.mark.parametrize("case", ADC_CASES)
 def test_decoded_blocks_equal_subtraction_scan(case, n, m, monkeypatch):
     """The PQ route's tables, bit for bit, against a subtraction scan
     over the whole decoded corpus, with 4-row decoded blocks."""
     rng = np.random.default_rng(ADC_CASES.index(case) * 100 + n + m)
     codebook, codes, gen = adc_case(case, rng, n, m)
-    decoded = decode(codes, codebook)
-    blocks = decoded_blocks_of(4, codebook, monkeypatch)
-    for k in (1, 3, n, n + 5):
-        blocks.clear()
-        t = batch_match((codebook, codes), gen, k=k)
-        assert blocks == [min(4, n - lo) for lo in range(0, n, 4)]
-        idx, dist = subtraction_scan(decoded, gen, k)
-        assert t.indices.tobytes() == idx.tobytes()
-        assert t.distances.tobytes() == dist.tobytes()
+    assert_blocks_equal_subtraction_scan((codebook, codes), decode(codes, codebook), gen, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [2_000, 20_000])
@@ -463,6 +527,17 @@ def test_adc_scratch_stays_inside_the_block_budget(rng, n):
     finally:
         tracemalloc.stop()
     scratch = peak - gen.data.size * 8
+    assert scratch < embeddings.BLOCK_BYTES + (1 << 19), f"scratch {scratch / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("n", [2_000, 20_000])
+def test_exact_scratch_stays_inside_the_block_budget(rng, n):
+    """Guards peak memory: the exact route converts one block of training
+    rows at a time, never the corpus, so it stays inside the PQ route's
+    bound."""
+    train = mat(rng.standard_normal((n, 64)))
+    gen = mat(rng.standard_normal((500, 64)))
+    scratch = traced_peak(lambda: batch_match(train, gen, k=10)) - gen.data.size * 8
     assert scratch < embeddings.BLOCK_BYTES + (1 << 19), f"scratch {scratch / 2**20:.2f} MiB"
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from genval import (
+    EmbeddingMatrix,
     ExperimentSpec,
     batch_match,
     component_means,
@@ -131,3 +133,21 @@ def test_rerun_is_byte_identical(tmp_path):
     b = make_ra2_experiment(spec, tmp_path / "b")
     for name in a:
         assert a[name].read_bytes() == b[name].read_bytes(), name
+
+
+def test_generator_converts_only_the_rows_it_picks(rng):
+    """Guards peak memory: no float64 copy of the training subset."""
+    subset = EmbeddingMatrix(rng.standard_normal((20_000, 64)).astype(np.float32))
+    peak = traced_peak(lambda: simulate_generated(subset, ExperimentSpec(m_generated=10)))
+    assert peak < subset.data.nbytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_experiment_peak_is_drawing_a_split(tmp_path):
+    """Guards peak memory: the peak is drawing the second split while the
+    first is held; simulating the generator and writing the files,
+    x_train included, add no copy on top."""
+    spec = ExperimentSpec(dim=64, n_per_split=10_000, m_generated=10, seed=1)
+    draw = traced_peak(lambda: sample_mixture(spec, spec.n_per_split))
+    split32 = spec.n_per_split * spec.dim * 4
+    peak = traced_peak(lambda: make_ra2_experiment(spec, tmp_path))
+    assert peak < draw + split32 + (1 << 18), f"peak {peak / 2**20:.2f} MiB, draw {draw / 2**20:.2f} MiB"
