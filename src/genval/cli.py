@@ -359,6 +359,8 @@ def cmd_eval_recall(args) -> int:
     if args.index is None:
         raise ConfigError("eval-recall needs --index pointing at a GMVI file")
     codebook, codes = pq.load_index(args.index)
+    if (codes.count, codebook.dim) != train.data.shape:
+        raise ConfigError(f"shape mismatch: index {(codes.count, codebook.dim)}, --train {train.data.shape}")
     # rows are sorted with ties to the lower index, so the top k of a row
     # is a prefix of its top max(ks): one scan of each kind serves every k
     ks = sorted({1, 10, args.k})

@@ -47,7 +47,9 @@ class EmbeddingMatrix:
             raise ValidationError(f"embedding matrix must be 2-D, got {arr.ndim}-D")
         if arr.shape[1] < 1:
             raise ValidationError("embedding dim must be >= 1")
-        arr = np.ascontiguousarray(arr, dtype=np.float32)
+        # a value beyond float32's range casts to inf, reported below
+        with np.errstate(over="ignore"):
+            arr = np.ascontiguousarray(arr, dtype=np.float32)
         bad = np.argwhere(~np.isfinite(arr))
         if bad.size:
             r, c = bad[0]
@@ -214,61 +216,78 @@ def _pair_sq_dists(train, queries, rows, cols, budget, corpus_rows) -> np.ndarra
     return out
 
 
-def nearest_rows(train: np.ndarray, queries: np.ndarray, k: int, budget: int | None = None, corpus_rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k rows of ``train`` (n >= 1 rows, float64) for each query row.
+def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k training rows for each row of ``queries`` (float64).
 
-    Returns ``(m, min(k, n))`` index and squared-distance tables, each
-    row sorted ascending by distance with ties to the lower index. The
-    distances are bitwise those of a full scan by ``exact_sq_dists`` of
-    the corpus that ``train`` is a block of, which has ``corpus_rows``
-    rows (default n). The block buffers take at most ``budget`` bytes
-    (default ``BLOCK_BYTES``), and so do the recheck's temporaries.
+    ``source`` has one row per training row (n >= 1), and
+    ``fill(block, source[lo:hi])`` writes training rows lo..hi-1 into a
+    float64 block. Returns ``(m, min(k, n))`` index and squared-distance
+    tables, each row sorted ascending by distance with ties to the lower
+    index. The distances are bitwise those of a full scan of the corpus
+    by ``exact_sq_dists``, whatever the block sizes. Scratch stays within
+    ``BLOCK_BYTES``: the block of training rows takes half, the GEMM
+    buffers a quarter and the recheck's temporaries a quarter.
 
     One GEMM per block of query rows gives A = |q|² - 2q·x + |x|² for
-    every training row. A and the subtracted distance differ by at most
-    E = c·(|q|² + |x|²), with c = 8·(d + 4)·2⁻⁵³ twice the first-order
-    bound of the two computations' dot-product errors (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, §3.1); float32
-    inputs cannot underflow or overflow in float64. A row whose A - E
-    exceeds the k-th smallest A + E therefore has k rows strictly
+    every row of the training block. A and the subtracted distance
+    differ by at most E = c·(|q|² + |x|²), with c = 8·(d + 4)·2⁻⁵³ twice
+    the first-order bound of the two computations' dot-product errors
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1);
+    float32 inputs cannot underflow or overflow in float64. A row whose
+    A - E exceeds the k-th smallest A + E therefore has k rows strictly
     closer. Only the other rows, the candidates, are recomputed by
-    subtraction and ranked. Near ties lengthen the candidate list, up
-    to all n rows, but never change the result.
+    subtraction, then ranked together with the query rows' running top k
+    by (distance, index); the first k of each row are the new running
+    top k. Near ties lengthen the candidate list, up to the whole block,
+    but never change the result.
     """
-    n, d = train.shape
-    m = queries.shape[0]
+    n = source.shape[0]
+    m, d = queries.shape
     k = min(k, n)
     c = 8.0 * (d + 4) * 2.0**-53
-    x2 = np.einsum("ij,ij->i", train, train)
-    ex = c * x2
-    b = max(1, min(m, block_rows(17 * n, budget)))  # two float64 and one bool entry per pair
-    approx = np.empty((b, n))
-    upper = np.empty((b, n))
-    keep = np.empty((b, n), dtype=bool)
-    indices = np.empty((m, k), dtype=np.int64)
-    sq_dists = np.empty((m, k))
-    for lo in range(0, m, b):
-        q = queries[lo : lo + b]
-        r = q.shape[0]
-        a, u = approx[:r], upper[:r]
-        # a = A - |q|²: |q|² is constant along a row and cancels from the
-        # test A - E <= k-th smallest A + E, which leaves
-        # a - c·|x|² <= k-th smallest (a + c·|x|²) + 2c·|q|²
-        np.matmul(-2.0 * q, train.T, out=a)
-        a += x2
-        np.add(a, ex, out=u)
-        u.partition(k - 1, axis=1)
-        tau = u[:, k - 1] + 2.0 * c * np.einsum("ij,ij->i", q, q)
-        a -= ex
-        np.less_equal(a, tau[:, None], out=keep[:r])
-        rows, cols = np.nonzero(keep[:r])
-        dist = _pair_sq_dists(train, q, rows, cols, budget, n if corpus_rows is None else corpus_rows)
-        # the first k candidates of each query row by (distance, index);
-        # every row has at least k
-        order = np.lexsort((cols, dist, rows))
-        counts = np.bincount(rows)
-        pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        indices[lo : lo + r], sq_dists[lo : lo + r] = cols[pick], dist[pick]
+    budget = BLOCK_BYTES // 4
+    nb = min(n, block_rows(8 * d, 2 * budget))
+    nb = -(-n // -(-n // nb))  # as few blocks, all of one size but the last
+    b = max(1, min(m, block_rows(17 * nb, budget)))  # two float64 and one bool entry per pair
+    block = np.empty((nb, d))
+    approx = np.empty(b * nb)
+    upper = np.empty(b * nb)
+    keep = np.empty(b * nb, dtype=bool)
+    # (+inf, n) ranks after every real entry, so each row holds k entries
+    # from the start and the pick below stays a fixed-width gather
+    indices = np.full((m, k), n, dtype=np.int64)
+    sq_dists = np.full((m, k), np.inf)
+    for lo in range(0, n, nb):
+        train = block[: n - lo]
+        t = train.shape[0]
+        fill(train, source[lo : lo + t])
+        kb = min(k, t)
+        x2 = np.einsum("ij,ij->i", train, train)
+        ex = c * x2
+        for qlo in range(0, m, b):
+            q = queries[qlo : qlo + b]
+            r = q.shape[0]
+            a, u = approx[: r * t].reshape(r, t), upper[: r * t].reshape(r, t)
+            # a = A - |q|²: |q|² is constant along a row and cancels from
+            # the test A - E <= kb-th smallest A + E, which leaves
+            # a - c·|x|² <= kb-th smallest (a + c·|x|²) + 2c·|q|²
+            np.matmul(-2.0 * q, train.T, out=a)
+            a += x2
+            np.add(a, ex, out=u)
+            u.partition(kb - 1, axis=1)
+            tau = u[:, kb - 1] + 2.0 * c * np.einsum("ij,ij->i", q, q)
+            a -= ex
+            hit = keep[: r * t].reshape(r, t)
+            np.less_equal(a, tau[:, None], out=hit)
+            rows, cols = np.nonzero(hit)
+            dist = _pair_sq_dists(train, q, rows, cols, budget, n)
+            rows = np.concatenate([np.repeat(np.arange(r), k), rows])
+            cols = np.concatenate([indices[qlo : qlo + r].ravel(), cols + lo])
+            dist = np.concatenate([sq_dists[qlo : qlo + r].ravel(), dist])
+            order = np.lexsort((cols, dist, rows))
+            counts = np.bincount(rows)
+            pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+            indices[qlo : qlo + r], sq_dists[qlo : qlo + r] = cols[pick], dist[pick]
     return indices, sq_dists
 
 

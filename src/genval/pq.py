@@ -254,10 +254,9 @@ def encode(data: EmbeddingMatrix, codebook: Codebook) -> PQCodes:
         )
     m, sd = codebook.num_subspaces, codebook.subspace_dim
     codes = np.empty((data.count, m), dtype=_code_dtype(codebook.codebook_size))
-    cents = codebook.centroids.astype(np.float64)
     for s in range(m):
         sub = data.data[:, s * sd : (s + 1) * sd].astype(np.float64)
-        codes[:, s] = nearest_rows(cents[s], sub, 1)[0][:, 0]
+        codes[:, s] = nearest_rows(codebook.centroids[s], np.copyto, sub, 1)[0][:, 0]
     return PQCodes(codes)
 
 

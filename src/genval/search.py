@@ -1,18 +1,17 @@
 """Top-k matching of generated points against training points.
 
-One block scan serves both routes. It fills a float64 block of training
-rows at a time, ranks the block with ``embeddings.nearest_rows`` and
-merges the block's top k into a running top k. The exact route fills
-the block from the float32 training rows; the PQ route decodes the
-codes into it, so its distance is the asymmetric distance of product
-quantization: the exact distance from the query to the decoded row.
-``nearest_rows`` takes a shortlist from one BLAS GEMM per block of
-query rows and recomputes only the shortlist by direct subtraction; a
-rigorous rounding bound keeps every row that could still be in the top
-k, so its tables are bitwise those of a full subtraction scan.
-Reported distances are non-squared Euclidean; rows are sorted ascending
-by distance with ties broken by ascending training index, so output is
-reproducible bit for bit regardless of block size or scheduling.
+Both routes run ``embeddings.nearest_rows``, the one scan, over blocks
+of float64 training rows. The exact route fills each block from the
+float32 training rows; the PQ route decodes the codes into it, so its
+distance is the asymmetric distance of product quantization: the exact
+distance from the query to the decoded row. The scan takes a shortlist
+from one BLAS GEMM per block and recomputes only the shortlist by
+direct subtraction; a rigorous rounding bound keeps every row that
+could still be in the top k, so its tables are bitwise those of a full
+subtraction scan. Reported distances are non-squared Euclidean; rows
+are sorted ascending by distance with ties broken by ascending training
+index, so output is reproducible bit for bit regardless of block size
+or scheduling.
 """
 from __future__ import annotations
 
@@ -24,8 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from . import embeddings
-from .embeddings import EmbeddingMatrix, block_rows, nearest_rows, validate_pair
+from .embeddings import EmbeddingMatrix, nearest_rows, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
 from .pq import check_codes, decode_into
 
@@ -59,42 +57,6 @@ class MatchTables:
         return self.distances.shape[1]
 
 
-def _block_scan(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k training rows for each query row, as ``(m, min(k, n))``
-    index and squared-distance tables.
-
-    ``fill(block, source[lo:hi])`` writes training rows lo..hi-1 (n >= 1
-    rows, one per row of ``source``) into a float64 block, and
-    ``nearest_rows`` ranks the block. A block's distances are final, so
-    the top k by (distance, index) of the running top k and the block's
-    top k is the top k of every row so far: the tables are bitwise those
-    of ``nearest_rows`` on the whole corpus, whatever the block size.
-    """
-    n = source.shape[0]
-    m, dim = queries.shape
-    # the block takes half the block budget; the kernel's buffers and its
-    # recheck's temporaries take a quarter each
-    budget = embeddings.BLOCK_BYTES // 4
-    b = min(n, block_rows(8 * dim, 2 * budget))
-    b = -(-n // -(-n // b))  # as few blocks, all of one size but the last
-    block = np.empty((b, dim))
-    indices = np.empty((m, 0), dtype=np.int64)
-    sq_dists = np.empty((m, 0))
-    for lo in range(0, n, b):
-        rows = block[: n - lo]
-        fill(rows, source[lo : lo + len(rows)])
-        cols, dist = nearest_rows(rows, queries, k, budget, n)
-        cols = np.concatenate([indices, cols + lo], axis=1)
-        dist = np.concatenate([sq_dists, dist], axis=1)
-        # every running entry precedes the block's and has a lower index,
-        # and both parts are sorted by (distance, index), so a stable sort
-        # by distance breaks ties to the lower index
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        indices = np.take_along_axis(cols, order, axis=1)
-        sq_dists = np.take_along_axis(dist, order, axis=1)
-    return indices, sq_dists
-
-
 def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int = 1) -> MatchTables:
     """Top-k match every generated row; rows are independent.
 
@@ -116,7 +78,7 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
         source, fill, dim = codes.codes, partial(decode_into, codebook), codebook.dim
     validate_pair((source.shape[0], dim), generated)
     queries = generated.data.astype(np.float64)
-    kernel = partial(_block_scan, source, fill, k=k)
+    kernel = partial(nearest_rows, source, fill, k=k)
     workers = min(threads, queries.shape[0], os.cpu_count() or 1)
     if workers <= 1:
         indices, sq_dists = kernel(queries)

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, save_embeddings
+from . import embeddings
+from .embeddings import EmbeddingMatrix, block_rows, save_embeddings
 from .errors import ConfigError
 
 _DOMAIN_MEANS = 0
@@ -59,7 +60,8 @@ class ExperimentSpec:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         # numpy holds no array of more than intp-max bytes; the largest
-        # float64 array here has one of these row counts
+        # here takes 8 bytes per entry of one of these row counts (the
+        # float32 corpus has 2 * n_per_split rows)
         rows = max(self.n_per_split, self.m_generated, self.mixture_components)
         if rows * self.dim > np.iinfo(np.intp).max // 8:
             raise ConfigError(f"{rows} rows of dim {self.dim} exceed numpy's array size limit")
@@ -71,6 +73,8 @@ def _rng(seed: int, domain: int, offset: int = 0) -> np.random.Generator:
     )
 
 
+# overflow gives inf: a row's is reported, a distance's clears the floor
+@np.errstate(over="ignore")
 def component_means(spec: ExperimentSpec) -> np.ndarray:
     """Mixture component means, pairwise at least component_spread apart.
 
@@ -85,6 +89,7 @@ def component_means(spec: ExperimentSpec) -> np.ndarray:
     rejections = 0
     while len(means) < spec.mixture_components:
         candidate = scale * rng.standard_normal(spec.dim)
+        _check_range(candidate, "component_spread", spec.component_spread)
         dists = [float(np.linalg.norm(candidate - m)) for m in means]
         if not means or min(dists) >= spec.component_spread:
             means.append(candidate)
@@ -100,13 +105,30 @@ def sample_mixture(spec: ExperimentSpec, count: int, stream: int = 0) -> Embeddi
     spec.validate()
     if count < 1:
         raise ConfigError("count must be >= 1")
+    out = np.empty((count, spec.dim), dtype=np.float32)
+    _draw_mixture(spec, out, stream)
+    return EmbeddingMatrix(out)
+
+
+@np.errstate(over="ignore")
+def _draw_mixture(spec: ExperimentSpec, out: np.ndarray, stream: int) -> None:
+    """Write ``sample_mixture``'s rows into the float32 rows ``out``; the
+    normals, drawn one block of rows at a time, continue one stream."""
     means = component_means(spec)
     rng = _rng(spec.seed, _DOMAIN_MIXTURE, stream)
-    comp = rng.integers(0, spec.mixture_components, size=count)
-    draws = means[comp] + rng.standard_normal((count, spec.dim))
-    return EmbeddingMatrix(draws)
+    comp = rng.integers(0, spec.mixture_components, size=len(out))
+    # two float64 rows of scratch per row: the normals and their means
+    b = block_rows(16 * spec.dim, embeddings.BLOCK_BYTES // 4)
+    block = np.empty((min(b, len(out)), spec.dim))
+    for lo in range(0, len(out), b):
+        rows = block[: len(out) - lo]
+        rng.standard_normal(out=rows)
+        rows += means[comp[lo : lo + len(rows)]]
+        out[lo : lo + len(rows)] = rows
+    _check_range(out, "component_spread", spec.component_spread)
 
 
+@np.errstate(over="ignore")
 def simulate_generated(training_subset: EmbeddingMatrix, spec: ExperimentSpec) -> EmbeddingMatrix:
     """Memorizing generator: resample training rows plus isotropic noise."""
     spec.validate()
@@ -115,10 +137,16 @@ def simulate_generated(training_subset: EmbeddingMatrix, spec: ExperimentSpec) -
     rng = _rng(spec.seed, _DOMAIN_GENERATOR)
     picks = rng.integers(0, training_subset.count, size=spec.m_generated)
     base = training_subset.data[picks].astype(np.float64)
-    noise = spec.noise_sigma * rng.standard_normal(
-        (spec.m_generated, training_subset.dim)
-    )
-    return EmbeddingMatrix(base + noise)
+    base += spec.noise_sigma * rng.standard_normal((spec.m_generated, training_subset.dim))
+    out = base.astype(np.float32)
+    _check_range(out, "noise_sigma", spec.noise_sigma)
+    return EmbeddingMatrix(out)
+
+
+def _check_range(rows: np.ndarray, option: str, value: float) -> None:
+    """Blame ``option`` = ``value`` for a row that overflowed to inf."""
+    if not np.isfinite(rows).all():
+        raise ConfigError(f"{option} {value:g} puts synthetic rows beyond float32 range")
 
 
 def make_ra2_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
@@ -132,10 +160,14 @@ def make_ra2_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     spec.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    x_v1 = sample_mixture(spec, spec.n_per_split, stream=0)
-    x_v2 = sample_mixture(spec, spec.n_per_split, stream=1)
+    n = spec.n_per_split
+    # the splits are the two halves of the corpus, so no step copies them
+    train = np.empty((2 * n, spec.dim), dtype=np.float32)
+    _draw_mixture(spec, train[:n], stream=0)
+    _draw_mixture(spec, train[n:], stream=1)
+    x_train = EmbeddingMatrix(train)
+    x_v1, x_v2 = EmbeddingMatrix(x_train.data[:n]), EmbeddingMatrix(x_train.data[n:])
     x_hat = simulate_generated(x_v1, spec)
-    x_train = EmbeddingMatrix(np.concatenate([x_v1.data, x_v2.data]))
 
     files = {
         "x_v1": out / X_V1_FILE,
@@ -149,8 +181,9 @@ def make_ra2_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     save_embeddings(x_v2, files["x_v2"])
     save_embeddings(x_train, files["x_train"])
     save_embeddings(x_hat, files["x_hat"])
+    # free the corpus, so the partition's Python lists never sit on top of it
+    del train, x_train, x_v1, x_v2, x_hat
 
-    n = spec.n_per_split
     partition = {
         "v1": list(range(n)),
         "v2": list(range(n, 2 * n)),

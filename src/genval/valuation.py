@@ -55,7 +55,10 @@ def discount_scores(distances, temperature: float = 1.0) -> np.ndarray:
         raise ValidationError("distances must be finite and >= 0")
     if not (temperature > 0 and np.isfinite(temperature)):
         raise ConfigError("temperature must be a positive finite real")
-    e = np.exp(-temperature * (d - d.min(axis=-1, keepdims=True)))
+    # a product beyond float64's range is -inf, and exp(-inf) = 0 is the
+    # exact limit, so the overflow is not an error
+    with np.errstate(over="ignore"):
+        e = np.exp(-temperature * (d - d.min(axis=-1, keepdims=True)))
     return e / e.sum(axis=-1, keepdims=True)
 
 

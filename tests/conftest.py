@@ -1,11 +1,15 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genval
 from genval import EmbeddingMatrix, save_embeddings
 from genval.cli import main
 
@@ -43,6 +47,18 @@ def run_cli(*argv, stdin=""):
         finally:
             sys.stdin = old_stdin
     return CliRun(code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*argv, cwd=None):
+    """Run the CLI in a child process, so that its stderr holds whatever
+    the process prints there, warnings included."""
+    src = str(Path(genval.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "genval.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    return CliRun(done.returncode, done.stdout, done.stderr)
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import genval.cli as cli
-from conftest import run_cli, write_embx
+from conftest import run_cli, run_cli_process, write_embx
 from genval import embeddings, load_embeddings, pq, save_embeddings, search
 from genval.errors import InternalError
 
@@ -393,6 +393,22 @@ def test_eval_recall_mismatched_tables(tmp_path, rng):
     assert "shape mismatch" in r.stderr
 
 
+def test_eval_recall_rejects_an_index_of_another_corpus(tmp_path, rng):
+    train = write_embx(tmp_path / "t.embx", rng.standard_normal((6, 4)))
+    other = write_embx(tmp_path / "o.embx", rng.standard_normal((10, 4)))
+    gen = write_embx(tmp_path / "g.embx", rng.standard_normal((3, 4)))
+    idx = tmp_path / "i.gmvi"
+    assert run_cli(
+        "build-index", "--train", other, "--output", idx,
+        "--num-subspaces", 2, "--codebook-size", 2, "--kmeans-iters", 4,
+    ).code == 0
+    # k is at most both row counts, so the two scans' tables share a shape
+    r = run_cli("eval-recall", "--train", train, "--gen", gen, "--index", idx, "--k", 3)
+    assert r.code == 2
+    assert r.stdout == ""
+    assert "shape mismatch" in r.stderr
+
+
 # -------------------------------------------------------------- wasserstein
 
 
@@ -737,3 +753,40 @@ def test_sizes_no_array_can_hold_exit_two(tmp_path, argv, message):
         argv = argv + ["--out-dir", tmp_path / "s"]
     record = '{"gen_index": 0, "matches": [{"train_index": 1, "distance": 1}]}\n'
     assert_one_error_line(run_cli(*argv, stdin=record), message)
+
+
+# ----------------------------------------------------------------- warnings
+
+
+def test_credit_overflow_is_the_exact_limit(tmp_path):
+    """b·d beyond float64's range gives exp(-inf) = 0, the exact limit;
+    no warning reaches stderr."""
+    matches = tmp_path / "m.jsonl"
+    matches.write_text(
+        '{"gen_index": 0, "matches": [{"train_index": 0, "distance": 1.0}, '
+        '{"train_index": 1, "distance": 1e300}]}\n'
+    )
+    r = run_cli_process("value", "--matches", matches, "--n", 2, "--temperature", 1e10)
+    assert (r.code, r.stderr) == (0, "")
+    assert r.stdout == "train_index,value,rank\n0,1,1\n1,0,2\n"
+
+
+@pytest.mark.parametrize("flags, option", [
+    (("--spread", 1e308, "--components", 2), "component_spread"),
+    (("--noise-sigma", 1e300), "noise_sigma"),
+])
+def test_synth_out_of_range_names_its_option(tmp_path, flags, option):
+    r = run_cli_process("synth", "--out-dir", tmp_path / "exp", "--dim", 8,
+                        "--n-per-split", 20, "--m", 10, *flags)
+    assert r.code == 2
+    assert r.stderr.splitlines() == [
+        f"genval: error: {option} {float(flags[1]):g} puts synthetic rows beyond float32 range"
+    ]
+
+
+def test_csv_value_beyond_float32_is_one_error_line(tmp_path):
+    big = tmp_path / "big.csv"
+    big.write_text("1.0,2.0\n1e39,3.0\n")
+    r = run_cli_process("match", "--train", big, "--gen", big, "--format", "csv", "--k", 1)
+    assert r.code == 2
+    assert r.stderr.splitlines() == ["genval: error: non-finite value at row 1, column 0"]

@@ -189,7 +189,7 @@ def subtraction_encode(data, codebook):
 
 
 def test_encode_equals_subtraction_encode(rng, monkeypatch):
-    # small blocks: 300 rows against 16 centroids make 8 blocks
+    # small blocks: 300 rows against 16 centroids make 30 blocks of 10 rows
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 40 * 17 * 16)
     data = mat(rng.standard_normal((300, 12)))
     trained = train_codebooks(data, PQConfig(num_subspaces=3, codebook_size=16, kmeans_iters=5, seed=4))
@@ -201,6 +201,16 @@ def test_encode_equals_subtraction_encode(rng, monkeypatch):
     far_book = Codebook(far[None, 300:])
     for points, book in ((data, trained), (grid, lattice), (mat(far[:300]), far_book)):
         np.testing.assert_array_equal(encode(points, book).codes, subtraction_encode(points, book))
+
+
+@pytest.mark.parametrize("n", [2_000, 20_000])
+def test_encode_scratch_stays_inside_the_block_budget(rng, n):
+    """Guards peak memory: encode scans with the block budget that
+    matching has, its float64 queries and codes included."""
+    data = mat(rng.standard_normal((n, 64)))
+    codebook = Codebook(rng.standard_normal((8, 256, 8)).astype(np.float32))
+    scratch = traced_peak(lambda: encode(data, codebook))
+    assert scratch < embeddings.BLOCK_BYTES, f"scratch {scratch / 2**20:.2f} MiB"
 
 
 def unblocked_assign(points, centroids):

@@ -309,8 +309,8 @@ def subtraction_scan(train, gen, k):
 
 def shortlist_case(name, rng, n, m, d=6):
     """Training and query rows whose squared distances are exact in any
-    summation order (except "gaussian"), so the loop oracle's ties are
-    the true ties."""
+    summation order (except "gaussian" and "huge"), so the loop oracle's
+    ties are the true ties."""
     if name == "gaussian":
         pts = rng.standard_normal((n + m, d))
     elif name == "lattice":  # small integers: exact ties everywhere
@@ -320,13 +320,15 @@ def shortlist_case(name, rng, n, m, d=6):
     elif name == "near_ties":  # one row plus a few 2^-12 steps
         base = np.round(rng.standard_normal(d) * 8)
         pts = base + rng.integers(-2, 3, size=(n + m, d)) * 2.0**-12
+    elif name == "huge":  # squared distances near 1e61, past float32's range
+        pts = rng.standard_normal((n + m, d)) * 1e30
     else:  # "large_offset": 1e4 plus 1e-3 noise, one float32 ulp there
         pts = np.float32(1e4) + rng.integers(-3, 4, size=(n + m, d)) * np.float32(2.0**-10)
     pts = pts.astype(np.float32)
     return mat(pts[:n]), mat(pts[n:])
 
 
-CASES = ["gaussian", "lattice", "duplicates", "near_ties", "large_offset"]
+CASES = ["gaussian", "lattice", "duplicates", "near_ties", "large_offset", "huge"]
 
 
 @pytest.fixture
@@ -464,9 +466,11 @@ def training_blocks_of(rows, dim, monkeypatch):
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * rows * 8 * dim)
     blocks = []
     kernel = search.nearest_rows
-    monkeypatch.setattr(
-        search, "nearest_rows", lambda train, *a: blocks.append(len(train)) or kernel(train, *a)
-    )
+
+    def recording(source, fill, *a, **kw):
+        return kernel(source, lambda block, rows: blocks.append(len(block)) or fill(block, rows), *a, **kw)
+
+    monkeypatch.setattr(search, "nearest_rows", recording)
     return blocks
 
 
@@ -486,7 +490,7 @@ def assert_blocks_equal_subtraction_scan(train, corpus, gen, monkeypatch):
 
 # n = 29 leaves a last block of one row
 BLOCK_SHAPES = [(30, 3), (30, 4), (30, 5), (30, 9), (29, 5)]
-EXACT_BLOCK_CASES = ["gaussian", "lattice", "near_ties"]
+EXACT_BLOCK_CASES = ["gaussian", "lattice", "near_ties", "huge"]
 
 
 @pytest.mark.parametrize("n, m", BLOCK_SHAPES)

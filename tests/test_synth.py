@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from genval import embeddings, synth
 from genval import (
     EmbeddingMatrix,
     ExperimentSpec,
@@ -73,6 +74,40 @@ def test_law_of_large_numbers_single_component():
     sample_mean = draws.data.astype(np.float64).mean(axis=0)
     # unit component variance: the mean of 10k draws sits within 5 sigma/sqrt(n)
     assert np.all(np.abs(sample_mean - mu) <= 5.0 / np.sqrt(10_000))
+
+
+def one_shot_mixture(spec, count, stream):
+    """``sample_mixture``'s rows drawn in one piece, in float64."""
+    rng = synth._rng(spec.seed, synth._DOMAIN_MIXTURE, stream)
+    comp = rng.integers(0, spec.mixture_components, size=count)
+    return component_means(spec)[comp] + rng.standard_normal((count, spec.dim))
+
+
+@pytest.mark.parametrize("dim, count, block", [(1, 30, 7), (5, 29, 4), (5, 3, 4), (3000, 61, 20)])
+def test_blocked_draws_equal_one_draw(monkeypatch, dim, count, block):
+    """Blocks of normals continue one stream; a count that is not a
+    multiple of the block leaves a short last block."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * block * 16 * dim)
+    spec = ExperimentSpec(dim=dim, mixture_components=3, seed=9)
+    for stream in (0, 1):
+        want = one_shot_mixture(spec, count, stream).astype(np.float32)
+        assert sample_mixture(spec, count, stream).data.tobytes() == want.tobytes()
+
+
+def test_experiment_splits_are_the_mixture_draws(tmp_path):
+    spec = ExperimentSpec(dim=6, n_per_split=25, m_generated=5, seed=2)
+    files = make_ra2_experiment(spec, tmp_path)
+    for stream, name in enumerate(("x_v1", "x_v2")):
+        assert load_embeddings(files[name]) == sample_mixture(spec, 25, stream)
+
+
+def test_mixture_draws_convert_one_block_at_a_time():
+    """Guards peak memory: besides the float32 rows, drawing holds a
+    quarter block budget of float64 rows and the finiteness checks."""
+    spec = ExperimentSpec(dim=128, n_per_split=10_000, seed=1)
+    rows32 = spec.n_per_split * spec.dim * 4
+    peak = traced_peak(lambda: sample_mixture(spec, spec.n_per_split))
+    assert peak < rows32 + embeddings.BLOCK_BYTES // 2, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_zero_noise_generator_memorizes_exactly():
