@@ -11,9 +11,14 @@ Two on-disk formats are supported:
   u32 LE dim, u32 LE dtype tag=1 (float32), then count*dim little-endian
   float32 values in row-major order.
 * headerless CSV, one vector per line (``--header`` skips line 1).
+
+EMBX and the PQ index (``pq``) share one container rule, kept by
+``read_container`` and ``write_container``: a 4-byte magic, u32 LE
+version, the format's fields, then LE arrays that fill the file exactly.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,12 +32,8 @@ EMBX_VERSION = 1
 EMBX_DTYPE_F32 = 1
 
 _HEADER = struct.Struct("<4sIQII")  # magic, version, count, dim, dtype
-_OFF_MAGIC = 0
-_OFF_VERSION = 4
-_OFF_COUNT = 8
 _OFF_DIM = 16
 _OFF_DTYPE = 20
-_OFF_PAYLOAD = 24
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,16 @@ class EmbeddingMatrix:
             raise ValidationError("embedding dim must be >= 1")
         # a value beyond float32's range casts to inf, reported below
         with np.errstate(over="ignore"):
-            arr = np.ascontiguousarray(arr, dtype=np.float32)
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            r, c = bad[0]
+            data = np.ascontiguousarray(arr, dtype=np.float32)
+        if not np.isfinite(data).all():
+            r, c = np.argwhere(~np.isfinite(data))[0]
+            if np.isfinite(arr[r, c]):
+                raise ValidationError(
+                    f"value {arr[r, c]:g} at row {r}, column {c} is beyond float32 range"
+                )
             raise ValidationError(f"non-finite value at row {r}, column {c}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def count(self) -> int:
@@ -99,9 +103,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path, format: str = "binary") -> No
         header = _HEADER.pack(
             EMBX_MAGIC, EMBX_VERSION, matrix.count, matrix.dim, EMBX_DTYPE_F32
         )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(matrix.data, dtype="<f4"))
+        write_container(path, header, matrix.data.astype("<f4", copy=False))
     elif format == "csv":
         with open(path, "w") as fh:
             for row in matrix.data:
@@ -111,46 +113,62 @@ def save_embeddings(matrix: EmbeddingMatrix, path, format: str = "binary") -> No
         raise ValidationError(f"unknown format {format!r}, expected 'binary' or 'csv'")
 
 
-def _load_binary(path: Path) -> EmbeddingMatrix:
+def read_container(path: Path, header: struct.Struct, magic: bytes, version: int, layout) -> list[np.ndarray]:
+    """Read-only views of the arrays in a binary container file.
+
+    ``header`` unpacks the 4-byte magic, the u32 version and then the
+    format's own fields. ``layout(*fields)`` checks those fields and
+    returns the ``(dtype, shape)`` of each array; the arrays follow the
+    header back to back and must fill the file exactly.
+    """
     blob = path.read_bytes()
-    if len(blob) < _OFF_PAYLOAD:
+    if len(blob) < header.size:
         raise FormatError(
             f"{path}: truncated header, file ends at byte {len(blob)} "
-            f"but the header needs {_OFF_PAYLOAD} bytes"
+            f"but the header needs {header.size} bytes"
         )
-    magic, version, count, dim, dtype = _HEADER.unpack_from(blob, 0)
-    if magic != EMBX_MAGIC:
-        off = next(i for i in range(4) if magic[i] != EMBX_MAGIC[i])
+    found, found_version, *fields = header.unpack_from(blob)
+    if found != magic:
+        off = next(i for i in range(4) if found[i] != magic[i])
         raise FormatError(
-            f"{path}: bad magic at byte {_OFF_MAGIC + off}, "
-            f"expected {EMBX_MAGIC!r} found {magic!r}"
+            f"{path}: bad magic at byte {off}, expected {magic!r} found {found!r}"
         )
-    if version != EMBX_VERSION:
+    if found_version != version:
+        raise FormatError(f"{path}: unsupported version {found_version} at byte 4")
+    arrays = [(np.dtype(dtype), shape) for dtype, shape in layout(*fields)]
+    expected = header.size + sum(dt.itemsize * math.prod(shape) for dt, shape in arrays)
+    if len(blob) != expected:
         raise FormatError(
-            f"{path}: unsupported version {version} at byte {_OFF_VERSION}"
+            f"{path}: wrong size at byte {min(len(blob), expected)}, "
+            f"expected {expected} bytes total, found {len(blob)}"
         )
-    if dim < 1:
-        raise FormatError(f"{path}: dim must be >= 1, found {dim} at byte {_OFF_DIM}")
-    if dtype != EMBX_DTYPE_F32:
-        raise FormatError(
-            f"{path}: unsupported dtype tag {dtype} at byte {_OFF_DTYPE}"
-        )
-    expected = count * dim * 4
-    actual = len(blob) - _OFF_PAYLOAD
-    if actual < expected:
-        raise FormatError(
-            f"{path}: truncated payload at byte {len(blob)}, "
-            f"expected {expected} payload bytes from byte {_OFF_PAYLOAD}, found {actual}"
-        )
-    if actual > expected:
-        raise FormatError(
-            f"{path}: unexpected trailing data at byte {_OFF_PAYLOAD + expected}, "
-            f"expected {expected} payload bytes from byte {_OFF_PAYLOAD}, found {actual}"
-        )
-    arr = np.frombuffer(
-        blob, dtype="<f4", count=count * dim, offset=_OFF_PAYLOAD
-    ).reshape(count, dim)
-    return EmbeddingMatrix(arr)
+    views, offset = [], header.size
+    for dt, shape in arrays:
+        views.append(np.frombuffer(blob, dt, math.prod(shape), offset).reshape(shape))
+        offset += views[-1].nbytes
+    return views
+
+
+def write_container(path, header: bytes, *arrays: np.ndarray) -> None:
+    """Write a packed ``header``, then the buffer of each array in turn."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr))
+
+
+def _load_binary(path: Path) -> EmbeddingMatrix:
+    def layout(count, dim, dtype):
+        if dim < 1:
+            raise FormatError(f"{path}: dim must be >= 1, found {dim} at byte {_OFF_DIM}")
+        if dtype != EMBX_DTYPE_F32:
+            raise FormatError(
+                f"{path}: unsupported dtype tag {dtype} at byte {_OFF_DTYPE}"
+            )
+        return [("<f4", (count, dim))]
+
+    (data,) = read_container(path, _HEADER, EMBX_MAGIC, EMBX_VERSION, layout)
+    return EmbeddingMatrix(data)
 
 
 def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:

@@ -9,7 +9,8 @@ function of (data, config) down to the bit.
 The trained index persists as a "GMVI v1" file: magic ``GMVI``, u32 LE
 version=1, u32 LE num_subspaces, u32 LE subspace_dim, u32 LE
 codebook_size, u64 LE count, centroid tables (float32 LE), then codes
-(one byte each if codebook_size <= 256, else two bytes LE).
+(one byte each if codebook_size <= 256, else two bytes LE), read and
+written by the container functions it shares with EMBX (``embeddings``).
 """
 from __future__ import annotations
 
@@ -19,19 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, block_rows, exact_sq_dists, nearest_rows
+from .embeddings import (EmbeddingMatrix, block_rows, exact_sq_dists, nearest_rows,
+                         read_container, write_container)
 from .errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
 
 GMVI_MAGIC = b"GMVI"
 GMVI_VERSION = 1
 
 _HEADER = struct.Struct("<4sIIIIQ")  # magic, version, M, subspace_dim, Ks, count
-_OFF_VERSION = 4
 _OFF_M = 8
 _OFF_SUBDIM = 12
 _OFF_KS = 16
-_OFF_COUNT = 20
-_OFF_TABLES = 28
 
 # Relative tolerance for the Lloyd objective monotonicity self-check;
 # float64 rounding sits around 1e-16, real regressions far above this.
@@ -237,8 +236,9 @@ def train_codebooks(data: EmbeddingMatrix, cfg: PQConfig) -> Codebook:
     return Codebook(tables)
 
 
-def _code_dtype(codebook_size: int):
-    return np.uint8 if codebook_size <= 256 else np.uint16
+def _code_dtype(codebook_size: int) -> np.dtype:
+    """Code width, in memory and on disk: one byte up to 256 centroids."""
+    return np.dtype("<u1" if codebook_size <= 256 else "<u2")
 
 
 def encode(data: EmbeddingMatrix, codebook: Codebook) -> PQCodes:
@@ -304,62 +304,30 @@ def quantization_error(data: EmbeddingMatrix, codebook: Codebook, codes: PQCodes
 def save_index(codebook: Codebook, codes: PQCodes, path) -> None:
     """Write codebook + codes as a GMVI v1 file."""
     check_codes(codes, codebook)
-    header = _HEADER.pack(
-        GMVI_MAGIC,
-        GMVI_VERSION,
-        codebook.num_subspaces,
-        codebook.subspace_dim,
-        codebook.codebook_size,
-        codes.count,
-    )
-    code_dtype = "<u1" if codebook.codebook_size <= 256 else "<u2"
-    with open(Path(path), "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(codebook.centroids, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(codes.codes, dtype=code_dtype).tobytes())
+    ks = codebook.codebook_size
+    header = _HEADER.pack(GMVI_MAGIC, GMVI_VERSION, codebook.num_subspaces,
+                          codebook.subspace_dim, ks, codes.count)
+    write_container(path, header, codebook.centroids.astype("<f4", copy=False),
+                    codes.codes.astype(_code_dtype(ks), copy=False))
 
 
 def load_index(path) -> tuple[Codebook, PQCodes]:
     """Read a GMVI v1 file back into (Codebook, PQCodes)."""
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _OFF_TABLES:
-        raise FormatError(
-            f"{path}: truncated header, file ends at byte {len(blob)} "
-            f"but the header needs {_OFF_TABLES} bytes"
-        )
-    magic, version, m, sub_dim, ks, count = _HEADER.unpack_from(blob, 0)
-    if magic != GMVI_MAGIC:
-        off = next(i for i in range(4) if magic[i] != GMVI_MAGIC[i])
-        raise FormatError(
-            f"{path}: bad magic at byte {off}, expected {GMVI_MAGIC!r} found {magic!r}"
-        )
-    if version != GMVI_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte {_OFF_VERSION}")
-    if m < 1:
-        raise FormatError(f"{path}: num_subspaces must be >= 1 (byte {_OFF_M})")
-    if sub_dim < 1:
-        raise FormatError(f"{path}: subspace_dim must be >= 1 (byte {_OFF_SUBDIM})")
-    if not 1 <= ks <= 65536:
-        raise FormatError(f"{path}: codebook_size out of range (byte {_OFF_KS})")
-    table_bytes = m * ks * sub_dim * 4
-    code_width = 1 if ks <= 256 else 2
-    code_bytes = count * m * code_width
-    expected = _OFF_TABLES + table_bytes + code_bytes
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: wrong size at byte {min(len(blob), expected)}, "
-            f"expected {expected} bytes total, found {len(blob)}"
-        )
-    tables = np.frombuffer(
-        blob, dtype="<f4", count=m * ks * sub_dim, offset=_OFF_TABLES
-    ).reshape(m, ks, sub_dim)
-    codes = np.frombuffer(
-        blob,
-        dtype="<u1" if code_width == 1 else "<u2",
-        count=count * m,
-        offset=_OFF_TABLES + table_bytes,
-    ).reshape(count, m)
-    if codes.size and codes.max() >= ks:
-        raise CorruptionError(f"{path}: code value >= codebook_size {ks}")
-    return Codebook(tables), PQCodes(codes)
+
+    def layout(m, sub_dim, ks, count):
+        if m < 1:
+            raise FormatError(f"{path}: num_subspaces must be >= 1 (byte {_OFF_M})")
+        if sub_dim < 1:
+            raise FormatError(f"{path}: subspace_dim must be >= 1 (byte {_OFF_SUBDIM})")
+        if not 1 <= ks <= 65536:
+            raise FormatError(f"{path}: codebook_size out of range (byte {_OFF_KS})")
+        return [("<f4", (m, ks, sub_dim)), (_code_dtype(ks), (count, m))]
+
+    tables, codes = read_container(path, _HEADER, GMVI_MAGIC, GMVI_VERSION, layout)
+    try:
+        codebook, pq_codes = Codebook(tables), PQCodes(codes)
+        check_codes(pq_codes, codebook)
+    except CorruptionError as exc:
+        raise CorruptionError(f"{path}: {exc}") from None
+    return codebook, pq_codes

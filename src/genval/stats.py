@@ -110,7 +110,7 @@ def welch_t_test(a, b) -> TTestResult:
     """One-sided Welch test of mean(a) > mean(b), unequal variances.
 
     Uses unbiased sample variances and the Welch-Satterthwaite degrees
-    of freedom.
+    of freedom; raises ValidationError when these leave float64's range.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -121,14 +121,27 @@ def welch_t_test(a, b) -> TTestResult:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValidationError("samples must be finite")
     n_a, n_b = a.size, b.size
-    mean_a, mean_b = float(a.mean()), float(b.mean())
-    var_a = float(a.var(ddof=1))
-    var_b = float(b.var(ddof=1))
+    # a sum or square beyond float64's range is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_a, mean_b = float(a.mean()), float(b.mean())
+        var_a = float(a.var(ddof=1))
+        var_b = float(b.var(ddof=1))
     if var_a == 0.0 and var_b == 0.0:
         raise ValidationError("degenerate samples: both variances are zero")
     sa, sb = var_a / n_a, var_b / n_b
-    t = (mean_a - mean_b) / math.sqrt(sa + sb)
-    df = (sa + sb) ** 2 / (sa * sa / (n_a - 1) + sb * sb / (n_b - 1))
+    try:
+        t = (mean_a - mean_b) / math.sqrt(sa + sb)
+        df = (sa + sb) ** 2 / (sa * sa / (n_a - 1) + sb * sb / (n_b - 1))
+    except OverflowError:
+        t = df = math.inf
+    except ZeroDivisionError:
+        raise ValidationError(
+            "values too small for a float64 variance: the Welch statistics underflow"
+        ) from None
+    if not all(map(math.isfinite, (var_a, var_b, t, df))):
+        raise ValidationError(
+            "values too large for a float64 variance: the Welch statistics overflow"
+        )
     return TTestResult(
         t_statistic=t,
         degrees_of_freedom=df,

@@ -294,6 +294,23 @@ def test_compare_group_of_one_is_rejected(tmp_path):
     assert "sample too small" in r.stderr
 
 
+@pytest.mark.parametrize("scale, message", [
+    ("e100", "values too large for a float64 variance: the Welch statistics overflow"),
+    ("e200", "values too large for a float64 variance: the Welch statistics overflow"),
+    ("e-160", "values too small for a float64 variance: the Welch statistics underflow"),
+], ids=["1e100", "1e200", "1e-160"])
+def test_compare_values_beyond_float64_statistics_are_one_error_line(tmp_path, scale, message):
+    """Groups {1, 3} and {1, 5} times 10^100 or 10^200 overflow the Welch
+    terms, times 10^-160 underflow them; stderr holds one line, no warning."""
+    values = tmp_path / "v.csv"
+    values.write_text(f"train_index,value\n0,1{scale}\n1,3{scale}\n2,1{scale}\n3,5{scale}\n")
+    partition = tmp_path / "p.json"
+    partition.write_text('{"v1": [0, 1], "v2": [2, 3]}')
+    r = run_cli_process("compare", "--values", values, "--partition", partition)
+    assert (r.code, r.stdout) == (2, "")
+    assert r.stderr.splitlines() == [f"genval: error: {message}"]
+
+
 def test_compare_unknown_group(exp_dir, tmp_path):
     values = make_value_csv(tmp_path / "v.csv", [0.5] * 60)
     r = run_cli(
@@ -789,4 +806,15 @@ def test_csv_value_beyond_float32_is_one_error_line(tmp_path):
     big.write_text("1.0,2.0\n1e39,3.0\n")
     r = run_cli_process("match", "--train", big, "--gen", big, "--format", "csv", "--k", 1)
     assert r.code == 2
-    assert r.stderr.splitlines() == ["genval: error: non-finite value at row 1, column 0"]
+    assert r.stderr.splitlines() == [
+        "genval: error: value 1e+39 at row 1, column 0 is beyond float32 range"
+    ]
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_csv_non_finite_value_is_one_error_line(tmp_path, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"1.0,2.0\n3.0,{cell}\n")
+    r = run_cli_process("match", "--train", bad, "--gen", bad, "--format", "csv", "--k", 1)
+    assert r.code == 2
+    assert r.stderr.splitlines() == ["genval: error: non-finite value at row 1, column 1"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -336,5 +338,5 @@ def test_index_rejects_out_of_range_stored_code(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[-1] = 250  # codebook_size is 2, so any code >= 2 is garbage
     path.write_bytes(bytes(blob))
-    with pytest.raises(CorruptionError):
+    with pytest.raises(CorruptionError, match=rf"^{re.escape(str(path))}: code 250 at row 3, subspace 1 "):
         load_index(path)

@@ -159,6 +159,17 @@ def test_welch_input_validation():
         welch_t_test([1.0, 2.0], [0.0, np.nan])
 
 
+@pytest.mark.parametrize("a, b, message", [
+    ([1e100, 3e100], [1e100, 5e100], "too large"),  # (sa + sb) ** 2 overflows
+    ([1e200, 3e200], [1e200, 5e200], "too large"),  # the variances overflow
+    ([1e308, 1e308], [1e308, -1e308], "too large"),
+    ([1e-160, 3e-160], [1e-160, 5e-160], "too small"),  # df is 0 / 0
+])
+def test_welch_statistics_beyond_float64_are_a_validation_error(a, b, message):
+    with pytest.raises(ValidationError, match=f"values {message} for a float64 variance"):
+        welch_t_test(a, b)
+
+
 def test_one_degenerate_group_is_fine():
     # a constant group is legal as long as the other one varies
     res = welch_t_test([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
