@@ -118,10 +118,10 @@ def _config_value(opt: Option, value):
 
 def _load_config(path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(embeddings.read_text(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a flat JSON object")
@@ -163,7 +163,7 @@ def _load_matrix(args, name):
 def _out_stream(path):
     if path is None or path == "-":
         return nullcontext(sys.stdout)
-    return open(path, "w", newline="")
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def cmd_synth(args) -> int:
@@ -177,7 +177,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     files = synth.make_ra2_experiment(spec, _required(args, "out_dir"))
-    print(files["manifest"].read_text(), end="")
+    print(files["manifest"].read_text(encoding="utf-8"), end="")
     return 0
 
 
@@ -233,11 +233,18 @@ def cmd_value(args) -> int:
         buf.seek(0)
         tables = search.read_match_jsonl(buf)
     else:
+        # read as UTF-8 whatever the locale, a bad byte kept for the
+        # parser to report with its line number
         if args.matches is None or args.matches == "-":
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
             tables = search.read_match_jsonl(sys.stdin)
         else:
-            with open(args.matches) as fh:
-                tables = search.read_match_jsonl(fh)
+            with open(args.matches, encoding="utf-8", errors="surrogateescape") as fh:
+                try:
+                    tables = search.read_match_jsonl(fh)
+                except FormatError as exc:
+                    raise FormatError(f"{args.matches}: {exc}") from None
         if args.n is not None:
             n = args.n
         elif args.train is not None:
@@ -258,7 +265,7 @@ def cmd_value(args) -> int:
             "sum_values": float(result.values.sum()),
             "top_indices": [int(i) for i in result.ranking[:10]],
         }
-        Path(args.summary).write_text(json.dumps(summary, sort_keys=True) + "\n")
+        Path(args.summary).write_text(json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 
@@ -267,7 +274,7 @@ def _read_value_csv(path) -> dict[int, float]:
     if not path.exists():
         raise ConfigError(f"no such file: {path}")
     out: dict[int, float] = {}
-    lines = path.read_text().split("\n")
+    lines = embeddings.read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     for lineno, line in enumerate(lines, start=1):
@@ -297,8 +304,8 @@ def _compare_groups(args) -> tuple[list[float], list[float], str, str]:
     if args.values is not None and args.partition is not None:
         table = _read_value_csv(args.values)
         try:
-            groups = json.loads(Path(args.partition).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            groups = json.loads(embeddings.read_text(args.partition))
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read partition file: {exc}") from None
         if not isinstance(groups, dict):
             raise ConfigError("partition file must hold a JSON object of groups")
@@ -381,7 +388,8 @@ def cmd_wasserstein(args) -> int:
     res = stats.exact_wasserstein(source, target, p=args.p)
     if args.assignment is not None:
         Path(args.assignment).write_text(
-            json.dumps({"p": args.p, "assignment": [int(j) for j in res.assignment]}) + "\n"
+            json.dumps({"p": args.p, "assignment": [int(j) for j in res.assignment]}) + "\n",
+            encoding="utf-8",
         )
     print("cost=" + VALUE_FORMAT.format(res.cost))
     return 0

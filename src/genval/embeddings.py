@@ -105,12 +105,23 @@ def save_embeddings(matrix: EmbeddingMatrix, path, format: str = "binary") -> No
         )
         write_container(path, header, matrix.data.astype("<f4", copy=False))
     elif format == "csv":
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for row in matrix.data:
                 fh.write(",".join(str(v) for v in row))
                 fh.write("\n")
     else:
         raise ValidationError(f"unknown format {format!r}, expected 'binary' or 'csv'")
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``, decoded as UTF-8 whatever the
+    locale; a byte that is not UTF-8 is a ``FormatError`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: not UTF-8 text, byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+        ) from None
 
 
 def read_container(path: Path, header: struct.Struct, magic: bytes, version: int, layout) -> list[np.ndarray]:
@@ -172,7 +183,7 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
 
 
 def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
-    lines = path.read_text().split("\n")
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # single trailing newline is fine
     start = 1 if skip_header else 0
@@ -210,10 +221,12 @@ def block_rows(row_bytes: int, budget: int | None = None) -> int:
 
 
 def exact_sq_dists(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Squared distances by subtraction, row t of ``rows`` against row t
-    of ``queries`` (or against its one row, or one point): the arithmetic
-    every reported distance and k-means++ weight is defined by."""
-    diff = rows - queries
+    """Squared distances by subtraction in float64, row t of ``rows``
+    against row t of ``queries`` (or against its one row, or one point),
+    float32 or float64 operands alike: the arithmetic that defines every
+    match distance, k-means++ weight and reseed, the quantization error,
+    the transport cost and the separation of synthetic means."""
+    diff = np.subtract(rows, queries, dtype=np.float64)
     return np.einsum("ij,ij->i", diff, diff)
 
 

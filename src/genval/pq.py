@@ -297,8 +297,7 @@ def quantization_error(data: EmbeddingMatrix, codebook: Codebook, codes: PQCodes
     """
     if codes is None:
         codes = encode(data, codebook)
-    diff = np.subtract(data.data, decode(codes, codebook).data, dtype=np.float64)
-    return float(np.einsum("ij,ij->i", diff, diff).mean())
+    return float(exact_sq_dists(data.data, decode(codes, codebook).data).mean())
 
 
 def save_index(codebook: Codebook, codes: PQCodes, path) -> None:

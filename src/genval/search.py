@@ -134,11 +134,17 @@ def read_match_jsonl(fh) -> MatchTables:
         if not line.strip():
             continue
         try:
+            # a stream read with errors="surrogateescape" holds a byte
+            # that is not UTF-8 as a lone surrogate, which cannot encode
+            if not line.isascii():
+                line.encode("utf-8")
             obj = json.loads(line)
             j = obj["gen_index"]
             idx = [p["train_index"] for p in obj["matches"]]
             dist = [p["distance"] for p in obj["matches"]]
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except UnicodeEncodeError:
+            raise FormatError(f"match stream line {lineno}: malformed record, not UTF-8 text") from None
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError):
             raise FormatError(f"match stream line {lineno}: malformed record") from None
         if (
             type(j) is not int

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, exact_sq_dists
 from .errors import ValidationError
 
 _BETA_EPS = 1e-12
@@ -57,25 +57,18 @@ def _beta_cf(x: float, a: float, b: float) -> float:
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # step m's even and odd terms take the same Lentz update
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             break
     return h
@@ -203,12 +196,6 @@ def _hungarian(cost: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix in float64 by direct subtraction."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def exact_wasserstein(source: EmbeddingMatrix, target: EmbeddingMatrix, p: int = 2) -> TransportResult:
     """Exact transport cost between two equal-size empirical point sets.
 
@@ -233,9 +220,8 @@ def exact_wasserstein(source: EmbeddingMatrix, target: EmbeddingMatrix, p: int =
         raise ValidationError(
             f"dimension mismatch: source dim {source.dim}, target dim {target.dim}"
         )
-    dist = pairwise_distances(
-        source.data.astype(np.float64), target.data.astype(np.float64)
-    )
+    # one cost row at a time: O(n·d) scratch, not an (n, n, d) difference
+    dist = np.stack([np.sqrt(exact_sq_dists(target.data, row)) for row in source.data])
     cost_matrix = dist if p == 1 else dist * dist
     assignment = _hungarian(cost_matrix)
     mean_cost = float(cost_matrix[np.arange(n), assignment].mean())

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embeddings
-from .embeddings import EmbeddingMatrix, block_rows, save_embeddings
+from .embeddings import EmbeddingMatrix, block_rows, exact_sq_dists, save_embeddings
 from .errors import ConfigError
 
 _DOMAIN_MEANS = 0
@@ -90,8 +90,7 @@ def component_means(spec: ExperimentSpec) -> np.ndarray:
     while len(means) < spec.mixture_components:
         candidate = scale * rng.standard_normal(spec.dim)
         _check_range(candidate, "component_spread", spec.component_spread)
-        dists = [float(np.linalg.norm(candidate - m)) for m in means]
-        if not means or min(dists) >= spec.component_spread:
+        if not means or np.sqrt(exact_sq_dists(np.stack(means), candidate)).min() >= spec.component_spread:
             means.append(candidate)
         else:
             rejections += 1
@@ -188,12 +187,14 @@ def make_ra2_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
         "v1": list(range(n)),
         "v2": list(range(n, 2 * n)),
     }
-    files["partition"].write_text(json.dumps(partition) + "\n")
+    files["partition"].write_text(json.dumps(partition) + "\n", encoding="utf-8")
 
     manifest = {
         "spec": asdict(spec),
         "files": {name: path.name for name, path in files.items() if name != "manifest"},
         "counts": {"x_v1": n, "x_v2": n, "x_train": 2 * n, "x_hat": spec.m_generated},
     }
-    files["manifest"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    files["manifest"].write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     return files

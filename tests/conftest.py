@@ -49,16 +49,40 @@ def run_cli(*argv, stdin=""):
     return CliRun(code, out.getvalue(), err.getvalue())
 
 
-def run_cli_process(*argv, cwd=None):
-    """Run the CLI in a child process, so that its stderr holds whatever
-    the process prints there, warnings included."""
+def child_env() -> dict:
+    """The environment of a child Python that imports this checkout's genval."""
     src = str(Path(genval.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_cli_process(*argv, cwd=None, stdin=b""):
+    """Run the CLI in a child process, so that its stderr holds whatever
+    the process prints there, warnings included; ``stdin`` is bytes."""
     done = subprocess.run(
         [sys.executable, "-m", "genval.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+        capture_output=True, input=stdin, env=child_env(), cwd=cwd, timeout=120,
     )
-    return CliRun(done.returncode, done.stdout, done.stderr)
+    return CliRun(done.returncode, done.stdout.decode(errors="replace"),
+                  done.stderr.decode(errors="replace"))
+
+
+def assert_one_error_line(r, *needles):
+    assert r.code == 2
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("genval: error: "), r.stderr
+    for needle in needles:
+        assert needle in lines[0]
+
+
+def make_value_csv(path, values):
+    lines = ["train_index,value,rank"]
+    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    rank_of = {i: r + 1 for r, i in enumerate(order)}
+    for i, v in enumerate(values):
+        lines.append(f"{i},{v},{rank_of[i]}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 @pytest.fixture

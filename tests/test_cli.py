@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import genval.cli as cli
-from conftest import run_cli, run_cli_process, write_embx
+from conftest import assert_one_error_line, make_value_csv, run_cli, run_cli_process, write_embx
 from genval import embeddings, load_embeddings, pq, save_embeddings, search
 from genval.errors import InternalError
 
@@ -251,16 +251,6 @@ def test_value_rejects_malformed_stream():
 
 
 # ------------------------------------------------------------------ compare
-
-
-def make_value_csv(path, values):
-    lines = ["train_index,value,rank"]
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    rank_of = {i: r + 1 for r, i in enumerate(order)}
-    for i, v in enumerate(values):
-        lines.append(f"{i},{v},{rank_of[i]}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def test_compare_identical_files_fails_to_reject(tmp_path):
@@ -522,15 +512,6 @@ def test_seed_is_not_a_flag_where_it_does_nothing(exp_dir):
                 "--train", exp_dir / "x_train.embx", "--gen", exp_dir / "x_hat.embx")
     assert r.code == 2
     assert "--seed" in r.stderr
-
-
-def assert_one_error_line(r, *needles):
-    assert r.code == 2
-    assert "Traceback" not in r.stderr
-    lines = r.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("genval: error: "), r.stderr
-    for needle in needles:
-        assert needle in lines[0]
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from genval import (
     save_embeddings,
     validate_pair,
 )
+from genval.embeddings import exact_sq_dists
 from genval.errors import FormatError, ValidationError
 
 
@@ -192,6 +193,23 @@ def test_save_to_unwritable_location(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValidationError):
         load_embeddings(tmp_path / "m.bin", format="parquet")
+
+
+# ------------------------------------------------------- distance kernel
+
+
+def test_exact_sq_dists_on_float32_is_the_float64_call_bit_for_bit(rng):
+    # scales far apart, so a float32 difference would round where the
+    # float64 one does not
+    rows = (rng.standard_normal((300, 17)) * 10.0 ** rng.integers(-6, 7, (300, 17))).astype(np.float32)
+    queries = (rng.standard_normal((300, 17)) * 1e3).astype(np.float32)
+    for q in (queries, queries[:1], queries[0]):
+        got = exact_sq_dists(rows, q)
+        want = exact_sq_dists(rows.astype(np.float64), q.astype(np.float64))
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        rounded = (rows - q).astype(np.float64)
+        assert np.einsum("ij,ij->i", rounded, rounded).tobytes() != want.tobytes()
 
 
 # ------------------------------------------------------------------ pair

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import traced_peak
 from genval import (
     EmbeddingMatrix,
     exact_wasserstein,
@@ -243,6 +244,15 @@ def test_transport_validation(rng):
     big = mat(rng.standard_normal((MAX_TRANSPORT_POINTS + 1, 2)))
     with pytest.raises(ValidationError, match="exceeds cap"):
         exact_wasserstein(big, big)
+
+
+def test_transport_scratch_is_one_row_of_differences(rng):
+    """Guards peak memory: the cost matrix is built one row at a time,
+    not from an (n, n, d) difference (33 MiB at 256 x 64)."""
+    src = mat(rng.standard_normal((256, 64)))
+    tgt = mat(rng.standard_normal((256, 64)))
+    peak = traced_peak(lambda: exact_wasserstein(src, tgt, p=2))
+    assert peak < 4 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_transport_handles_duplicate_points():
