@@ -117,14 +117,9 @@ def _config_value(opt: Option, value):
 
 
 def _load_config(path) -> dict:
-    try:
-        raw = json.loads(embeddings.read_text(path))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    raw = embeddings.read_json(path, "config file")
     if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a flat JSON object")
+        raise ConfigError(f"{path}: config file must hold a flat JSON object")
     return raw
 
 
@@ -216,13 +211,6 @@ def cmd_match(args) -> int:
     return 0
 
 
-def _value_rows(result: valuation.ValuationResult):
-    rank_of = np.empty(result.n, dtype=np.int64)
-    rank_of[result.ranking] = np.arange(1, result.n + 1)
-    for i in range(result.n):
-        yield i, result.values[i], int(rank_of[i])
-
-
 def cmd_value(args) -> int:
     if args.inline:
         tables, n = _match_tables(args)
@@ -252,10 +240,13 @@ def cmd_value(args) -> int:
         else:
             raise ConfigError("need --n or --train to size the value vector")
     result = valuation.aggregate_values(tables, n, args.temperature)
+    rank = np.empty(result.n, dtype=np.int64)
+    rank[result.ranking] = np.arange(1, result.n + 1)
     with _out_stream(args.output) as fh:
-        fh.write("train_index,value,rank\n")
-        for i, value, rank in _value_rows(result):
-            fh.write(f"{i},{VALUE_FORMAT.format(value)},{rank}\n")
+        fh.write("train_index,value,rank\n" + "".join(
+            f"{i},{VALUE_FORMAT.format(value)},{r}\n"
+            for i, (value, r) in enumerate(zip(result.values.tolist(), rank.tolist()))
+        ))
     if args.summary is not None:
         summary = {
             "n": result.n,
@@ -303,12 +294,9 @@ def _compare_groups(args) -> tuple[list[float], list[float], str, str]:
         return a, b, "a", "b"
     if args.values is not None and args.partition is not None:
         table = _read_value_csv(args.values)
-        try:
-            groups = json.loads(embeddings.read_text(args.partition))
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"cannot read partition file: {exc}") from None
+        groups = embeddings.read_json(args.partition, "partition file")
         if not isinstance(groups, dict):
-            raise ConfigError("partition file must hold a JSON object of groups")
+            raise ConfigError(f"{args.partition}: partition file must hold a JSON object of groups")
         name_a, name_b = args.group_a, args.group_b
         for name in (name_a, name_b):
             if name not in groups:

@@ -18,6 +18,7 @@ version, the format's fields, then LE arrays that fill the file exactly.
 """
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -122,6 +123,17 @@ def read_text(path) -> str:
         raise FormatError(
             f"{path}: not UTF-8 text, byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
         ) from None
+
+
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``, read as ``read_text`` reads;
+    every error names the file and ``what`` it should hold."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: {what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: {what} is not valid JSON: nested too deeply") from None
 
 
 def read_container(path: Path, header: struct.Struct, magic: bytes, version: int, layout) -> list[np.ndarray]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -80,13 +81,10 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
     queries = generated.data.astype(np.float64)
     kernel = partial(nearest_rows, source, fill, k=k)
     workers = min(threads, queries.shape[0], os.cpu_count() or 1)
-    if workers <= 1:
-        indices, sq_dists = kernel(queries)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(kernel, np.array_split(queries, workers)))
-        indices = np.concatenate([idx for idx, _ in parts])
-        sq_dists = np.concatenate([sq for _, sq in parts])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(kernel, np.array_split(queries, workers)))
+    indices = np.concatenate([idx for idx, _ in parts])
+    sq_dists = np.concatenate([sq for _, sq in parts])
     return MatchTables(np.sqrt(sq_dists), indices)
 
 
@@ -128,7 +126,9 @@ def read_match_jsonl(fh) -> MatchTables:
     once with a consistent k >= 1. Indices must be JSON integers and
     distances JSON numbers; nothing is coerced.
     """
-    rows = {}
+    # every record's indices and distances, in stream order, flat
+    flat_idx, flat_dist = array("q"), array("d")
+    gen, seen = [], set()
     k = None
     for lineno, line in enumerate(fh, start=1):
         if not line.strip():
@@ -163,17 +163,22 @@ def read_match_jsonl(fh) -> MatchTables:
             raise FormatError(
                 f"match stream line {lineno}: expected {k} matches, found {len(idx)}"
             )
-        if j in rows:
+        if j in seen:
             raise FormatError(f"match stream line {lineno}: duplicate gen_index {j}")
-        rows[j] = idx, dist
-    if not rows:
+        seen.add(j)
+        gen.append(j)
+        try:
+            flat_idx.extend(idx)
+            flat_dist.extend(dist)
+        except OverflowError:
+            raise FormatError(f"match stream line {lineno}: a number outside the 64-bit range") from None
+    if not gen:
         raise FormatError("match stream is empty")
-    m = len(rows)
-    if sorted(rows) != list(range(m)):
+    m = len(gen)
+    if sorted(gen) != list(range(m)):
         raise FormatError("match stream gen_index values must cover 0..m-1")
-    try:
-        indices = np.array([rows[j][0] for j in range(m)], dtype=np.int64)
-        distances = np.array([rows[j][1] for j in range(m)], dtype=np.float64)
-    except OverflowError:
-        raise FormatError("match stream holds a number outside the 64-bit range") from None
-    return MatchTables(distances, indices)
+    order = np.argsort(gen)
+    return MatchTables(
+        np.frombuffer(flat_dist, dtype=np.float64).reshape(m, k)[order],
+        np.frombuffer(flat_idx, dtype=np.int64).reshape(m, k)[order],
+    )

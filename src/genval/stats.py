@@ -160,39 +160,33 @@ def _hungarian(cost: np.ndarray) -> np.ndarray:
     # match[j] = row matched to column j; column 0 is a virtual root
     match = np.zeros(n + 1, dtype=np.int64)
     way = np.zeros(n + 1, dtype=np.int64)
+    cur = np.full(n + 1, np.inf)  # reduced costs of one row; the root stays inf
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
         minv = np.full(n + 1, np.inf)
         used = np.zeros(n + 1, dtype=bool)
-        while True:
+        while match[j0]:
             used[j0] = True
             i0 = match[j0]
-            free = ~used
-            free[0] = False
-            cur = cost[i0 - 1, :][free[1:]] - u[i0] - v[1:][free[1:]]
-            better = cur < minv[free]
-            if better.any():
-                free_idx = np.flatnonzero(free)
-                upd = free_idx[better]
-                minv[upd] = cur[better]
-                way[upd] = j0
-            free_idx = np.flatnonzero(free)
-            j1 = free_idx[np.argmin(minv[free])]
+            np.subtract(cost[i0 - 1], u[i0], out=cur[1:])
+            cur[1:] -= v[1:]
+            better = ~used & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            # the lowest free column on a tie, as argmin returns the first
+            j1 = np.argmin(np.where(used, np.inf, minv))
             delta = minv[j1]
             u[match[used]] += delta
             v[used] -= delta
-            minv[free] -= delta
+            minv[~used] -= delta
             j0 = j1
-            if match[j0] == 0:
-                break
         while j0:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
     assignment = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        assignment[match[j] - 1] = j - 1
+    assignment[match[1:] - 1] = np.arange(n)
     return assignment
 
 

@@ -4,10 +4,19 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+# hypothesis imports this module when a @given test fails; its libcst
+# import raises a DeprecationWarning, which pyproject.toml makes an error
+# that would abort the whole session, so import it once here, quietly
+# (without libcst, hypothesis skips it)
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 import genval
 from genval import EmbeddingMatrix, save_embeddings

@@ -3,12 +3,15 @@
 Everything here is deliberately written the slow, obvious way — plain
 Python loops, ``math``/``fractions``/``mpmath`` arithmetic, factorial
 enumeration — and imports nothing from ``genval``.  If a fast path and
-one of these oracles disagree, the fast path is wrong.
+one of these oracles disagree, the fast path is wrong.  The one
+exception is ``hungarian``: a frozen copy of an earlier solver, kept to
+pin which of several optimal assignments the package picks.
 """
 import itertools
 import math
 
 import mpmath
+import numpy as np
 
 
 # ---------------------------------------------------------------- distances
@@ -131,6 +134,54 @@ def min_cost_perm(source_rows, target_rows, p=2):
             best = total
             best_perm = perm
     return (best / n) ** (1.0 / p), list(best_perm)
+
+
+def hungarian(cost: np.ndarray) -> np.ndarray:
+    """Min-cost perfect assignment on a square matrix, O(n^3).
+
+    Shortest-augmenting-path formulation with row/column potentials;
+    returns the column assigned to each row.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    # match[j] = row matched to column j; column 0 is a virtual root
+    match = np.zeros(n + 1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            free = ~used
+            free[0] = False
+            cur = cost[i0 - 1, :][free[1:]] - u[i0] - v[1:][free[1:]]
+            better = cur < minv[free]
+            if better.any():
+                free_idx = np.flatnonzero(free)
+                upd = free_idx[better]
+                minv[upd] = cur[better]
+                way[upd] = j0
+            free_idx = np.flatnonzero(free)
+            j1 = free_idx[np.argmin(minv[free])]
+            delta = minv[j1]
+            u[match[used]] += delta
+            v[used] -= delta
+            minv[free] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    assignment = np.empty(n, dtype=np.int64)
+    for j in range(1, n + 1):
+        assignment[match[j] - 1] = j - 1
+    return assignment
 
 
 # ------------------------------------------------------------ vector coding

@@ -479,15 +479,14 @@ def test_config_must_be_valid_json(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text("{nope")
     r = run_cli("synth", "--config", cfg, "--out-dir", tmp_path / "x")
-    assert r.code == 2
-    assert "not valid JSON" in r.stderr
+    assert_one_error_line(r, f"{cfg}: config file is not valid JSON")
 
 
 def test_config_must_be_object(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text("[1, 2]")
     r = run_cli("synth", "--config", cfg, "--out-dir", tmp_path / "x")
-    assert r.code == 2
+    assert_one_error_line(r, f"{cfg}: config file must hold")
 
 
 def test_unknown_flag_is_usage_error():

@@ -273,8 +273,8 @@ class RecordingPool:
         (2, 10**30, 37, 2),  # capped at the CPU count
         (64, 8, 3, 3),  # capped at the row count
         (4, 3, 37, 3),  # as asked
-        (None, 8, 37, None),  # CPU count unknown: one worker, no pool
-        (64, 8, 1, None),  # one row: no pool
+        (None, 8, 37, 1),  # CPU count unknown: one worker
+        (64, 8, 1, 1),  # one row: one worker
     ],
 )
 def test_workers_are_capped_at_rows_and_cpus(rng, monkeypatch, cpus, threads, m, pool_size):
@@ -284,7 +284,7 @@ def test_workers_are_capped_at_rows_and_cpus(rng, monkeypatch, cpus, threads, m,
     train = mat(rng.standard_normal((20, 4)))
     gen = mat(rng.standard_normal((m, 4)))
     t = batch_match(train, gen, k=3, threads=threads)
-    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert RecordingPool.sizes == [pool_size]
     one = batch_match(train, gen, k=3, threads=1)
     assert t.indices.tobytes() == one.indices.tobytes()
     assert t.distances.tobytes() == one.distances.tobytes()
@@ -631,11 +631,29 @@ def test_jsonl_lines_may_arrive_out_of_order():
             '{"gen_index": 0, "matches": [{"train_index": 99999999999999999999, "distance": 1}]}\n',
             r"64-bit",
         ),
+        (
+            '{"gen_index": 0, "matches": [{"train_index": 1, "distance": 1}]}\n'
+            '{"gen_index": 1, "matches": [{"train_index": 99999999999999999999, "distance": 1}]}\n',
+            r"line 2: .*64-bit range",
+        ),
     ],
 )
 def test_jsonl_rejects_malformed_streams(text, message):
     with pytest.raises(FormatError, match=message):
         read_match_jsonl(io.StringIO(text))
+
+
+def test_jsonl_parse_keeps_to_its_tables(rng):
+    """Guards peak memory: the parse holds its records as flat index and
+    distance buffers, not as per-row Python lists."""
+    m, k = 2_000, 50
+    t = tables(rng.uniform(0, 10, size=(m, k)), rng.integers(0, 10**6, size=(m, k)))
+    buf = io.StringIO()
+    write_match_jsonl(t, buf)
+    stream = io.StringIO(buf.getvalue())
+    table_bytes = t.distances.nbytes + t.indices.nbytes
+    peak = traced_peak(lambda: read_match_jsonl(stream))
+    assert peak <= 3 * table_bytes, f"peak {peak / table_bytes:.2f}x the tables"
 
 
 def test_jsonl_distance_precision(rng):

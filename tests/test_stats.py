@@ -15,6 +15,7 @@ from genval import (
 from genval.errors import ValidationError
 from genval.stats import (
     MAX_TRANSPORT_POINTS,
+    _hungarian,
     regularized_incomplete_beta,
     student_t_sf,
 )
@@ -213,6 +214,22 @@ def test_matches_permutation_brute_force(rng):
         want_cost, _ = reference.min_cost_perm(src.tolist(), tgt.tolist(), p=p)
         assert got.cost == pytest.approx(want_cost, rel=1e-9, abs=1e-12)
         assert sorted(got.assignment.tolist()) == list(range(n))
+
+
+def test_hungarian_keeps_its_tie_choices():
+    """Among several optimal assignments the solver's choice reaches
+    ``wasserstein --assignment``; it must stay that of the frozen copy.
+    Every third instance has integer costs in {0, 1, 2, 3}, full of ties."""
+    for seed in range(330):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 40
+        if seed % 3 == 0:
+            cost = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+        else:
+            cost = rng.uniform(0, 10, size=(n, n)) ** (1 + seed % 2)
+        got = _hungarian(cost)
+        want = reference.hungarian(cost)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (seed, n)
 
 
 def test_metric_axioms(rng):

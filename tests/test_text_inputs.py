@@ -69,14 +69,14 @@ DEEP = b"[" * 200_000
 def test_deep_config_is_not_valid_json(tmp_path):
     cfg = write(tmp_path / "c.json", DEEP)
     assert_one_error_line(run_cli("synth", "--config", cfg, "--out-dir", tmp_path / "o"),
-                          "not valid JSON")
+                          f"{cfg}: config file is not valid JSON: nested too deeply")
 
 
 def test_deep_partition_is_one_error_line(tmp_path):
     values = make_value_csv(tmp_path / "v.csv", [0.5, 0.25, 0.75, 0.125])
     part = write(tmp_path / "p.json", DEEP)
     assert_one_error_line(run_cli("compare", "--values", values, "--partition", part),
-                          "partition file")
+                          f"{part}: partition file is not valid JSON: nested too deeply")
 
 
 def test_deep_match_record_in_a_file(tmp_path):
