@@ -20,6 +20,7 @@ import argparse
 import io
 import json
 import sys
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,40 +261,92 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _read_value_csv(path) -> dict[int, float]:
+def _lines(text: str):
+    """The lines of ``text`` less an empty last one, as a split at each
+    newline gives them, but split a 64 KiB chunk at a time."""
+    if not text:
+        return
+    end = len(text) - text.endswith("\n")
+    lo = 0
+    while lo <= end:
+        hi = text.find("\n", min(lo + (1 << 16), end), end)
+        hi = end if hi < 0 else hi
+        yield from text[lo:hi].split("\n")
+        lo = hi + 1
+
+
+def _read_value_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The train_index (int64) and value (float64) columns of a value CSV,
+    in file order; an error names the first line at fault."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such file: {path}")
-    out: dict[int, float] = {}
-    lines = embeddings.read_text(path).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for lineno, line in enumerate(lines, start=1):
-        if lineno == 1 and line.startswith("train_index"):
-            continue
+    text = embeddings.read_text(path)
+    lines = enumerate(_lines(text), start=1)
+    header = text.startswith("train_index")
+    if header:
+        next(lines)
+    index, value = array("q"), array("d")
+    bad = None  # the error of the first line that does not parse
+    for lineno, line in lines:
         fields = line.split(",")
         if len(fields) < 2:
-            raise FormatError(f"{path}: line {lineno}: expected train_index,value[,rank]")
+            bad = f"line {lineno}: expected train_index,value[,rank]"
+            break
         try:
-            idx = int(fields[0])
-            val = float(fields[1])
+            index.append(int(fields[0]))
+            value.append(float(fields[1]))
         except ValueError:
-            raise FormatError(f"{path}: line {lineno}: unparseable field") from None
-        if idx in out:
-            raise FormatError(f"{path}: line {lineno}: duplicate train_index {idx}")
-        out[idx] = val
-    if not out:
-        raise FormatError(f"{path}: no value rows")
-    return out
+            bad = f"line {lineno}: unparseable field"
+            break
+        except OverflowError:
+            bad = f"line {lineno}: train_index outside the 64-bit range"
+            break
+    # a line that fails on its value leaves its index behind
+    index = np.frombuffer(index, dtype=np.int64)[: len(value)]
+    # a stable sort puts each train_index's rows in file order, so every
+    # row after the first of its run repeats an earlier line's index
+    order = np.argsort(index, kind="stable")
+    ordered = index[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        row = int(repeats.min())
+        bad = f"line {row + 1 + header}: duplicate train_index {index[row]}"
+    elif bad is None and not index.size:
+        bad = "no value rows"
+    if bad is not None:
+        raise FormatError(f"{path}: {bad}")
+    return index, np.frombuffer(value, dtype=np.float64)
 
 
-def _compare_groups(args) -> tuple[list[float], list[float], str, str]:
+def _pick(index: np.ndarray, value: np.ndarray, name: str, wanted: list) -> np.ndarray:
+    """The values of the rows whose train_index ``wanted`` lists, in its
+    order; ``index`` is sorted and ``value`` follows it."""
+    try:
+        want, fits = np.array(wanted, dtype=np.int64), np.ones(len(wanted), dtype=bool)
+    except OverflowError:
+        # no train_index lies outside int64; 0 stands in for such an entry
+        fits = np.array([-(1 << 63) <= i < (1 << 63) for i in wanted], dtype=bool)
+        want = np.array([i if ok else 0 for i, ok in zip(wanted, fits)], dtype=np.int64)
+    at = np.minimum(np.searchsorted(index, want), index.size - 1)
+    missing = ~fits | (index[at] != want)
+    if missing.any():
+        raise ConfigError(
+            f"group {name!r} references train_index {wanted[int(np.argmax(missing))]} "
+            "missing from the value CSV"
+        )
+    return value[at]
+
+
+def _compare_groups(args) -> tuple[np.ndarray, np.ndarray, str, str]:
     if args.values_a is not None and args.values_b is not None:
-        a = list(_read_value_csv(args.values_a).values())
-        b = list(_read_value_csv(args.values_b).values())
+        a = _read_value_csv(args.values_a)[1]
+        b = _read_value_csv(args.values_b)[1]
         return a, b, "a", "b"
     if args.values is not None and args.partition is not None:
-        table = _read_value_csv(args.values)
+        index, value = _read_value_csv(args.values)
+        order = np.argsort(index)
+        index, value = index[order], value[order]
         groups = embeddings.read_json(args.partition, "partition file")
         if not isinstance(groups, dict):
             raise ConfigError(f"{args.partition}: partition file must hold a JSON object of groups")
@@ -306,19 +359,8 @@ def _compare_groups(args) -> tuple[list[float], list[float], str, str]:
                 raise ConfigError(
                     f"partition group {name!r} must be a list of JSON integers"
                 )
-
-        def pick(name):
-            vals = []
-            for idx in groups[name]:
-                if idx not in table:
-                    raise ConfigError(
-                        f"group {name!r} references train_index {idx} "
-                        "missing from the value CSV"
-                    )
-                vals.append(table[idx])
-            return vals
-
-        return pick(name_a), pick(name_b), name_a, name_b
+        a, b = (_pick(index, value, name, groups[name]) for name in (name_a, name_b))
+        return a, b, name_a, name_b
     raise ConfigError(
         "compare needs either --values-a/--values-b or --values/--partition"
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,11 +174,29 @@ def read_container(path: Path, header: struct.Struct, magic: bytes, version: int
 
 
 def write_container(path, header: bytes, *arrays: np.ndarray) -> None:
-    """Write a packed ``header``, then the buffer of each array in turn."""
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr))
+    """Write a packed ``header``, then the buffer of each array in turn.
+
+    A file is replaced whole or not at all: the bytes go to a new
+    temporary file in its directory, renamed over it once complete and
+    removed on any error. A target that exists but is no regular file
+    (``/dev/null``, a pipe) is written in place.
+    """
+    path = Path(path)
+    tmp = None if path.exists() and not path.is_file() else path.with_name(
+        f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp or path, "xb" if tmp else "wb") as fh:
+            fh.write(header)
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr))
+        if tmp:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp:
+            tmp.unlink(missing_ok=True)
+            if isinstance(exc, OSError) and exc.filename == str(tmp):
+                exc.filename = str(path)  # name the file asked for
+        raise
 
 
 def _load_binary(path: Path) -> EmbeddingMatrix:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import embeddings
 from .embeddings import (EmbeddingMatrix, block_rows, exact_sq_dists, nearest_rows,
                          read_container, write_container)
 from .errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
@@ -154,11 +155,19 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 _ASSIGN_ALIGN = 64
 
 
-def _assign_blocks(n: int, k: int) -> list[tuple[int, int]]:
-    """[lo, hi) row blocks of fewer than 2 * step rows, step a multiple of 64."""
-    step = max(_ASSIGN_ALIGN, block_rows(16 * k) // _ASSIGN_ALIGN * _ASSIGN_ALIGN)
+def _row_blocks(n: int, step: int) -> list[tuple[int, int]]:
+    """[lo, hi) blocks starting at multiples of ``step``; the last one
+    takes the remainder, so it holds step to 2 * step - 1 rows (all n
+    rows when n < step)."""
     starts = list(range(0, max(n - step, 0) + 1, step))
     return list(zip(starts, starts[1:] + [n]))
+
+
+def _assign_blocks(n: int, k: int) -> list[tuple[int, int]]:
+    """_assign's row blocks: 8-byte scores of a block fill a sixteenth of
+    BLOCK_BYTES (256 rows at k = 256, in cache), step a multiple of 64."""
+    step = block_rows(8 * k, embeddings.BLOCK_BYTES // 16) // _ASSIGN_ALIGN * _ASSIGN_ALIGN
+    return _row_blocks(n, max(_ASSIGN_ALIGN, step))
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, float]:
@@ -293,11 +302,29 @@ def quantization_error(data: EmbeddingMatrix, codebook: Codebook, codes: PQCodes
     """Mean squared Euclidean distance between vectors and reconstructions.
 
     ``codes`` are ``encode(data, codebook)``; they are computed here
-    unless the caller has them already.
+    unless the caller has them already. Rows are decoded and subtracted
+    a block at a time, in scratch of a sixteenth of ``BLOCK_BYTES``; each
+    row's distance is bitwise the one of a whole-corpus subtraction.
     """
     if codes is None:
         codes = encode(data, codebook)
-    return float(exact_sq_dists(data.data, decode(codes, codebook).data).mean())
+    check_codes(codes, codebook)
+    if (codes.count, codebook.dim) != data.data.shape:
+        raise ValidationError(
+            f"shape mismatch: codes decode to {(codes.count, codebook.dim)}, data is {data.data.shape}"
+        )
+    n, d = data.data.shape
+    # a block of fewer than 2 * step rows, each a float32 decoded row and
+    # its float64 difference, fills at most a sixteenth of BLOCK_BYTES;
+    # step >= 2, as einsum sums a lone row of more than 8192 entries in
+    # pieces but a row of a taller matrix in one go (see _pair_sq_dists)
+    blocks = _row_blocks(n, max(2, block_rows(24 * d, embeddings.BLOCK_BYTES // 16)))
+    decoded = np.empty((max(hi - lo for lo, hi in blocks), d), dtype=np.float32)
+    sq = np.empty(n)
+    for lo, hi in blocks:
+        decode_into(codebook, decoded[: hi - lo], codes.codes[lo:hi])
+        sq[lo:hi] = exact_sq_dists(data.data[lo:hi], decoded[: hi - lo])
+    return float(sq.mean())
 
 
 def save_index(codebook: Codebook, codes: PQCodes, path) -> None:

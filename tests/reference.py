@@ -211,3 +211,40 @@ def best_two_centroids_1d(values):
             best = obj
             best_pair = c
     return sorted(best_pair), best / len(pts)
+
+
+# ---------------------------------------------------------------- value CSVs
+
+
+def value_csv_table(text):
+    """compare's value CSV read the obvious way: a dict from train_index
+    to value, filled line by line. Raises ValueError with the message
+    ``compare`` gives, less its file name."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    table = {}
+    for lineno, line in enumerate(lines, start=1):
+        if lineno == 1 and line.startswith("train_index"):
+            continue
+        fields = line.split(",")
+        if len(fields) < 2:
+            raise ValueError(f"line {lineno}: expected train_index,value[,rank]")
+        try:
+            idx, val = int(fields[0]), float(fields[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: unparseable field") from None
+        if idx in table:
+            raise ValueError(f"line {lineno}: duplicate train_index {idx}")
+        table[idx] = val
+    if not table:
+        raise ValueError("no value rows")
+    return table
+
+
+def group_values(table, name, wanted):
+    """The values of ``table`` that group ``name`` lists, in its order."""
+    for idx in wanted:
+        if idx not in table:
+            raise ValueError(f"group {name!r} references train_index {idx} missing from the value CSV")
+    return [table[idx] for idx in wanted]

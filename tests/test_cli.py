@@ -1,14 +1,20 @@
 import json
 import os
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genval.cli as cli
-from conftest import assert_one_error_line, make_value_csv, run_cli, run_cli_process, write_embx
+import reference
+from conftest import (assert_one_error_line, make_value_csv, run_cli, run_cli_process, traced_peak,
+                      write_embx)
 from genval import embeddings, load_embeddings, pq, save_embeddings, search
-from genval.errors import InternalError
+from genval.errors import GenvalError, InternalError
 
 
 @pytest.fixture
@@ -341,6 +347,80 @@ def test_compare_needs_inputs():
     r = run_cli("compare")
     assert r.code == 2
     assert "values" in r.stderr
+
+
+@st.composite
+def value_csvs(draw) -> tuple[str, list, list]:
+    """Value CSV text and two groups: the rows' indices in any order, half
+    the time all distinct, a header or none, now and then a malformed
+    line; the groups name mostly indices the rows hold."""
+    indices = draw(st.lists(st.integers(-3, 12), max_size=12, unique=draw(st.booleans())))
+    lines = [f"{i},{draw(st.floats(allow_infinity=False))},{r}" for r, i in enumerate(indices, 1)]
+    for _ in range(draw(st.integers(0, 1))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ["", "7", "x,0.5", "3,fish", "4,1e5000", " 5 ,0.25", "1_0,2", "8,1,2,3"])))
+    if draw(st.booleans()):
+        lines.insert(0, "train_index,value,rank")
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    group = st.lists(st.sampled_from(indices + [13, 14]), max_size=8)
+    return text, draw(group), draw(group)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(csv_and_groups=value_csvs())
+def test_value_csv_reader_agrees_with_a_dict_oracle(tmp_path_factory, csv_and_groups):
+    """Arrays and a sorted lookup give compare the dict's values, bit for
+    bit and in the same order, and every error message it gave."""
+    text, v1, v2 = csv_and_groups
+    d = tmp_path_factory.mktemp("csv")
+    csv = d / "v.csv"
+    csv.write_text(text, encoding="utf-8")
+    (d / "p.json").write_text(json.dumps({"v1": v1, "v2": v2}), encoding="utf-8")
+    pair = SimpleNamespace(values_a=csv, values_b=csv)
+    split = SimpleNamespace(values_a=None, values_b=None, values=csv,
+                            partition=d / "p.json", group_a="v1", group_b="v2")
+    try:
+        table = reference.value_csv_table(text)
+    except ValueError as exc:
+        for args in (pair, split):
+            with pytest.raises(GenvalError, match=f"^{re.escape(f'{csv}: {exc}')}$"):
+                cli._compare_groups(args)
+        return
+    a, b, _, _ = cli._compare_groups(pair)
+    assert a.tobytes() == b.tobytes() == np.array(list(table.values())).tobytes()
+    try:
+        want = [reference.group_values(table, name, group) for name, group in (("v1", v1), ("v2", v2))]
+    except ValueError as exc:
+        with pytest.raises(GenvalError, match=f"^{re.escape(str(exc))}$"):
+            cli._compare_groups(split)
+        return
+    a, b, _, _ = cli._compare_groups(split)
+    assert (a.tobytes(), b.tobytes()) == tuple(np.array(w, dtype=np.float64).tobytes() for w in want)
+
+
+def test_value_csv_index_beyond_int64(tmp_path):
+    values = tmp_path / "v.csv"
+    values.write_text(f"0,0.5\n1,0.25\n{2**63},0.75\n3,0.125\n", encoding="utf-8")
+    r = run_cli("compare", "--values-a", values, "--values-b", values)
+    assert_one_error_line(r, f"{values}: line 3: train_index outside the 64-bit range")
+    good = make_value_csv(tmp_path / "w.csv", [0.5, 0.25, 0.75, 0.125])
+    partition = tmp_path / "p.json"
+    partition.write_text(f'{{"v1": [0, 1], "v2": [2, {2**64}, -{2**70}]}}', encoding="utf-8")
+    r = run_cli("compare", "--values", good, "--partition", partition)
+    assert_one_error_line(r, f"group 'v2' references train_index {2**64} missing from the value CSV")
+
+
+def test_value_csv_reader_holds_arrays(tmp_path):
+    """Guards peak memory: at 100 000 rows the reader holds the file's
+    bytes and text while it decodes them, then four 8-byte arrays per row
+    at most, not a string and a dict entry per line."""
+    n = 100_000
+    values = tmp_path / "v.csv"
+    values.write_text("train_index,value,rank\n" + "".join(
+        f"{i},{v},{i + 1}\n" for i, v in enumerate(np.random.default_rng(0).random(n).tolist())))
+    peak = traced_peak(lambda: cli._read_value_csv(values))
+    bound = 2 * values.stat().st_size + 4 * 8 * n
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 # -------------------------------------------------------------- eval-recall

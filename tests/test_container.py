@@ -1,23 +1,40 @@
 """The binary container rule that EMBX and GMVI share: a magic, a u32
 version, the format's fields, then arrays that fill the file exactly.
 Each corruption must raise the same FormatError from both loaders,
-naming the file and the first bad byte."""
+naming the file and the first bad byte; a write replaces a file whole or
+not at all; and a mutation suite holds every CLI run on a damaged
+container to exit 0 or 2 with one error line."""
+import errno
+import json
+import os
 import re
+import select
+import stat
 import struct
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import CliRun, assert_one_error_line, child_env
 from genval import (
     Codebook,
     CorruptionError,
     EmbeddingMatrix,
     FormatError,
     PQCodes,
+    PQConfig,
+    embeddings,
+    encode,
     load_embeddings,
     load_index,
     save_embeddings,
     save_index,
+    train_codebooks,
 )
 
 
@@ -109,3 +126,182 @@ def test_index_non_finite_centroid_names_the_file(tmp_path):
     path.write_bytes(blob[:28] + struct.pack("<f", np.nan) + blob[32:])
     with pytest.raises(CorruptionError, match=rf"^{re.escape(str(path))}: codebook contains non-finite"):
         load_index(path)
+
+
+# ------------------------------------------------------------ atomic writes
+
+
+class FailsAfterHeader:
+    """A file whose writes after the first, the header, fail as a full
+    disk does."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_failed_write_leaves_the_target_as_it_was(tmp_path, monkeypatch, fmt, existed):
+    write = FORMATS[fmt][0]
+    target = tmp_path / f"out.{fmt}"
+    if existed:
+        target.write_bytes(b"old bytes")
+    monkeypatch.setattr(embeddings, "open", lambda *a, **kw: FailsAfterHeader(open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        write(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([target.name] if existed else [])
+    if existed:
+        assert target.read_bytes() == b"old bytes"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_write_replaces_the_target_and_leaves_no_temporary(tmp_path, fmt):
+    write, load, _ = FORMATS[fmt]
+    target = tmp_path / f"out.{fmt}"
+    target.write_bytes(b"old bytes")
+    write(target)
+    load(target)
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+def test_a_write_to_a_missing_directory_names_the_target(tmp_path):
+    target = tmp_path / "missing" / "out.embx"
+    with pytest.raises(FileNotFoundError) as err:
+        write_embx(target)
+    assert err.value.filename == str(target)
+
+
+def test_a_pipe_is_written_in_place(tmp_path):
+    """A target that is no regular file (a pipe, /dev/null) is not
+    replaced by one."""
+    write_embx(tmp_path / "want.embx")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    write_embx(pipe)
+    reader.join(10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert got == [(tmp_path / "want.embx").read_bytes()]
+
+
+# ---------------------------------------------------------- mutation suite
+
+# one child process that runs main() on each argv sent to it, one JSON
+# list a line, and answers [exit code, stderr]; an exception main() lets
+# out ends it, with the traceback in its own stderr
+CLI_CHILD = """
+import contextlib, io, json, sys
+from genval.cli import main
+for line in sys.stdin:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(json.loads(line))
+    print(json.dumps([code, err.getvalue()]), flush=True)
+"""
+
+# (offset, width) of each header field past the magic
+HEADER_FIELDS = {
+    "embx": [(4, 4), (8, 8), (16, 4), (20, 4)],  # version, count, dim, dtype
+    "gmvi": [(4, 4), (8, 4), (12, 4), (16, 4), (20, 8)],  # version, M, subspace_dim, Ks, count
+}
+
+
+@pytest.fixture(scope="module")
+def mutation_runs(tmp_path_factory):
+    """Valid files, the runs that read a mutated one (``target``), and a
+    function that runs them in the child."""
+    d = tmp_path_factory.mktemp("binary")
+    rng = np.random.default_rng(7)
+    train = EmbeddingMatrix(rng.standard_normal((40, 8)).astype(np.float32))
+    save_embeddings(train, d / "train.embx")
+    save_embeddings(EmbeddingMatrix(rng.standard_normal((6, 8)).astype(np.float32)), d / "gen.embx")
+    codebook = train_codebooks(train, PQConfig(2, 4, 3, seed=0))
+    save_index(codebook, encode(train, codebook), d / "index.gmvi")
+    train, gen, index = d / "train.embx", d / "gen.embx", d / "index.gmvi"
+    target = {fmt: d / f"target.{fmt}" for fmt in FORMATS}
+    runs = {
+        "gmvi": [["match", "--mode", "pq", "--index", target["gmvi"], "--gen", gen, "--k", 3],
+                 ["eval-recall", "--train", train, "--gen", gen, "--index", target["gmvi"], "--k", 3],
+                 ["value", "--inline", "--mode", "pq", "--index", target["gmvi"], "--gen", gen]],
+        "embx": [["match", "--mode", "pq", "--index", index, "--gen", target["embx"], "--k", 3],
+                 ["eval-recall", "--train", target["embx"], "--gen", gen, "--index", index, "--k", 3],
+                 ["value", "--inline", "--train", target["embx"], "--gen", gen, "--k", 3]],
+    }
+    with open(d / "child.err", "w+", encoding="utf-8") as err:
+        child = subprocess.Popen([sys.executable, "-c", CLI_CHILD], stdin=subprocess.PIPE,
+                                 stdout=subprocess.PIPE, stderr=err, text=True, env=child_env())
+
+        def run(argv):
+            child.stdin.write(json.dumps([str(a) for a in argv]) + "\n")
+            child.stdin.flush()
+            assert select.select([child.stdout], [], [], 60)[0], "the child gave no answer in 60 s"
+            reply = child.stdout.readline()
+            err.seek(0)
+            assert reply, f"the child died: {err.read()}"
+            code, stderr = json.loads(reply)
+            return CliRun(code, "", stderr)
+
+        try:
+            yield {fmt: (path.read_bytes(), target[fmt], runs[fmt])
+                   for fmt, path in (("embx", train), ("gmvi", index))}, run
+        finally:
+            child.stdin.close()
+            child.wait(timeout=60)
+            child.stdout.close()
+        err.seek(0)
+        assert err.read() == ""
+
+
+@st.composite
+def binary_mutations(draw, data: bytes, fields) -> bytes:
+    """``data`` after one or two byte flips, truncations, extensions or
+    header fields set to 0, 2**32 - 1 or 2**64 - 1 (as wide as they fit)."""
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["flip", "truncate", "extend", "field"]))
+        if kind == "flip" and data:
+            at = draw(st.integers(0, len(data) - 1))
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+        elif kind == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif kind == "extend":
+            data = data + draw(st.binary(min_size=1, max_size=64))
+        elif kind == "field":
+            at, width = draw(st.sampled_from(fields))
+            value = draw(st.sampled_from([0, 2**32 - 1, 2**64 - 1])) % 2 ** (8 * width)
+            data = data[:at] + value.to_bytes(width, "little") + data[at + width:]
+    return data
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_containers_exit_zero_or_two_with_one_line(mutation_runs, fmt, data):
+    """Sizes are checked against the file before any array is made, so no
+    header field, however large, allocates."""
+    inputs, run = mutation_runs
+    valid, target, argvs = inputs[fmt]
+    target.write_bytes(data.draw(binary_mutations(valid, HEADER_FIELDS[fmt])))
+    for argv in argvs:
+        r = run(argv)
+        assert r.code in (0, 2), r.stderr
+        if r.code == 2:
+            assert_one_error_line(r)
+        else:
+            assert r.stderr == ""

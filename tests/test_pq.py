@@ -18,7 +18,8 @@ from genval import (
     save_index,
     train_codebooks,
 )
-from genval.errors import ConfigError, CorruptionError, FormatError
+from genval.embeddings import exact_sq_dists
+from genval.errors import ConfigError, CorruptionError, FormatError, ValidationError
 
 
 def mat(rows, dtype=np.float32):
@@ -227,8 +228,9 @@ def unblocked_assign(points, centroids):
 
 
 def test_blocked_assign_equals_one_gemm(rng, monkeypatch):
-    # a budget this small gives 64-row blocks: 5 of them, the last 101 rows
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 1)
+    # 64 rows of 40 scores fill a sixteenth of this budget: 5 blocks, the
+    # last 101 rows (a step sized from the whole budget gives one block)
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 16 * 64 * 8 * 40)
     points = rng.standard_normal((357, 8)) * 3
     centroids = rng.standard_normal((40, 8))
     x2 = np.einsum("ij,ij->i", points, points)
@@ -237,6 +239,26 @@ def test_blocked_assign_equals_one_gemm(rng, monkeypatch):
     np.testing.assert_array_equal(assign, want_assign)
     assert obj == want_obj
     assert [hi - lo for lo, hi in pq._assign_blocks(357, 40)] == [64, 64, 64, 64, 101]
+
+
+@pytest.mark.parametrize("n, k, step", [
+    (10_000, 256, 256),  # build-index's default shape: 0.53 MiB of scores
+    (10_000, 16, 4096),
+    (10_000, 1000, 64),
+    (357, 40, 1600),
+    (10_000, 2048, 64),  # the 64-row floor: 1 MiB of scores
+    (100_000, 65_536, 64),  # the floor: 32 MiB of scores, never allocated here
+])
+def test_assign_blocks_fill_a_sixteenth_of_the_budget(n, k, step):
+    """Guards peak memory and cache use: the step is the most 64-row
+    multiples of 8-byte scores a sixteenth of BLOCK_BYTES holds, at least
+    64 rows; blocks start at its multiples and the last takes the rest."""
+    budget = embeddings.BLOCK_BYTES // 16
+    assert step == 64 or step * 8 * k <= budget < (step + 64) * 8 * k
+    blocks = pq._assign_blocks(n, k)
+    starts = list(range(0, max(n - step, 0) + 1, step))
+    assert blocks == list(zip(starts, starts[1:] + [n]))
+    assert all(hi - lo < 2 * step for lo, hi in blocks)
 
 
 def test_training_does_not_depend_on_the_block_size(rng, monkeypatch):
@@ -255,14 +277,55 @@ def test_training_converts_one_subspace_at_a_time(rng):
     assert peak < data.data.size * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_quantization_error_holds_one_float64_matrix(rng):
-    """Guards peak memory: besides the float64 difference, the error holds
-    the float32 reconstruction and less than 1 MiB."""
-    data = mat(rng.standard_normal((20_000, 64)))
-    cb = train_codebooks(data, PQConfig(8, 16, 2, seed=0))
-    codes = encode(data, cb)
-    peak = traced_peak(lambda: quantization_error(data, cb, codes))
-    assert peak - data.data.size * 8 < data.data.nbytes + (1 << 20), f"peak {peak / 2**20:.1f} MiB"
+def test_training_scratch_is_a_subspace_and_a_score_block(rng):
+    """Guards peak memory: at build-index's 8 x 256 on 10 000 x 64, training
+    holds a float64 subspace, temporaries of its size and per-row vectors
+    (3 subspaces in all), and one score block of under two sixteenths of
+    BLOCK_BYTES."""
+    data = mat(rng.standard_normal((10_000, 64)))
+    peak = traced_peak(lambda: train_codebooks(data, PQConfig(8, 256, 2, seed=0)))
+    assert peak < 3 * 10_000 * 8 * 8 + embeddings.BLOCK_BYTES // 8, f"peak {peak / 2**20:.2f} MiB"
+
+
+def random_index(rng, n, d, m, ks):
+    codebook = Codebook(rng.standard_normal((m, ks, d // m)).astype(np.float32))
+    return codebook, PQCodes(rng.integers(0, ks, size=(n, m)).astype(np.uint8))
+
+
+@pytest.mark.parametrize("n", [20_000, 100_000])
+def test_quantization_error_scratch_stays_inside_a_block_budget(rng, n):
+    """Guards peak memory: the error holds its n float64 distances and
+    blocks of under two sixteenths of BLOCK_BYTES, whatever the corpus."""
+    data = mat(rng.standard_normal((n, 64)))
+    codebook, codes = random_index(rng, n, 64, 8, 256)
+    peak = traced_peak(lambda: quantization_error(data, codebook, codes))
+    assert peak < 8 * n + embeddings.BLOCK_BYTES // 8, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("n, d, budget", [
+    (1001, 16, 16 * 24 * 16 * 10),  # steps of 10 rows: one row past the last
+    (5, 9000, 1),  # steps of 2 rows at d > 8192
+    (3, 9000, 1),
+    (2, 9000, 1),
+    (1, 9000, 1),
+])
+def test_blocked_quantization_error_equals_one_subtraction(rng, monkeypatch, n, d, budget):
+    """Every block holds 2 rows or more: einsum sums a lone row of more than
+    8192 entries otherwise than a row of a taller matrix."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", budget)
+    data = mat(rng.standard_normal((n, d)))
+    codebook, codes = random_index(rng, n, d, 4 if d == 16 else 9, 8)
+    want = float(exact_sq_dists(data.data, decode(codes, codebook).data).mean())
+    assert quantization_error(data, codebook, codes) == want
+
+
+def test_quantization_error_rejects_codes_of_other_data(rng):
+    data = mat(rng.standard_normal((10, 8)))
+    codebook, codes = random_index(rng, 9, 8, 2, 4)
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        quantization_error(data, codebook, codes)
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        quantization_error(mat(rng.standard_normal((9, 12))), codebook, codes)
 
 
 def test_quantization_error_reuses_given_codes(rng):
