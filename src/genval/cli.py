@@ -157,9 +157,10 @@ def _load_matrix(args, name):
 
 
 def _out_stream(path):
+    """stdout for ``None`` or ``-``, else ``path`` replaced whole or not at all."""
     if path is None or path == "-":
         return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+    return embeddings.replacing(path, text=True)
 
 
 def cmd_synth(args) -> int:
@@ -243,21 +244,24 @@ def cmd_value(args) -> int:
     result = valuation.aggregate_values(tables, n, args.temperature)
     rank = np.empty(result.n, dtype=np.int64)
     rank[result.ranking] = np.arange(1, result.n + 1)
+    # the summary is written inside the values' block, so a summary that
+    # cannot be written leaves no values file either
     with _out_stream(args.output) as fh:
         fh.write("train_index,value,rank\n" + "".join(
             f"{i},{VALUE_FORMAT.format(value)},{r}\n"
             for i, (value, r) in enumerate(zip(result.values.tolist(), rank.tolist()))
         ))
-    if args.summary is not None:
-        summary = {
-            "n": result.n,
-            "m": result.m,
-            "k": result.k,
-            "temperature": args.temperature,
-            "sum_values": float(result.values.sum()),
-            "top_indices": [int(i) for i in result.ranking[:10]],
-        }
-        Path(args.summary).write_text(json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
+        if args.summary is not None:
+            summary = {
+                "n": result.n,
+                "m": result.m,
+                "k": result.k,
+                "temperature": args.temperature,
+                "sum_values": float(result.values.sum()),
+                "top_indices": [int(i) for i in result.ranking[:10]],
+            }
+            with embeddings.replacing(args.summary, text=True) as out:
+                out.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 
 
@@ -417,10 +421,8 @@ def cmd_wasserstein(args) -> int:
     target = _load_matrix(args, "target")
     res = stats.exact_wasserstein(source, target, p=args.p)
     if args.assignment is not None:
-        Path(args.assignment).write_text(
-            json.dumps({"p": args.p, "assignment": [int(j) for j in res.assignment]}) + "\n",
-            encoding="utf-8",
-        )
+        with embeddings.replacing(args.assignment, text=True) as fh:
+            fh.write(json.dumps({"p": args.p, "assignment": [int(j) for j in res.assignment]}) + "\n")
     print("cost=" + VALUE_FORMAT.format(res.cost))
     return 0
 

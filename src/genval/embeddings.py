@@ -22,6 +22,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,12 @@ EMBX_DTYPE_F32 = 1
 _HEADER = struct.Struct("<4sIQII")  # magic, version, count, dim, dtype
 _OFF_DIM = 16
 _OFF_DTYPE = 20
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite, found without a mask of
+    its size: NaN carries through min and max, and ±inf is one of them."""
+    return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,7 @@ class EmbeddingMatrix:
         # a value beyond float32's range casts to inf, reported below
         with np.errstate(over="ignore"):
             data = np.ascontiguousarray(arr, dtype=np.float32)
-        if not np.isfinite(data).all():
+        if not all_finite(data):
             r, c = np.argwhere(~np.isfinite(data))[0]
             if np.isfinite(arr[r, c]):
                 raise ValidationError(
@@ -107,7 +114,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path, format: str = "binary") -> No
         )
         write_container(path, header, matrix.data.astype("<f4", copy=False))
     elif format == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path, text=True) as fh:
             for row in matrix.data:
                 fh.write(",".join(str(v) for v in row))
                 fh.write("\n")
@@ -173,22 +180,21 @@ def read_container(path: Path, header: struct.Struct, magic: bytes, version: int
     return views
 
 
-def write_container(path, header: bytes, *arrays: np.ndarray) -> None:
-    """Write a packed ``header``, then the buffer of each array in turn.
-
-    A file is replaced whole or not at all: the bytes go to a new
-    temporary file in its directory, renamed over it once complete and
-    removed on any error. A target that exists but is no regular file
-    (``/dev/null``, a pipe) is written in place.
+@contextmanager
+def replacing(path, text: bool = False):
+    """Open ``path`` for writing, as UTF-8 text or as bytes, so that the
+    file is replaced whole or not at all: the writes go to a new
+    temporary file in its directory, renamed over it once the block
+    ends and removed if the block raises. A target that exists but is
+    no regular file (``/dev/null``, a pipe) is written in place.
     """
     path = Path(path)
     tmp = None if path.exists() and not path.is_file() else path.with_name(
         f".{path.name}.{os.urandom(6).hex()}.tmp")
+    mode = ("x" if tmp else "w") + ("" if text else "b")
     try:
-        with open(tmp or path, "xb" if tmp else "wb") as fh:
-            fh.write(header)
-            for arr in arrays:
-                fh.write(np.ascontiguousarray(arr))
+        with open(tmp or path, mode, **({"encoding": "utf-8", "newline": ""} if text else {})) as fh:
+            yield fh
         if tmp:
             os.replace(tmp, path)
     except BaseException as exc:
@@ -197,6 +203,15 @@ def write_container(path, header: bytes, *arrays: np.ndarray) -> None:
             if isinstance(exc, OSError) and exc.filename == str(tmp):
                 exc.filename = str(path)  # name the file asked for
         raise
+
+
+def write_container(path, header: bytes, *arrays: np.ndarray) -> None:
+    """Write a packed ``header``, then the buffer of each array in turn,
+    through ``replacing``."""
+    with replacing(path) as fh:
+        fh.write(header)
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr))
 
 
 def _load_binary(path: Path) -> EmbeddingMatrix:
@@ -279,16 +294,18 @@ def _pair_sq_dists(train, queries, rows, cols, budget, corpus_rows) -> np.ndarra
 
 
 def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k training rows for each row of ``queries`` (float64).
+    """Exact top-k training rows for each row of ``queries``.
 
     ``source`` has one row per training row (n >= 1), and
     ``fill(block, source[lo:hi])`` writes training rows lo..hi-1 into a
     float64 block. Returns ``(m, min(k, n))`` index and squared-distance
     tables, each row sorted ascending by distance with ties to the lower
     index. The distances are bitwise those of a full scan of the corpus
-    by ``exact_sq_dists``, whatever the block sizes. Scratch stays within
-    ``BLOCK_BYTES``: the block of training rows takes half, the GEMM
-    buffers a quarter and the recheck's temporaries a quarter.
+    by ``exact_sq_dists``, whatever the block sizes. ``queries`` may be
+    float32 or float64 and strided; each block of query rows is converted
+    to float64 where it is used. Scratch stays within ``BLOCK_BYTES``: the
+    block of training rows takes half, the GEMM buffers and the float64
+    query block a quarter and the recheck's temporaries a quarter.
 
     One GEMM per block of query rows gives A = |q|² - 2q·x + |x|² for
     every row of the training block. A and the subtracted distance
@@ -310,8 +327,10 @@ def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple
     budget = BLOCK_BYTES // 4
     nb = min(n, block_rows(8 * d, 2 * budget))
     nb = -(-n // -(-n // nb))  # as few blocks, all of one size but the last
-    b = max(1, min(m, block_rows(17 * nb, budget)))  # two float64 and one bool entry per pair
+    # two float64 and one bool entry per pair, and the query row in float64
+    b = max(1, min(m, block_rows(17 * nb + 8 * d, budget)))
     block = np.empty((nb, d))
+    query_block = np.empty((b, d))
     approx = np.empty(b * nb)
     upper = np.empty(b * nb)
     keep = np.empty(b * nb, dtype=bool)
@@ -327,8 +346,9 @@ def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple
         x2 = np.einsum("ij,ij->i", train, train)
         ex = c * x2
         for qlo in range(0, m, b):
-            q = queries[qlo : qlo + b]
-            r = q.shape[0]
+            r = min(b, m - qlo)
+            q = query_block[:r]
+            q[...] = queries[qlo : qlo + r]
             a, u = approx[: r * t].reshape(r, t), upper[: r * t].reshape(r, t)
             # a = A - |q|²: |q|² is constant along a row and cancels from
             # the test A - E <= kb-th smallest A + E, which leaves

@@ -1,10 +1,12 @@
 """Product quantization: per-subspace codebooks and compact codes.
 
 Vectors are split into ``num_subspaces`` contiguous subvectors; each
-subspace is quantized independently with Lloyd's k-means (k-means++
-seeding). Every random draw comes from a Philox counter-based generator
-keyed by ``(seed, subspace_index)``, so training output is a pure
-function of (data, config) down to the bit.
+subspace is quantized with Lloyd's k-means (k-means++ seeding). Every
+random draw comes from a Philox counter-based generator keyed by
+``(seed, subspace_index)``, so each codebook is a pure function of its
+own column block and the config, down to the bit: the subspaces are
+independent, and ``train_codebooks`` trains up to one per CPU at once
+with the same bytes as one after another.
 
 The trained index persists as a "GMVI v1" file: magic ``GMVI``, u32 LE
 version=1, u32 LE num_subspaces, u32 LE subspace_dim, u32 LE
@@ -21,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import embeddings
-from .embeddings import (EmbeddingMatrix, block_rows, exact_sq_dists, nearest_rows,
+from .embeddings import (EmbeddingMatrix, all_finite, block_rows, exact_sq_dists, nearest_rows,
                          read_container, write_container)
 from .errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
+from .workers import map_items, worker_count
 
 GMVI_MAGIC = b"GMVI"
 GMVI_VERSION = 1
@@ -75,7 +78,7 @@ class Codebook:
         arr = np.ascontiguousarray(self.centroids, dtype=np.float32)
         if arr.ndim != 3:
             raise ConfigError("centroids must have shape (M, Ks, subspace_dim)")
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise CorruptionError("codebook contains non-finite centroids")
         arr.flags.writeable = False
         object.__setattr__(self, "centroids", arr)
@@ -170,23 +173,38 @@ def _assign_blocks(n: int, k: int) -> list[tuple[int, int]]:
     return _row_blocks(n, max(_ASSIGN_ALIGN, step))
 
 
+# OpenBLAS runs a GEMM of at most 65536 * GEMM_MULTITHREAD_THRESHOLD
+# (4 by default) multiply-adds on the calling thread (interface/gemm.c),
+# so training workers running side by side start no BLAS threads
+_GEMM_ONE_THREAD = 65536 * 4
+
+
+def _gemm_rows(k: int, d: int) -> int:
+    """Rows of one of _assign's GEMMs against k centroids of dim d: the
+    most, in multiples of 64 and at least 64, that OpenBLAS keeps on one
+    thread (128 rows at k = 256, d = 8)."""
+    return max(_ASSIGN_ALIGN, _GEMM_ONE_THREAD // (k * d) // _ASSIGN_ALIGN * _ASSIGN_ALIGN)
+
+
 def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest-centroid assignment (ties to lowest index) and objective.
 
     ``x2`` holds the squared norms of ``points``; ``buf`` is scratch of
     at least (largest block's rows, k) float64 entries.
     """
-    n, k = points.shape[0], centroids.shape[0]
+    (n, d), k = points.shape, centroids.shape[0]
     # |x-c|^2 = |x|^2 - 2 x.c + |c|^2; the |x|^2 term does not affect argmin
     c2 = np.einsum("ij,ij->i", centroids, centroids)
     # scaling by -2 is exact, so x.(-2c) is bitwise -2 (x.c)
     neg2c = -2.0 * centroids
-    blocks = _assign_blocks(n, k)
+    rows = _gemm_rows(k, d)
     assign = np.empty(n, dtype=np.int64)
     best = np.empty(n)
-    for lo, hi in blocks:
+    for lo, hi in _assign_blocks(n, k):
         scores = buf[: hi - lo]
-        np.matmul(points[lo:hi], neg2c.T, out=scores)
+        # GEMM pieces start at multiples of 64 rows as the blocks do
+        for plo, phi in _row_blocks(hi - lo, rows):
+            np.matmul(points[lo + plo : lo + phi], neg2c.T, out=scores[plo:phi])
         scores += c2
         assign[lo:hi] = np.argmin(scores, axis=1)
         best[lo:hi] = scores[np.arange(hi - lo), assign[lo:hi]]
@@ -231,17 +249,23 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> 
 
 
 def train_codebooks(data: EmbeddingMatrix, cfg: PQConfig) -> Codebook:
-    """Train one k-means codebook per subspace; deterministic in (data, cfg)."""
+    """Train one k-means codebook per subspace; deterministic in (data, cfg).
+
+    Subspaces are trained side by side, up to one per CPU; each depends on
+    its own columns and random stream only, so the count changes no bit.
+    """
     cfg.validate(data.dim, data.count)
-    sub_dim = data.dim // cfg.num_subspaces
-    tables = np.empty(
-        (cfg.num_subspaces, cfg.codebook_size, sub_dim), dtype=np.float32
-    )
-    for s in range(cfg.num_subspaces):
+    m = cfg.num_subspaces
+    sub_dim = data.dim // m
+    tables = np.empty((m, cfg.codebook_size, sub_dim), dtype=np.float32)
+
+    def train(s: int) -> None:
         sub = data.data[:, s * sub_dim : (s + 1) * sub_dim].astype(np.float64)
         rng = _subspace_rng(cfg.seed, s)
         centroids, _ = _lloyd(sub, cfg.codebook_size, cfg.kmeans_iters, rng)
-        tables[s] = centroids.astype(np.float32)
+        tables[s] = centroids
+
+    map_items(train, range(m), worker_count(m))
     return Codebook(tables)
 
 
@@ -264,7 +288,7 @@ def encode(data: EmbeddingMatrix, codebook: Codebook) -> PQCodes:
     m, sd = codebook.num_subspaces, codebook.subspace_dim
     codes = np.empty((data.count, m), dtype=_code_dtype(codebook.codebook_size))
     for s in range(m):
-        sub = data.data[:, s * sd : (s + 1) * sd].astype(np.float64)
+        sub = data.data[:, s * sd : (s + 1) * sd]
         codes[:, s] = nearest_rows(codebook.centroids[s], np.copyto, sub, 1)[0][:, 0]
     return PQCodes(codes)
 

@@ -16,9 +16,7 @@ or scheduling.
 from __future__ import annotations
 
 import json
-import os
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -27,6 +25,7 @@ import numpy as np
 from .embeddings import EmbeddingMatrix, nearest_rows, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
 from .pq import check_codes, decode_into
+from .workers import map_items, worker_count
 
 # distances in JSON-lines output carry 9 significant digits
 DISTANCE_FORMAT = "{:.9g}"
@@ -78,11 +77,9 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
         check_codes(codes, codebook)
         source, fill, dim = codes.codes, partial(decode_into, codebook), codebook.dim
     validate_pair((source.shape[0], dim), generated)
-    queries = generated.data.astype(np.float64)
-    kernel = partial(nearest_rows, source, fill, k=k)
-    workers = min(threads, queries.shape[0], os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(kernel, np.array_split(queries, workers)))
+    workers = worker_count(generated.count, threads)
+    parts = map_items(partial(nearest_rows, source, fill, k=k),
+                      np.array_split(generated.data, workers), workers)
     indices = np.concatenate([idx for idx, _ in parts])
     sq_dists = np.concatenate([sq for _, sq in parts])
     return MatchTables(np.sqrt(sq_dists), indices)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embeddings
-from .embeddings import EmbeddingMatrix, block_rows, exact_sq_dists, save_embeddings
+from .embeddings import EmbeddingMatrix, all_finite, block_rows, exact_sq_dists, save_embeddings
 from .errors import ConfigError
 
 _DOMAIN_MEANS = 0
@@ -144,7 +144,7 @@ def simulate_generated(training_subset: EmbeddingMatrix, spec: ExperimentSpec) -
 
 def _check_range(rows: np.ndarray, option: str, value: float) -> None:
     """Blame ``option`` = ``value`` for a row that overflowed to inf."""
-    if not np.isfinite(rows).all():
+    if not all_finite(rows):
         raise ConfigError(f"{option} {value:g} puts synthetic rows beyond float32 range")
 
 
@@ -187,14 +187,14 @@ def make_ra2_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
         "v1": list(range(n)),
         "v2": list(range(n, 2 * n)),
     }
-    files["partition"].write_text(json.dumps(partition) + "\n", encoding="utf-8")
+    with embeddings.replacing(files["partition"], text=True) as fh:
+        fh.write(json.dumps(partition) + "\n")
 
     manifest = {
         "spec": asdict(spec),
         "files": {name: path.name for name, path in files.items() if name != "manifest"},
         "counts": {"x_v1": n, "x_v2": n, "x_train": 2 * n, "x_hat": spec.m_generated},
     }
-    files["manifest"].write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with embeddings.replacing(files["manifest"], text=True) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return files

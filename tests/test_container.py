@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CliRun, assert_one_error_line, child_env
+from conftest import CliRun, assert_one_error_line, child_env, run_cli
 from genval import (
     Codebook,
     CorruptionError,
@@ -198,6 +198,94 @@ def test_a_pipe_is_written_in_place(tmp_path):
     assert not reader.is_alive()
     assert stat.S_ISFIFO(pipe.stat().st_mode)
     assert got == [(tmp_path / "want.embx").read_bytes()]
+
+
+# every text output and the file whose write is made to fail: (id, argv)
+TEXT_OUTPUTS = [
+    ("match", "out.jsonl", ["match", "--train", "train.embx", "--gen", "gen.embx", "--k", 2,
+                            "--output", "out.jsonl"]),
+    ("value", "v.csv", ["value", "--inline", "--train", "train.embx", "--gen", "gen.embx",
+                        "--k", 2, "--output", "v.csv"]),
+    ("summary", "s.json", ["value", "--inline", "--train", "train.embx", "--gen", "gen.embx",
+                           "--k", 2, "--output", "-", "--summary", "s.json"]),
+    ("assignment", "a.json", ["wasserstein", "--source", "train.embx", "--target", "train.embx",
+                              "--assignment", "a.json"]),
+    ("partition", "partition.json", ["synth", "--out-dir", ".", "--dim", 2, "--n-per-split", 3,
+                                     "--m", 2]),
+    ("manifest", "experiment.json", ["synth", "--out-dir", ".", "--dim", 2, "--n-per-split", 3,
+                                     "--m", 2]),
+]
+
+
+class FailsMidway:
+    """A text file whose first write stores half its text, then fails as
+    a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture
+def text_run(tmp_path, monkeypatch):
+    """Run the CLI in a directory holding train.embx and gen.embx."""
+    rows = np.arange(12, dtype=np.float32).reshape(6, 2)
+    save_embeddings(EmbeddingMatrix(rows), tmp_path / "train.embx")
+    save_embeddings(EmbeddingMatrix(rows[::2] + 0.25), tmp_path / "gen.embx")
+    monkeypatch.chdir(tmp_path)
+    return lambda argv: run_cli(*argv)
+
+
+@pytest.mark.parametrize("target, argv", [c[1:] for c in TEXT_OUTPUTS], ids=[c[0] for c in TEXT_OUTPUTS])
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_failed_text_write_leaves_the_target_as_it_was(tmp_path, monkeypatch, text_run, target, argv,
+                                                         existed):
+    before = sorted(p.name for p in tmp_path.iterdir())
+    if existed:
+        (tmp_path / target).write_bytes(b"old bytes")
+    real_open = open
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FailsMidway(fh) if os.path.basename(path).startswith(f".{target}.") else fh
+
+    monkeypatch.setattr(embeddings, "open", failing_open, raising=False)
+    assert_one_error_line(text_run(argv), "No space left on device")
+    left = {p.name for p in tmp_path.iterdir()} - set(before)
+    assert not {name for name in left if name.endswith(".tmp")}
+    if existed:
+        assert (tmp_path / target).read_bytes() == b"old bytes"
+    else:
+        assert target not in left
+
+
+@pytest.mark.parametrize("target, argv", [c[1:] for c in TEXT_OUTPUTS], ids=[c[0] for c in TEXT_OUTPUTS])
+def test_a_text_write_replaces_the_target_and_leaves_no_temporary(tmp_path, text_run, target, argv):
+    (tmp_path / target).write_bytes(b"old bytes")
+    assert text_run(argv).code == 0
+    assert (tmp_path / target).read_bytes() != b"old bytes"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
+def test_values_are_not_written_without_their_summary(tmp_path, text_run):
+    r = text_run(["value", "--inline", "--train", "train.embx", "--gen", "gen.embx", "--k", 2,
+                  "--output", "v.csv", "--summary", "missing/s.json"])
+    assert_one_error_line(r, "missing/s.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.embx", "train.embx"]
+
+
+def test_a_text_output_to_a_device_is_written_in_place(text_run):
+    assert text_run(["match", "--train", "train.embx", "--gen", "gen.embx", "--k", 2,
+                     "--output", os.devnull]).code == 0
 
 
 # ---------------------------------------------------------- mutation suite

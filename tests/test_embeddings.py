@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from genval import (
     EmbeddingMatrix,
     load_embeddings,
@@ -37,6 +38,36 @@ def test_matrix_rejects_nonfinite_naming_position():
     bad[1, 1] = np.nan
     with pytest.raises(ValidationError, match=r"row 1.*column 1"):
         EmbeddingMatrix(bad)
+
+
+@pytest.mark.parametrize("at", [(0, 0), (2, 3), (4, 6)])
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "non-finite value"),
+    (np.inf, "non-finite value"),
+    (-np.inf, "non-finite value"),
+    (1e39, "value 1e+39"),
+    (-1e39, "value -1e+39"),
+])
+def test_matrix_names_its_first_bad_entry(at, value, message):
+    rows = np.zeros((5, 7))
+    rows[4, 6] = np.nan  # a later bad entry, unless ``at`` is the last
+    rows[at] = value
+    tail = " is beyond float32 range" if message.startswith("value") else ""
+    with pytest.raises(ValidationError) as err:
+        EmbeddingMatrix(rows)
+    assert str(err.value) == f"{message} at row {at[0]}, column {at[1]}{tail}"
+
+
+def test_empty_matrix_is_finite():
+    assert EmbeddingMatrix(np.zeros((0, 3), dtype=np.float32)).count == 0
+
+
+def test_finiteness_check_holds_no_mask(rng):
+    """Guards peak memory: checking a 20 000 x 128 float32 matrix
+    allocates nothing of its size (a bool mask would be 2.4 MiB)."""
+    rows = rng.standard_normal((20_000, 128)).astype(np.float32)
+    peak = traced_peak(lambda: EmbeddingMatrix(rows))
+    assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_matrix_equality_is_bitwise():

@@ -1,10 +1,12 @@
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
 
 import reference
-from conftest import traced_peak
+from conftest import run_cli, traced_peak, write_embx
 from genval import embeddings, pq
 from genval import (
     Codebook,
@@ -19,7 +21,7 @@ from genval import (
     train_codebooks,
 )
 from genval.embeddings import exact_sq_dists
-from genval.errors import ConfigError, CorruptionError, FormatError, ValidationError
+from genval.errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
 
 
 def mat(rows, dtype=np.float32):
@@ -216,6 +218,18 @@ def test_encode_scratch_stays_inside_the_block_budget(rng, n):
     assert scratch < embeddings.BLOCK_BYTES, f"scratch {scratch / 2**20:.2f} MiB"
 
 
+def test_encode_holds_no_float64_subspace(rng):
+    """Guards peak memory: encode converts each block of query rows where
+    the scan uses it, so besides the GEMM's quarter of BLOCK_BYTES and
+    24 bytes a row of codes and tables it holds less than half a float64
+    subspace column (1.22 MiB at 20 000 x 8)."""
+    n = 20_000
+    data = mat(rng.standard_normal((n, 64)))
+    codebook = Codebook(rng.standard_normal((8, 256, 8)).astype(np.float32))
+    peak = traced_peak(lambda: encode(data, codebook))
+    assert peak < embeddings.BLOCK_BYTES // 4 + 24 * n + n * 8 * 8 // 2, f"peak {peak / 2**20:.2f} MiB"
+
+
 def unblocked_assign(points, centroids):
     """Lloyd's assignment step before blocking: one full GEMM."""
     cross = points @ centroids.T
@@ -261,6 +275,47 @@ def test_assign_blocks_fill_a_sixteenth_of_the_budget(n, k, step):
     assert all(hi - lo < 2 * step for lo, hi in blocks)
 
 
+@pytest.mark.parametrize("k, d, rows", [
+    (256, 8, 128),  # build-index's default shape: 262 144 multiply-adds
+    (256, 16, 64),
+    (16, 8, 2048),
+    (40, 8, 768),
+    (1000, 8, 64),  # the 64-row floor
+    (65_536, 8, 64),
+])
+def test_gemm_pieces_stay_on_one_blas_thread(k, d, rows):
+    """Guards BLAS threads: a piece of _assign's GEMM is the most 64-row
+    multiples that OpenBLAS runs on one thread (at most 65 536 * 4
+    multiply-adds), at least 64 rows."""
+    assert pq._gemm_rows(k, d) == rows
+    assert rows == 64 or rows * k * d <= 65536 * 4 < (rows + 64) * k * d
+
+
+def test_gemm_pieces_equal_one_gemm(rng, monkeypatch):
+    # 128-row steps of 64-row pieces: 357 rows make blocks of 128 and 229
+    # rows, and pieces of 64, 64 and 64, 64, 101 rows
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 16 * 128 * 8 * 40)
+    monkeypatch.setattr(pq, "_GEMM_ONE_THREAD", 64 * 40 * 8)
+    points = rng.standard_normal((357, 8)) * 3
+    centroids = rng.standard_normal((40, 8))
+    x2 = np.einsum("ij,ij->i", points, points)
+    pieces, matmul = [], np.matmul
+
+    def recording_matmul(a, b, **kwargs):
+        pieces.append(a.shape[0])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    assign, obj = pq._assign(points, centroids, x2, np.empty((229, 40)))
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert pieces == [64, 64, 64, 64, 101]
+    want_assign, want_obj = unblocked_assign(points, centroids)
+    np.testing.assert_array_equal(assign, want_assign)
+    assert obj == want_obj
+    assert pq._assign_blocks(357, 40) == [(0, 128), (128, 357)]
+    assert pq._gemm_rows(40, 8) == 64
+
+
 def test_training_does_not_depend_on_the_block_size(rng, monkeypatch):
     data = mat(rng.standard_normal((700, 8)))
     cfg = PQConfig(num_subspaces=2, codebook_size=32, kmeans_iters=10, seed=3)
@@ -277,14 +332,83 @@ def test_training_converts_one_subspace_at_a_time(rng):
     assert peak < data.data.size * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_training_scratch_is_a_subspace_and_a_score_block(rng):
-    """Guards peak memory: at build-index's 8 x 256 on 10 000 x 64, training
-    holds a float64 subspace, temporaries of its size and per-row vectors
-    (3 subspaces in all), and one score block of under two sixteenths of
-    BLOCK_BYTES."""
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_training_scratch_is_a_subspace_and_a_score_block(rng, monkeypatch, cpus):
+    """Guards peak memory: at build-index's 8 x 256 on 10 000 x 64, each
+    training worker holds a float64 subspace, temporaries of its size and
+    per-row vectors (3 subspaces in all), and one score block of under
+    two sixteenths of BLOCK_BYTES; tracemalloc counts every thread."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     data = mat(rng.standard_normal((10_000, 64)))
     peak = traced_peak(lambda: train_codebooks(data, PQConfig(8, 256, 2, seed=0)))
-    assert peak < 3 * 10_000 * 8 * 8 + embeddings.BLOCK_BYTES // 8, f"peak {peak / 2**20:.2f} MiB"
+    bound = cpus * (3 * 10_000 * 8 * 8 + embeddings.BLOCK_BYTES // 8)
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
+
+
+def train_one_by_one(data, cfg):
+    """Training as it ran before workers: each subspace's Lloyd in turn."""
+    sd = data.dim // cfg.num_subspaces
+    return np.stack([
+        pq._lloyd(data.data[:, s * sd : (s + 1) * sd].astype(np.float64), cfg.codebook_size,
+                  cfg.kmeans_iters, pq._subspace_rng(cfg.seed, s))[0]
+        for s in range(cfg.num_subspaces)
+    ]).astype(np.float32)
+
+
+@pytest.mark.parametrize("shape, cfg", [
+    ((300, 6), PQConfig(num_subspaces=1, codebook_size=16, kmeans_iters=8, seed=5)),
+    ((400, 32), PQConfig(num_subspaces=8, codebook_size=16, kmeans_iters=8, seed=6)),
+])
+def test_training_does_not_depend_on_the_worker_count(rng, monkeypatch, shape, cfg):
+    """Each codebook is its own subspace's Lloyd, whichever worker ran it
+    and however many ran."""
+    data = mat(rng.standard_normal(shape))
+    tables = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        tables.append(train_codebooks(data, cfg).centroids.tobytes())
+    assert tables[0] == tables[1] == train_one_by_one(data, cfg).tobytes()
+
+
+def failing_lloyd(data, sub_dim, subspace, exc):
+    """``_lloyd`` that raises ``exc`` on the columns of ``subspace``."""
+    lloyd = pq._lloyd
+
+    def run(points, *args):
+        if np.array_equal(points, data.data[:, subspace * sub_dim : (subspace + 1) * sub_dim]):
+            raise exc
+        return lloyd(points, *args)
+
+    return run
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_a_failing_subspace_fails_training(rng, monkeypatch, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    data = mat(rng.standard_normal((300, 16)))
+    threads = threading.active_count()
+    monkeypatch.setattr(pq, "_lloyd", failing_lloyd(data, 2, 3, InternalError("objective rose")))
+    with pytest.raises(InternalError, match="objective rose"):
+        train_codebooks(data, PQConfig(8, 8, 3, seed=0))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (InternalError("k-means objective increased: 2 -> 3"),
+     3, "genval: internal error: k-means objective increased: 2 -> 3"),
+    (MemoryError("subspace 3"), 2, "genval: error: out of memory: subspace 3"),
+])
+def test_build_index_reports_a_failing_subspace(rng, tmp_path, monkeypatch, exc, code, line):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    data = rng.standard_normal((300, 16)).astype(np.float32)
+    train = write_embx(tmp_path / "train.embx", data)
+    threads = threading.active_count()
+    monkeypatch.setattr(pq, "_lloyd", failing_lloyd(mat(data), 2, 3, exc))
+    r = run_cli("build-index", "--train", train, "--output", tmp_path / "index.gmvi",
+                "--num-subspaces", 8, "--codebook-size", 8, "--kmeans-iters", 3)
+    assert (r.code, r.stderr.splitlines(), r.stdout) == (code, [line], "")
+    assert threading.active_count() == threads
+    assert not list(tmp_path.glob("*.gmvi")) and not list(tmp_path.glob(".*"))
 
 
 def random_index(rng, n, d, m, ks):

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from genval import (
     write_match_jsonl,
 )
 from genval.errors import ConfigError, CorruptionError, FormatError, ValidationError
+from genval.workers import map_items
 
 
 def mat(rows):
@@ -249,26 +251,8 @@ def test_batch_match_rejects_fewer_than_one_thread(threads):
         batch_match(mat([[1.0, 2.0]]), mat([[1.0, 2.0]]), k=1, threads=threads)
 
 
-class RecordingPool:
-    """Stands in for ThreadPoolExecutor: records its size, runs serially."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, parts):
-        return [fn(part) for part in parts]
-
-
 @pytest.mark.parametrize(
-    "cpus, threads, m, pool_size",
+    "cpus, threads, m, workers",
     [
         (2, 10**30, 37, 2),  # capped at the CPU count
         (64, 8, 3, 3),  # capped at the row count
@@ -277,17 +261,32 @@ class RecordingPool:
         (64, 8, 1, 1),  # one row: one worker
     ],
 )
-def test_workers_are_capped_at_rows_and_cpus(rng, monkeypatch, cpus, threads, m, pool_size):
+def test_workers_are_capped_at_rows_and_cpus(rng, monkeypatch, cpus, threads, m, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(search, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+    counts = []
+
+    def recording_map(fn, items, n):
+        counts.append(n)
+        return map_items(fn, items, n)
+
+    monkeypatch.setattr(search, "map_items", recording_map)
     train = mat(rng.standard_normal((20, 4)))
     gen = mat(rng.standard_normal((m, 4)))
     t = batch_match(train, gen, k=3, threads=threads)
-    assert RecordingPool.sizes == [pool_size]
+    assert counts == [workers]
     one = batch_match(train, gen, k=3, threads=1)
     assert t.indices.tobytes() == one.indices.tobytes()
     assert t.distances.tobytes() == one.distances.tobytes()
+
+
+def test_one_worker_scans_on_the_calling_thread(rng, monkeypatch):
+    """--threads 1 starts no thread, so no second malloc arena is paid for."""
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    train = mat(rng.standard_normal((20, 4)))
+    batch_match(train, mat(rng.standard_normal((9, 4))), k=3, threads=1)
 
 
 # ------------------------------------------------------------ gemm shortlist
