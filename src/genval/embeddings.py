@@ -1,6 +1,9 @@
 """Embedding matrices: validation, persistence, row identities, and the
 nearest-row kernel that exact matching, PQ matching and PQ encoding
-share.
+share. The kernel takes a float32 GEMM shortlist over float32 training
+rows, read in place or decoded into one block, and recomputes the
+shortlist by float64 subtraction, the arithmetic that defines every
+distance.
 
 A training set and a generated set are both plain dense matrices of
 32-bit floats. The row index is the only identity used downstream.
@@ -284,8 +287,9 @@ def _pair_sq_dists(train, queries, rows, cols, budget, corpus_rows) -> np.ndarra
     # when the corpus has one row, however few rows its block has
     if corpus_rows > 1 and rows.size == 1:
         return exact_sq_dists(train[np.repeat(cols, 2)], queries[np.repeat(rows, 2)])[:1]
-    # three (step, d) temporaries; chunks of at least step/2 >= 2 rows
-    step = 1 if corpus_rows == 1 else max(4, block_rows(24 * train.shape[1], budget))
+    # two float32 gathers and their float64 difference, (step, d) each;
+    # chunks of at least step/2 >= 2 rows
+    step = 1 if corpus_rows == 1 else max(4, block_rows(16 * train.shape[1], budget))
     bounds = np.linspace(0, rows.size, -(-rows.size // step) + 1, dtype=np.int64)
     out = np.empty(rows.size)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -293,75 +297,123 @@ def _pair_sq_dists(train, queries, rows, cols, budget, corpus_rows) -> np.ndarra
     return out
 
 
+def _rho(n: int, unit: float) -> float:
+    """(1 + unit)^n - 1: the relative error of n roundings to ``unit``."""
+    return math.expm1(n * math.log1p(unit))
+
+
 def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k training rows for each row of ``queries``.
 
-    ``source`` has one row per training row (n >= 1), and
-    ``fill(block, source[lo:hi])`` writes training rows lo..hi-1 into a
-    float64 block. Returns ``(m, min(k, n))`` index and squared-distance
+    ``source`` has one row per training row (n >= 1). With ``fill`` None
+    it holds the training rows as float32 and the scan reads them in
+    place; otherwise ``fill(block, source[lo:hi])`` writes training rows
+    lo..hi-1 into a float32 block. ``queries`` are float32, possibly
+    strided. Returns ``(m, min(k, n))`` index and squared-distance
     tables, each row sorted ascending by distance with ties to the lower
-    index. The distances are bitwise those of a full scan of the corpus
-    by ``exact_sq_dists``, whatever the block sizes. ``queries`` may be
-    float32 or float64 and strided; each block of query rows is converted
-    to float64 where it is used. Scratch stays within ``BLOCK_BYTES``: the
-    block of training rows takes half, the GEMM buffers and the float64
-    query block a quarter and the recheck's temporaries a quarter.
+    index; the distances are bitwise those of a full scan of the corpus
+    by ``exact_sq_dists``, whatever the block sizes. Scratch stays within
+    ``BLOCK_BYTES`` at 4 bytes an entry: the block of training rows takes
+    half (allocated only with ``fill``), the GEMM's two float32 tables,
+    its bool mask and the scaled query rows a quarter, and the recheck's
+    temporaries a quarter.
 
-    One GEMM per block of query rows gives A = |q|² - 2q·x + |x|² for
-    every row of the training block. A and the subtracted distance
-    differ by at most E = c·(|q|² + |x|²), with c = 8·(d + 4)·2⁻⁵³ twice
-    the first-order bound of the two computations' dot-product errors
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1);
-    float32 inputs cannot underflow or overflow in float64. A row whose
-    A - E exceeds the k-th smallest A + E therefore has k rows strictly
-    closer. Only the other rows, the candidates, are recomputed by
-    subtraction, then ranked together with the query rows' running top k
-    by (distance, index); the first k of each row are the new running
-    top k. Near ties lengthen the candidate list, up to the whole block,
-    but never change the result.
+    Shortlist. Per block of training rows x and block of query rows q,
+    with s = 2^-2e, one SGEMM and one float32 subtraction give
+    a = X - w·x, where X = fl32(s·|x|²) from |x|² in float64 and
+    w = fl32(2s·q). The recheck's D = ``exact_sq_dists(x, q)`` ranks a
+    query's rows, and T = s·(D - |q|²) ranks them alike. Write u = 2^-24,
+    u' = 2^-53, η = 2^-149, ρ(n) = (1+u)^n - 1, ρ'(n) = (1+u')^n - 1,
+    Q = s·|q|² and X* = s·|x|². In the rounding model of Higham
+    (*Accuracy and Stability of Numerical Algorithms*, §2.1 and §3.1)
+    with gradual underflow, a float32 product or fused multiply-add errs
+    by u relative plus η/2 absolute, and a sum by u relative only, so
+
+        |a - T| <= C0·(Q + X*) + β,   C0 = ρ(d+3) + 4ρ'(d+2),
+        β = (1 + ρ(d+1))·η·(2d + 1 + sqrt(d·max|x|²)),
+
+    the max taken over the block. The terms: the GEMM, ρ(d)·Σ|w_i·x_i|
+    <= ρ(d)·(Q + X*), plus η/2 for each of its at most 2d - 1 roundings,
+    each grown by at most (1+u)^d; w's underflow, η/2 an entry, so
+    η/2·sqrt(d)·|x|; X's rounding, u·X* + η/2; the subtraction's,
+    u·|X - w·x| <= u·(Q + 2X*); |x|² in float64, ρ'(d-1)·X*; and D's
+    own, ρ'(d+2)·|x - q|² <= 2ρ'(d+2)·(Q + X*). The scan keeps each row
+    with
+
+        fl32(a - E) <= τ = fl32(k-th smallest fl32(a + E) of the block + B),
+        E = fl32(c·s·|x|²),   B = fl32(2c·s·|q|² + 4β),
+        c = (ρ(d+8) + 8ρ'(d+2)) / (1 - 4u - ρ'(d+2)).
+
+    c pays C0 on each side of a comparison, u for each float32 rounding
+    of a ± E and of τ (τ's charged to the row that sets the k-th, as
+    y - u·|y| increases with y), and the relative rounding of E and B;
+    4β pays β on each side and the η/2 of an E or a B that underflows.
+    A row that fails the test thus has k rows in its block with strictly
+    smaller T, so strictly smaller D, and is not in the top k. The rest,
+    the candidates, are recomputed by subtraction and ranked with the
+    query rows' running top k by (distance, index); the first k of each
+    row are the new running top k. Near ties lengthen the candidate
+    list, up to the whole block, but never change the result.
+
+    Scale. e >= 0 is the least integer with s·M²·(1 + c) <= 2^120, M²
+    the largest squared norm among the block's rows and the queries.
+    Every float32 value above then stays below 2^124, finite for any
+    finite float32 input, and e = 0 while M² <= 2^119 (for d < 10^7,
+    where c < 1). The rows are
+    never scaled: w carries the factor, exactly but for the underflow β
+    counts, and the recheck reads rows and queries as they are.
     """
     n = source.shape[0]
     m, d = queries.shape
     k = min(k, n)
-    c = 8.0 * (d + 4) * 2.0**-53
+    u, u64 = 2.0**-24, 2.0**-53
+    c = (_rho(d + 8, u) + 8 * _rho(d + 2, u64)) / (1 - 4 * u - _rho(d + 2, u64))
+    eta = (1 + _rho(d + 1, u)) * 2.0**-149
     budget = BLOCK_BYTES // 4
-    nb = min(n, block_rows(8 * d, 2 * budget))
+    nb = min(n, block_rows(4 * d, 2 * budget))
     nb = -(-n // -(-n // nb))  # as few blocks, all of one size but the last
-    # two float64 and one bool entry per pair, and the query row in float64
-    b = max(1, min(m, block_rows(17 * nb + 8 * d, budget)))
-    block = np.empty((nb, d))
-    query_block = np.empty((b, d))
-    approx = np.empty(b * nb)
-    upper = np.empty(b * nb)
+    # two float32 and one bool entry per pair, and the scaled query row
+    b = max(1, min(m, block_rows(9 * nb + 4 * d, budget)))
+    block = None if fill is None else np.empty((nb, d), dtype=np.float32)
+    w_block = np.empty((b, d), dtype=np.float32)
+    approx = np.empty(b * nb, dtype=np.float32)
+    upper = np.empty(b * nb, dtype=np.float32)
     keep = np.empty(b * nb, dtype=bool)
+    q2 = np.einsum("ij,ij->i", queries, queries, dtype=np.float64)
     # (+inf, n) ranks after every real entry, so each row holds k entries
     # from the start and the pick below stays a fixed-width gather
     indices = np.full((m, k), n, dtype=np.int64)
     sq_dists = np.full((m, k), np.inf)
     for lo in range(0, n, nb):
-        train = block[: n - lo]
+        if fill is None:
+            train = source[lo : lo + nb]
+        else:
+            train = block[: n - lo]
+            fill(train, source[lo : lo + train.shape[0]])
         t = train.shape[0]
-        fill(train, source[lo : lo + t])
         kb = min(k, t)
-        x2 = np.einsum("ij,ij->i", train, train)
-        ex = c * x2
+        x2 = np.einsum("ij,ij->i", train, train, dtype=np.float64)
+        x2_max = x2.max()
+        e = max(0, (math.frexp(max(x2_max, q2.max(initial=0.0)) * (1 + c))[1] - 119) // 2)
+        s = math.ldexp(1.0, -2 * e)
+        # X, E and B of the docstring
+        x2s = (x2 * s).astype(np.float32)
+        ex = (x2 * (c * s)).astype(np.float32)
+        bq = (q2 * (2 * c * s) + 4 * eta * (2 * d + 1 + math.sqrt(d * x2_max))).astype(np.float32)
         for qlo in range(0, m, b):
             r = min(b, m - qlo)
-            q = query_block[:r]
-            q[...] = queries[qlo : qlo + r]
-            a, u = approx[: r * t].reshape(r, t), upper[: r * t].reshape(r, t)
-            # a = A - |q|²: |q|² is constant along a row and cancels from
-            # the test A - E <= kb-th smallest A + E, which leaves
-            # a - c·|x|² <= kb-th smallest (a + c·|x|²) + 2c·|q|²
-            np.matmul(-2.0 * q, train.T, out=a)
-            a += x2
-            np.add(a, ex, out=u)
-            u.partition(kb - 1, axis=1)
-            tau = u[:, kb - 1] + 2.0 * c * np.einsum("ij,ij->i", q, q)
+            q = queries[qlo : qlo + r]
+            w = np.ldexp(q, 1 - 2 * e, out=w_block[:r])
+            a, up = approx[: r * t].reshape(r, t), upper[: r * t].reshape(r, t)
+            np.matmul(w, train.T, out=a)
+            np.subtract(x2s, a, out=a)
+            np.add(a, ex, out=up)
+            up.partition(kb - 1, axis=1)
+            tau = up[:, kb - 1] + bq[qlo : qlo + r]
             a -= ex
-            hit = keep[: r * t].reshape(r, t)
-            np.less_equal(a, tau[:, None], out=hit)
-            rows, cols = np.nonzero(hit)
+            hit = keep[: r * t]
+            np.less_equal(a, tau[:, None], out=hit.reshape(r, t))
+            rows, cols = np.divmod(np.flatnonzero(hit), t)
             dist = _pair_sq_dists(train, q, rows, cols, budget, n)
             rows = np.concatenate([np.repeat(np.arange(r), k), rows])
             cols = np.concatenate([indices[qlo : qlo + r].ravel(), cols + lo])

@@ -279,7 +279,8 @@ def encode(data: EmbeddingMatrix, codebook: Codebook) -> PQCodes:
 
     Distances are those of direct subtraction in float64, so exactly
     equidistant centroids really compare equal; ``nearest_rows`` finds
-    the nearest one with a GEMM shortlist and an exact recheck.
+    the nearest one with a float32 GEMM shortlist over the subspace's
+    centroid table, read in place, and an exact recheck.
     """
     if data.dim != codebook.dim:
         raise ConfigError(
@@ -289,7 +290,7 @@ def encode(data: EmbeddingMatrix, codebook: Codebook) -> PQCodes:
     codes = np.empty((data.count, m), dtype=_code_dtype(codebook.codebook_size))
     for s in range(m):
         sub = data.data[:, s * sd : (s + 1) * sd]
-        codes[:, s] = nearest_rows(codebook.centroids[s], np.copyto, sub, 1)[0][:, 0]
+        codes[:, s] = nearest_rows(codebook.centroids[s], None, sub, 1)[0][:, 0]
     return PQCodes(codes)
 
 

@@ -1,17 +1,17 @@
 """Top-k matching of generated points against training points.
 
 Both routes run ``embeddings.nearest_rows``, the one scan, over blocks
-of float64 training rows. The exact route fills each block from the
-float32 training rows; the PQ route decodes the codes into it, so its
+of float32 training rows. The exact route reads the stored rows in
+place; the PQ route decodes the codes into one float32 block, so its
 distance is the asymmetric distance of product quantization: the exact
 distance from the query to the decoded row. The scan takes a shortlist
-from one BLAS GEMM per block and recomputes only the shortlist by
-direct subtraction; a rigorous rounding bound keeps every row that
-could still be in the top k, so its tables are bitwise those of a full
-subtraction scan. Reported distances are non-squared Euclidean; rows
-are sorted ascending by distance with ties broken by ascending training
-index, so output is reproducible bit for bit regardless of block size
-or scheduling.
+from one float32 BLAS GEMM per pair of blocks and recomputes only the
+shortlist by float64 subtraction; a rigorous rounding bound keeps every
+row that could still be in the top k, so its tables are bitwise those
+of a full subtraction scan. Reported distances are non-squared
+Euclidean; rows are sorted ascending by distance with ties broken by
+ascending training index, so output is reproducible bit for bit
+regardless of block size or scheduling.
 """
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     if isinstance(training_repr, EmbeddingMatrix):
-        source, fill, dim = training_repr.data, np.copyto, training_repr.dim
+        source, fill, dim = training_repr.data, None, training_repr.dim
     else:
         codebook, codes = training_repr
         check_codes(codes, codebook)
@@ -86,15 +86,23 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
 
 
 def recall_at_k(approx: MatchTables, exact: MatchTables) -> float:
-    """Mean per-row overlap between approximate and exact index rows."""
+    """Mean per-row overlap between approximate and exact index rows: a
+    row's hits are the distinct indices of its approximate row that its
+    exact row holds."""
     if approx.indices.shape != exact.indices.shape:
         raise ValidationError(
             f"shape mismatch: approx {approx.indices.shape}, exact {exact.indices.shape}"
         )
     k = approx.k
-    hits = sum(
-        np.intersect1d(a, e).size for a, e in zip(approx.indices, exact.indices)
-    )
+    # sort each row's approximate then exact indices together, stably: an
+    # index in both rows ends its approximate run right where its exact
+    # run starts, once however often it repeats on either side
+    both = np.concatenate([approx.indices, exact.indices], axis=1)
+    order = np.argsort(both, axis=1, kind="stable")
+    ranked = np.take_along_axis(both, order, axis=1)
+    exact_side = order >= k
+    hits = int(np.count_nonzero(
+        (ranked[:, 1:] == ranked[:, :-1]) & ~exact_side[:, :-1] & exact_side[:, 1:]))
     return hits / (approx.m * k)
 
 

@@ -40,6 +40,13 @@ def full_scan_topk(train_rows, query, k):
     return out
 
 
+def recall_at_k_loop(approx_rows, exact_rows):
+    """Recall as a per-row loop: each row counts the distinct indices it
+    shares with its exact row (numpy's ``intersect1d``), over m * k."""
+    hits = sum(np.intersect1d(a, e).size for a, e in zip(approx_rows, exact_rows))
+    return hits / (len(approx_rows) * len(approx_rows[0]))
+
+
 # ------------------------------------------------------------------ scoring
 
 

@@ -158,9 +158,11 @@ def test_match_threads_do_not_change_bytes(exp_dir, eight_cpus):
 
 
 def test_threads_split_rows_across_scan_blocks(exp_dir, monkeypatch, eight_cpus):
-    # 60 training rows and 40 queries: a budget of 3 rows per block puts
-    # every thread boundary somewhere inside or between blocks
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 3 * 17 * 60)
+    # 60 training rows of dim 8 and 40 queries: a budget of 3 query rows
+    # per block, against 2 blocks of 30 training rows (9 bytes a pair and
+    # 4 bytes an entry of the query row), puts every thread boundary
+    # somewhere inside or between blocks
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 3 * (9 * 30 + 4 * 8))
     args = ("match", "--train", exp_dir / "x_train.embx",
             "--gen", exp_dir / "x_hat.embx", "--k", 5)
     one = run_cli(*args, "--threads", 1)

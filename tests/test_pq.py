@@ -194,8 +194,9 @@ def subtraction_encode(data, codebook):
 
 
 def test_encode_equals_subtraction_encode(rng, monkeypatch):
-    # small blocks: 300 rows against 16 centroids make 30 blocks of 10 rows
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 40 * 17 * 16)
+    # small blocks: 300 rows against 16 centroids of dim 4 make 30 blocks
+    # of 10 rows (9 bytes a pair and 4 bytes an entry of the query row)
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 10 * (9 * 16 + 4 * 4))
     data = mat(rng.standard_normal((300, 12)))
     trained = train_codebooks(data, PQConfig(num_subspaces=3, codebook_size=16, kmeans_iters=5, seed=4))
     # a coarse lattice: many exactly equidistant centroids
@@ -211,7 +212,7 @@ def test_encode_equals_subtraction_encode(rng, monkeypatch):
 @pytest.mark.parametrize("n", [2_000, 20_000])
 def test_encode_scratch_stays_inside_the_block_budget(rng, n):
     """Guards peak memory: encode scans with the block budget that
-    matching has, its float64 queries and codes included."""
+    matching has, its queries' squared norms and codes included."""
     data = mat(rng.standard_normal((n, 64)))
     codebook = Codebook(rng.standard_normal((8, 256, 8)).astype(np.float32))
     scratch = traced_peak(lambda: encode(data, codebook))
@@ -219,8 +220,8 @@ def test_encode_scratch_stays_inside_the_block_budget(rng, n):
 
 
 def test_encode_holds_no_float64_subspace(rng):
-    """Guards peak memory: encode converts each block of query rows where
-    the scan uses it, so besides the GEMM's quarter of BLOCK_BYTES and
+    """Guards peak memory: encode scales each block of query rows into
+    float32 where the scan uses it, so besides the GEMM's quarter of BLOCK_BYTES and
     24 bytes a row of codes and tables it holds less than half a float64
     subspace column (1.22 MiB at 20 000 x 8)."""
     n = 20_000

@@ -2,14 +2,13 @@ import io
 import math
 import os
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference
 from conftest import traced_peak
-from genval import embeddings, search
+from genval import embeddings, search, synth
 from genval import (
     Codebook,
     EmbeddingMatrix,
@@ -308,8 +307,8 @@ def subtraction_scan(train, gen, k):
 
 def shortlist_case(name, rng, n, m, d=6):
     """Training and query rows whose squared distances are exact in any
-    summation order (except "gaussian" and "huge"), so the loop oracle's
-    ties are the true ties."""
+    summation order (except "gaussian", "huge" and "tiny"), so the loop
+    oracle's ties are the true ties."""
     if name == "gaussian":
         pts = rng.standard_normal((n + m, d))
     elif name == "lattice":  # small integers: exact ties everywhere
@@ -321,22 +320,35 @@ def shortlist_case(name, rng, n, m, d=6):
         pts = base + rng.integers(-2, 3, size=(n + m, d)) * 2.0**-12
     elif name == "huge":  # squared distances near 1e61, past float32's range
         pts = rng.standard_normal((n + m, d)) * 1e30
+    elif name == "tiny":  # float32 products land on the first subnormal steps, or on 0
+        pts = rng.standard_normal((n + m, d)) * 1e-23
+    elif name == "float32_max":
+        pts = near_float32_max(rng, (n + m, d))
     else:  # "large_offset": 1e4 plus 1e-3 noise, one float32 ulp there
         pts = np.float32(1e4) + rng.integers(-3, 4, size=(n + m, d)) * np.float32(2.0**-10)
     pts = pts.astype(np.float32)
     return mat(pts[:n]), mat(pts[n:])
 
 
-CASES = ["gaussian", "lattice", "duplicates", "near_ties", "large_offset", "huge"]
+def near_float32_max(rng, shape):
+    """Entries ±(14336 + j)·2^114 for |j| <= 3, about ±2.98e38: float32
+    values whose squared differences and their sums are exact in float64."""
+    steps = 14336 + rng.integers(-3, 4, size=shape)
+    return rng.choice([-1.0, 1.0], size=shape) * steps * 2.0**114
+
+
+CASES = ["gaussian", "lattice", "duplicates", "near_ties", "large_offset", "huge", "tiny", "float32_max"]
 
 
 @pytest.fixture
 def four_row_blocks(monkeypatch):
     """Shrink the block budget so a 30-row corpus of dim 6 is one block of
     training rows, scanned 4 query rows per block (the kernel gets a
-    quarter of the budget)."""
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 4 * 17 * 30)
-    assert embeddings.block_rows(17 * 30, embeddings.BLOCK_BYTES // 4) == 4
+    quarter of the budget: 9 bytes a pair and 4 bytes an entry of the
+    query row)."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 4 * (9 * 30 + 4 * 6))
+    assert embeddings.block_rows(4 * 6, embeddings.BLOCK_BYTES // 2) >= 30
+    assert embeddings.block_rows(9 * 30 + 4 * 6, embeddings.BLOCK_BYTES // 4) == 4
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 9])  # below, at and above one block, and three blocks
@@ -373,6 +385,28 @@ def test_shortlist_survives_a_rounding_bound_as_wide_as_the_corpus(rng, monkeypa
     assert t.indices.tobytes() == idx.tobytes()
     assert t.distances.tobytes() == dist.tobytes()
     assert sum(rechecked) > 30 * 200 // 2
+
+
+def test_shortlist_rechecks_few_pairs_on_a_synthetic_corpus(monkeypatch):
+    """Guards the bound's width: synth's 20 000 x 128 mixture (seed 1), 500
+    generated rows, k = 10, scanned in 3 training blocks of 6 667 rows,
+    each against 15 blocks of at most 34 query rows. Each block
+    rechecks at least k rows per query, 15 000 pairs in all; the scan
+    rechecked 15 502, pinned here with 2x headroom, so a bound loosened by
+    mistake, or one that rechecks whole blocks, fails."""
+    rechecked = []
+    pair_sq_dists = embeddings._pair_sq_dists
+
+    def counting(train, queries, rows, cols, budget, corpus_rows):
+        rechecked.append(rows.size)
+        return pair_sq_dists(train, queries, rows, cols, budget, corpus_rows)
+
+    monkeypatch.setattr(embeddings, "_pair_sq_dists", counting)
+    spec = synth.ExperimentSpec(dim=128, n_per_split=10_000, m_generated=500, seed=1)
+    train = np.concatenate([synth.sample_mixture(spec, 10_000, stream=s).data for s in (0, 1)])
+    gen = synth.simulate_generated(mat(train[:10_000]), spec)
+    batch_match(mat(train), gen, k=10)
+    assert len(rechecked) == 3 * 15 and 15_000 <= sum(rechecked) <= 31_004, sum(rechecked)
 
 
 @pytest.mark.parametrize("n, m, k", [(1, 3, 1), (5, 1, 1), (5, 4, 2)])
@@ -423,31 +457,20 @@ def test_threads_split_across_blocks(rng, monkeypatch, eight_cpus, route):
     assert one.distances.tobytes() == three.distances.tobytes()
 
 
-def test_exact_scan_scratch_stays_below_one_corpus_copy(rng):
-    """Guards peak memory: block buffers on top of batch_match's float64
-    corpus must stay below a second float64 copy of the corpus."""
-    train = mat(rng.standard_normal((20_000, 128)))
-    gen = mat(rng.standard_normal((500, 128)))
-    corpus64 = train.data.size * 8
-    tracemalloc.start()
-    try:
-        batch_match(train, gen, k=10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    scratch = peak - corpus64
-    assert scratch < corpus64, f"scratch {scratch / 2**20:.1f} MiB"
-
-
 # ---------------------------------------------------- training-row blocks
 
 
 def adc_case(name, rng, n, m):
     """A PQ index of n codes and m query rows. "lattice" and "wide_codes"
     hold small integers, so their distances tie exactly; "wide_codes" has
-    300 centroids per subspace and so two-byte codes."""
+    300 centroids per subspace and so two-byte codes; "tiny" and
+    "float32_max" hold the extreme magnitudes of ``shortlist_case``."""
     if name == "gaussian":
         cents, q = rng.standard_normal((4, 16, 3)), rng.standard_normal((m, 12))
+    elif name == "tiny":
+        cents, q = rng.standard_normal((4, 16, 3)) * 1e-23, rng.standard_normal((m, 12)) * 1e-23
+    elif name == "float32_max":
+        cents, q = near_float32_max(rng, (3, 5, 2)), near_float32_max(rng, (m, 6))
     elif name == "lattice":
         cents, q = rng.integers(-2, 3, size=(3, 5, 2)), rng.integers(-2, 3, size=(m, 6))
     else:
@@ -460,14 +483,24 @@ def adc_case(name, rng, n, m):
 
 def training_blocks_of(rows, dim, monkeypatch):
     """Shrink the block budget so either route scans ``rows`` training
-    rows of dim ``dim`` per block (half the budget, float64); returns the
-    list of block sizes it records."""
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * rows * 8 * dim)
+    rows of dim ``dim`` per block (half the budget, float32); returns the
+    list of block sizes it records. The scan slices its training source
+    once per block on both routes, reading the exact route's rows in
+    place and decoding the PQ route's codes, so the slices are the
+    blocks."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * rows * 4 * dim)
     blocks = []
     kernel = search.nearest_rows
 
-    def recording(source, fill, *a, **kw):
-        return kernel(source, lambda block, rows: blocks.append(len(block)) or fill(block, rows), *a, **kw)
+    class Sliced(np.ndarray):
+        def __getitem__(self, key):
+            part = np.ndarray.__getitem__(self, key)
+            if isinstance(key, slice):
+                blocks.append(len(part))
+            return part.view(np.ndarray)
+
+    def recording(source, *a, **kw):
+        return kernel(source.view(Sliced), *a, **kw)
 
     monkeypatch.setattr(search, "nearest_rows", recording)
     return blocks
@@ -489,7 +522,7 @@ def assert_blocks_equal_subtraction_scan(train, corpus, gen, monkeypatch):
 
 # n = 29 leaves a last block of one row
 BLOCK_SHAPES = [(30, 3), (30, 4), (30, 5), (30, 9), (29, 5)]
-EXACT_BLOCK_CASES = ["gaussian", "lattice", "near_ties", "huge"]
+EXACT_BLOCK_CASES = ["gaussian", "lattice", "near_ties", "huge", "tiny", "float32_max"]
 
 
 @pytest.mark.parametrize("n, m", BLOCK_SHAPES)
@@ -501,7 +534,7 @@ def test_training_row_blocks_equal_subtraction_scan(case, n, m, monkeypatch):
     assert_blocks_equal_subtraction_scan(train, train, gen, monkeypatch)
 
 
-ADC_CASES = ["gaussian", "lattice", "wide_codes"]
+ADC_CASES = ["gaussian", "lattice", "wide_codes", "tiny", "float32_max"]
 
 
 @pytest.mark.parametrize("n, m", BLOCK_SHAPES)
@@ -514,33 +547,46 @@ def test_decoded_blocks_equal_subtraction_scan(case, n, m, monkeypatch):
     assert_blocks_equal_subtraction_scan((codebook, codes), decode(codes, codebook), gen, monkeypatch)
 
 
+@pytest.mark.parametrize("case", ADC_CASES)
+def test_encode_equals_subtraction_scan(case):
+    """encode's codes, per subspace, are the top-1 rows of a subtraction
+    scan over that subspace's centroids."""
+    rng = np.random.default_rng(ADC_CASES.index(case) * 100 + 7)
+    codebook, _, gen = adc_case(case, rng, 1, 40)
+    sd = codebook.subspace_dim
+    want = np.stack([
+        subtraction_scan(mat(codebook.centroids[s]), mat(gen.data[:, s * sd : (s + 1) * sd]), 1)[0][:, 0]
+        for s in range(codebook.num_subspaces)
+    ], axis=1)
+    assert encode(gen, codebook).codes.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("n", [2_000, 20_000])
 def test_adc_scratch_stays_inside_the_block_budget(rng, n):
-    """Guards peak memory: the PQ route's decoded block and the kernel's
-    buffers fit the block budget. Besides them it holds the float64
-    queries and less than 0.5 MiB: the running and the block's top-k
-    tables, and one block column of codes as indices."""
+    """Guards peak memory: the PQ route's float32 decoded block and the
+    kernel's buffers fit the block budget. Besides them it holds less
+    than 0.5 MiB: the queries' squared norms, the running and the
+    block's top-k tables, and one block column of codes as indices."""
     codebook = Codebook(rng.standard_normal((8, 256, 8)).astype(np.float32))
     codes = PQCodes(rng.integers(0, 256, size=(n, 8)).astype(np.uint8))
     gen = mat(rng.standard_normal((500, 64)))
-    tracemalloc.start()
-    try:
-        batch_match((codebook, codes), gen, k=10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    scratch = peak - gen.data.size * 8
+    scratch = traced_peak(lambda: batch_match((codebook, codes), gen, k=10))
     assert scratch < embeddings.BLOCK_BYTES + (1 << 19), f"scratch {scratch / 2**20:.2f} MiB"
 
 
-@pytest.mark.parametrize("n", [2_000, 20_000])
-def test_exact_scratch_stays_inside_the_block_budget(rng, n):
-    """Guards peak memory: the exact route converts one block of training
-    rows at a time, never the corpus, so it stays inside the PQ route's
-    bound."""
-    train = mat(rng.standard_normal((n, 64)))
-    gen = mat(rng.standard_normal((500, 64)))
-    scratch = traced_peak(lambda: batch_match(train, gen, k=10)) - gen.data.size * 8
+@pytest.mark.parametrize("n, dim", [
+    pytest.param(2_000, 64, id="2000"),
+    pytest.param(20_000, 64, id="20000"),
+    # value-exact's shape: a float32 corpus of 9.77 MiB
+    pytest.param(20_000, 128, id="20000x128"),
+])
+def test_exact_scratch_stays_inside_the_block_budget(rng, n, dim):
+    """Guards peak memory: the exact route reads the training rows in
+    place, copying no block of them and never the corpus, so it stays
+    inside the PQ route's bound."""
+    train = mat(rng.standard_normal((n, dim)))
+    gen = mat(rng.standard_normal((500, dim)))
+    scratch = traced_peak(lambda: batch_match(train, gen, k=10))
     assert scratch < embeddings.BLOCK_BYTES + (1 << 19), f"scratch {scratch / 2**20:.2f} MiB"
 
 
@@ -562,6 +608,22 @@ def test_recall_half_shared():
     a = tables([[1.0, 2.0]], [[0, 1]])
     b = tables([[1.0, 2.0]], [[1, 2]])
     assert recall_at_k(a, b) == 0.5
+
+
+@pytest.mark.parametrize("n, k", [(20, 1), (20, 5), (20, 20), (3, 3)])
+def test_recall_equals_the_per_row_loop(n, k):
+    """Seeded random tables, with repeated indices in the approximate rows
+    and in some exact rows, against the per-row intersect1d loop."""
+    rng = np.random.default_rng(n * 100 + k)
+    m = 50
+    exact = np.array([rng.permutation(n)[:k] for _ in range(m)])
+    exact[::7] = rng.integers(0, n, size=exact[::7].shape)  # repeats too
+    approx = rng.integers(0, n, size=(m, k))
+    approx[::3] = exact[::3]
+    approx[1::5, :] = approx[1::5, :1]  # one index k times
+    dist = np.zeros((m, k))
+    got = recall_at_k(tables(dist, approx), tables(dist, exact))
+    assert got == reference.recall_at_k_loop(approx, exact)
 
 
 def test_recall_shape_mismatch():
