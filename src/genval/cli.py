@@ -17,7 +17,6 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from array import array
@@ -30,7 +29,7 @@ import numpy as np
 from . import embeddings, pq, search, stats, synth, valuation
 from .errors import ConfigError, FormatError, GenvalError, InternalError
 
-VALUE_FORMAT = "{:.9g}"
+VALUE_FORMAT = "%.9g"
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def cmd_build_index(args) -> int:
     codes = pq.encode(train, codebook)
     pq.save_index(codebook, codes, _required(args, "output"))
     qe = pq.quantization_error(train, codebook, codes)
-    print("quantization_error=" + VALUE_FORMAT.format(qe))
+    print("quantization_error=" + VALUE_FORMAT % qe)
     return 0
 
 
@@ -216,12 +215,9 @@ def cmd_match(args) -> int:
 def cmd_value(args) -> int:
     if args.inline:
         tables, n = _match_tables(args)
-        # route the tables through the JSON-lines text so that inline and
-        # piped execution agree byte for byte
-        buf = io.StringIO()
-        search.write_match_jsonl(tables, buf)
-        buf.seek(0)
-        tables = search.read_match_jsonl(buf)
+        # the distances a piped run reads, so that inline and piped
+        # execution agree byte for byte
+        tables = search.as_written(tables)
     else:
         # read as UTF-8 whatever the locale, a bad byte kept for the
         # parser to report with its line number
@@ -247,10 +243,9 @@ def cmd_value(args) -> int:
     # the summary is written inside the values' block, so a summary that
     # cannot be written leaves no values file either
     with _out_stream(args.output) as fh:
-        fh.write("train_index,value,rank\n" + "".join(
-            f"{i},{VALUE_FORMAT.format(value)},{r}\n"
-            for i, (value, r) in enumerate(zip(result.values.tolist(), rank.tolist()))
-        ))
+        fields = [None] * (3 * result.n)
+        fields[0::3], fields[1::3], fields[2::3] = range(result.n), result.values.tolist(), rank.tolist()
+        fh.write("train_index,value,rank\n" + ("%d," + VALUE_FORMAT + ",%d\n") * result.n % tuple(fields))
         if args.summary is not None:
             summary = {
                 "n": result.n,
@@ -423,7 +418,7 @@ def cmd_wasserstein(args) -> int:
     if args.assignment is not None:
         with embeddings.replacing(args.assignment, text=True) as fh:
             fh.write(json.dumps({"p": args.p, "assignment": [int(j) for j in res.assignment]}) + "\n")
-    print("cost=" + VALUE_FORMAT.format(res.cost))
+    print("cost=" + VALUE_FORMAT % res.cost)
     return 0
 
 

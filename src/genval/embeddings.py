@@ -1,9 +1,10 @@
 """Embedding matrices: validation, persistence, row identities, and the
 nearest-row kernel that exact matching, PQ matching and PQ encoding
-share. The kernel takes a float32 GEMM shortlist over float32 training
-rows, read in place or decoded into one block, and recomputes the
-shortlist by float64 subtraction, the arithmetic that defines every
-distance.
+share. The kernel scans float32 training rows a tile at a time, read in
+place or decoded into one tile-sized block; it takes a shortlist from a
+float32 GEMM, against a threshold ranked on the first tile and drawn
+from the running top k on every later one, and recomputes the shortlist
+by float64 subtraction, the arithmetic that defines every distance.
 
 A training set and a generated set are both plain dense matrices of
 32-bit floats. The row index is the only identity used downstream.
@@ -302,6 +303,27 @@ def _rho(n: int, unit: float) -> float:
     return math.expm1(n * math.log1p(unit))
 
 
+def _kth_smallest(up: np.ndarray, kb: int) -> np.ndarray:
+    """The kb-th smallest entry of each row of ``up``: its minimum when
+    kb = 1, else found by partitioning ``up`` in place."""
+    if kb == 1:
+        return up.min(axis=1)
+    up.partition(kb - 1, axis=1)
+    return up[:, kb - 1]
+
+
+def _running_bound(dk: np.ndarray, q2: np.ndarray, s: float, beta: float, d: int) -> np.ndarray:
+    """τ_run of ``nearest_rows`` for query rows of dim ``d`` with running
+    k-th distances ``dk`` and float64 squared norms ``q2``: the float64
+    value dk·s(1 + 8u') - q2·s(1 - c_q) + 2β, rounded up to float32
+    (+inf beyond its range)."""
+    c_q = _rho(d + 3, 2.0**-24) + 4 * _rho(d + 2, 2.0**-53) + _rho(d, 2.0**-53) + 16 * 2.0**-53
+    tau = dk * (s * (1 + 8 * 2.0**-53)) - q2 * (s * (1 - c_q)) + 2 * beta
+    with np.errstate(over="ignore"):
+        up = tau.astype(np.float32)
+    return np.nextafter(up, np.float32(np.inf), out=up, where=up < tau)
+
+
 def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k training rows for each row of ``queries``.
 
@@ -312,13 +334,21 @@ def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple
     strided. Returns ``(m, min(k, n))`` index and squared-distance
     tables, each row sorted ascending by distance with ties to the lower
     index; the distances are bitwise those of a full scan of the corpus
-    by ``exact_sq_dists``, whatever the block sizes. Scratch stays within
-    ``BLOCK_BYTES`` at 4 bytes an entry: the block of training rows takes
-    half (allocated only with ``fill``), the GEMM's two float32 tables,
-    its bool mask and the scaled query rows a quarter, and the recheck's
-    temporaries a quarter.
+    by ``exact_sq_dists``, whatever the tile sizes.
 
-    Shortlist. Per block of training rows x and block of query rows q,
+    Tiles. The scan takes the training rows a tile at a time, in index
+    order, and each tile against blocks of query rows. Scratch stays
+    within ``BLOCK_BYTES`` at 4 bytes an entry: a tile of float32 rows
+    takes an eighth (allocated only with ``fill``), the GEMM's two
+    float32 tables, its bool mask and the scaled query rows a quarter (9
+    bytes a pair and 4 an entry of a query row), and the recheck's
+    temporaries a quarter. At d = 128 that is 2 048 rows a tile and 110
+    query rows a block, so each SGEMM packs its tile once for a hundred
+    query rows; at d = 64 tiles of 2 048 to 4 096 rows measured alike.
+    Only the first tile ranks its rows to find a threshold; every later
+    tile takes it from the running top k.
+
+    Shortlist. Per tile of training rows x and block of query rows q,
     with s = 2^-2e, one SGEMM and one float32 subtraction give
     a = X - w·x, where X = fl32(s·|x|²) from |x|² in float64 and
     w = fl32(2s·q). The recheck's D = ``exact_sq_dists(x, q)`` ranks a
@@ -332,15 +362,15 @@ def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple
         |a - T| <= C0·(Q + X*) + β,   C0 = ρ(d+3) + 4ρ'(d+2),
         β = (1 + ρ(d+1))·η·(2d + 1 + sqrt(d·max|x|²)),
 
-    the max taken over the block. The terms: the GEMM, ρ(d)·Σ|w_i·x_i|
+    the max taken over the tile. The terms: the GEMM, ρ(d)·Σ|w_i·x_i|
     <= ρ(d)·(Q + X*), plus η/2 for each of its at most 2d - 1 roundings,
     each grown by at most (1+u)^d; w's underflow, η/2 an entry, so
     η/2·sqrt(d)·|x|; X's rounding, u·X* + η/2; the subtraction's,
     u·|X - w·x| <= u·(Q + 2X*); |x|² in float64, ρ'(d-1)·X*; and D's
-    own, ρ'(d+2)·|x - q|² <= 2ρ'(d+2)·(Q + X*). The scan keeps each row
-    with
+    own against the exact |x - q|², ρ'(d+2)·|x - q|² <= 2ρ'(d+2)·(Q + X*).
+    On the first tile the scan keeps each row with
 
-        fl32(a - E) <= τ = fl32(k-th smallest fl32(a + E) of the block + B),
+        fl32(a - E) <= τ = fl32(k-th smallest fl32(a + E) of the tile + B),
         E = fl32(c·s·|x|²),   B = fl32(2c·s·|q|² + 4β),
         c = (ρ(d+8) + 8ρ'(d+2)) / (1 - 4u - ρ'(d+2)).
 
@@ -348,20 +378,48 @@ def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple
     of a ± E and of τ (τ's charged to the row that sets the k-th, as
     y - u·|y| increases with y), and the relative rounding of E and B;
     4β pays β on each side and the η/2 of an E or a B that underflows.
-    A row that fails the test thus has k rows in its block with strictly
+    A row that fails the test thus has k rows in its tile with strictly
     smaller T, so strictly smaller D, and is not in the top k. The rest,
     the candidates, are recomputed by subtraction and ranked with the
     query rows' running top k by (distance, index); the first k of each
     row are the new running top k. Near ties lengthen the candidate
-    list, up to the whole block, but never change the result.
+    list, up to the whole tile, but never change the result.
+
+    Running bound. Every later tile keeps each row with
+
+        fl32(a - E) <= τ_run = ↑fl32(D_k·s(1 + 8u') - |q|²·s(1 - c_q) + 2β),
+        c_q = C0 + ρ'(d) + 16u',
+
+    where D_k is the k-th distance of the running top k (+inf while it
+    holds fewer than k rows), |q|² is the float64 norm the scan computes,
+    the expression is evaluated in float64 as written and ↑fl32 rounds
+    upward to float32. No partition is needed. A row x of this tile
+    comes after every row of the running top k, so it can enter only
+    with D_x < D_k; then T_x < s·(D_k - |q|²), and by the bound above,
+    with E >= C0·X* - η/2 (c·(1 - 4u - ρ'(d+2)) >= C0 pays the float64
+    norm and the two roundings of E),
+
+        a - E < V = s·D_k - (1 - C0)·Q + β + η/2.
+
+    D_k against D, ρ'(d+2), is inside C0, as the T above uses the
+    recheck's own D. The float64 norm errs by ρ'(d-1)·|q|², so
+    -(1 - C0)·Q <= -s·|q|²·(1 - C0 - ρ'(d-1)). The float64 roundings
+    of τ_run's expression, of its coefficient 1 - c_q, its two products
+    and its two sums (s is a power of two and every product stays
+    normal), cost under 5u' relative on each term, which the 8u' and the
+    16u' of c_q pay; 2β >= β + η/2 with room for β's own roundings, as
+    β >= 3η. So τ_run >= V > a - E, and as float32 rounding is monotone
+    and τ_run a float32 value, fl32(a - E) <= τ_run: a later tile drops
+    only rows that cannot enter the top k.
 
     Scale. e >= 0 is the least integer with s·M²·(1 + c) <= 2^120, M²
-    the largest squared norm among the block's rows and the queries.
+    the largest squared norm among the tile's rows and the queries.
     Every float32 value above then stays below 2^124, finite for any
     finite float32 input, and e = 0 while M² <= 2^119 (for d < 10^7,
-    where c < 1). The rows are
-    never scaled: w carries the factor, exactly but for the underflow β
-    counts, and the recheck reads rows and queries as they are.
+    where c < 1). τ_run alone may exceed float32's range, where it
+    reads +inf and keeps every row. The rows are never scaled: w carries
+    the factor, exactly but for the underflow β counts, and the recheck
+    reads rows and queries as they are.
     """
     n = source.shape[0]
     m, d = queries.shape
@@ -370,58 +428,70 @@ def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple
     c = (_rho(d + 8, u) + 8 * _rho(d + 2, u64)) / (1 - 4 * u - _rho(d + 2, u64))
     eta = (1 + _rho(d + 1, u)) * 2.0**-149
     budget = BLOCK_BYTES // 4
-    nb = min(n, block_rows(4 * d, 2 * budget))
-    nb = -(-n // -(-n // nb))  # as few blocks, all of one size but the last
+    nt = min(n, block_rows(4 * d, BLOCK_BYTES // 8))
+    nt = -(-n // -(-n // nt))  # as few tiles, all of one size but the last
     # two float32 and one bool entry per pair, and the scaled query row
-    b = max(1, min(m, block_rows(9 * nb + 4 * d, budget)))
-    block = None if fill is None else np.empty((nb, d), dtype=np.float32)
+    b = max(1, min(m, block_rows(9 * nt + 4 * d, budget)))
+    tile = None if fill is None else np.empty((nt, d), dtype=np.float32)
     w_block = np.empty((b, d), dtype=np.float32)
-    approx = np.empty(b * nb, dtype=np.float32)
-    upper = np.empty(b * nb, dtype=np.float32)
-    keep = np.empty(b * nb, dtype=bool)
+    approx = np.empty(b * nt, dtype=np.float32)
+    upper = np.empty(b * nt, dtype=np.float32)
+    keep = np.empty(b * nt, dtype=bool)
     q2 = np.einsum("ij,ij->i", queries, queries, dtype=np.float64)
     # (+inf, n) ranks after every real entry, so each row holds k entries
-    # from the start and the pick below stays a fixed-width gather
+    # from the start and the merge below picks a fixed width
     indices = np.full((m, k), n, dtype=np.int64)
     sq_dists = np.full((m, k), np.inf)
-    for lo in range(0, n, nb):
+    for lo in range(0, n, nt):
         if fill is None:
-            train = source[lo : lo + nb]
+            train = source[lo : lo + nt]
         else:
-            train = block[: n - lo]
+            train = tile[: n - lo]
             fill(train, source[lo : lo + train.shape[0]])
         t = train.shape[0]
-        kb = min(k, t)
         x2 = np.einsum("ij,ij->i", train, train, dtype=np.float64)
         x2_max = x2.max()
         e = max(0, (math.frexp(max(x2_max, q2.max(initial=0.0)) * (1 + c))[1] - 119) // 2)
         s = math.ldexp(1.0, -2 * e)
-        # X, E and B of the docstring
+        beta = eta * (2 * d + 1 + math.sqrt(d * x2_max))
+        # X and E of the docstring, and B on the first tile
         x2s = (x2 * s).astype(np.float32)
         ex = (x2 * (c * s)).astype(np.float32)
-        bq = (q2 * (2 * c * s) + 4 * eta * (2 * d + 1 + math.sqrt(d * x2_max))).astype(np.float32)
+        if lo == 0:
+            kb = min(k, t)
+            bq = (q2 * (2 * c * s) + 4 * beta).astype(np.float32)
         for qlo in range(0, m, b):
             r = min(b, m - qlo)
             q = queries[qlo : qlo + r]
             w = np.ldexp(q, 1 - 2 * e, out=w_block[:r])
-            a, up = approx[: r * t].reshape(r, t), upper[: r * t].reshape(r, t)
+            a = approx[: r * t].reshape(r, t)
             np.matmul(w, train.T, out=a)
             np.subtract(x2s, a, out=a)
-            np.add(a, ex, out=up)
-            up.partition(kb - 1, axis=1)
-            tau = up[:, kb - 1] + bq[qlo : qlo + r]
+            if lo == 0:
+                up = np.add(a, ex, out=upper[: r * t].reshape(r, t))
+                tau = _kth_smallest(up, kb) + bq[qlo : qlo + r]
+            else:
+                tau = _running_bound(sq_dists[qlo : qlo + r, k - 1], q2[qlo : qlo + r], s, beta, d)
             a -= ex
             hit = keep[: r * t]
             np.less_equal(a, tau[:, None], out=hit.reshape(r, t))
             rows, cols = np.divmod(np.flatnonzero(hit), t)
+            if not rows.size:
+                continue
             dist = _pair_sq_dists(train, q, rows, cols, budget, n)
-            rows = np.concatenate([np.repeat(np.arange(r), k), rows])
-            cols = np.concatenate([indices[qlo : qlo + r].ravel(), cols + lo])
-            dist = np.concatenate([sq_dists[qlo : qlo + r].ravel(), dist])
-            order = np.lexsort((cols, dist, rows))
-            counts = np.bincount(rows)
-            pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-            indices[qlo : qlo + r], sq_dists[qlo : qlo + r] = cols[pick], dist[pick]
+            # each row: its running entries, in (distance, index) order,
+            # then its candidates in index order, every one past the
+            # running indices, then (+inf, n) padding; a stable sort by
+            # distance thus ranks the row by (distance, index)
+            counts = np.bincount(rows, minlength=r)
+            at = k + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+            merged = np.full((r, k + counts.max()), np.inf)
+            merged_idx = np.full(merged.shape, n, dtype=np.int64)
+            merged[:, :k], merged_idx[:, :k] = sq_dists[qlo : qlo + r], indices[qlo : qlo + r]
+            merged[rows, at], merged_idx[rows, at] = dist, cols + lo
+            pick = np.argsort(merged, axis=1, kind="stable")[:, :k]
+            sq_dists[qlo : qlo + r] = np.take_along_axis(merged, pick, axis=1)
+            indices[qlo : qlo + r] = np.take_along_axis(merged_idx, pick, axis=1)
     return indices, sq_dists
 
 

@@ -1,17 +1,21 @@
 """Top-k matching of generated points against training points.
 
-Both routes run ``embeddings.nearest_rows``, the one scan, over blocks
+Both routes run ``embeddings.nearest_rows``, the one scan, over tiles
 of float32 training rows. The exact route reads the stored rows in
-place; the PQ route decodes the codes into one float32 block, so its
-distance is the asymmetric distance of product quantization: the exact
-distance from the query to the decoded row. The scan takes a shortlist
-from one float32 BLAS GEMM per pair of blocks and recomputes only the
-shortlist by float64 subtraction; a rigorous rounding bound keeps every
-row that could still be in the top k, so its tables are bitwise those
-of a full subtraction scan. Reported distances are non-squared
+place; the PQ route decodes the codes one tile at a time into a
+tile-sized float32 block, so its distance is the asymmetric distance of
+product quantization: the exact distance from the query to the decoded
+row. The scan takes a shortlist from one float32 BLAS GEMM per tile and
+block of query rows, against a threshold ranked on the first tile and
+drawn from the running top k on every later one, and recomputes only
+the shortlist by float64 subtraction; rigorous rounding bounds keep
+every row that could still be in the top k, so its tables are bitwise
+those of a full subtraction scan. Reported distances are non-squared
 Euclidean; rows are sorted ascending by distance with ties broken by
 ascending training index, so output is reproducible bit for bit
-regardless of block size or scheduling.
+regardless of tile size or scheduling. JSON lines carry distances at 9
+significant digits; ``as_written`` gives the tables a reader gets back,
+so ``value --inline`` values exactly what a piped ``value`` reads.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from .pq import check_codes, decode_into
 from .workers import map_items, worker_count
 
 # distances in JSON-lines output carry 9 significant digits
-DISTANCE_FORMAT = "{:.9g}"
+DISTANCE_FORMAT = "%.9g"
 
 
 @dataclass(frozen=True)
@@ -107,15 +111,27 @@ def recall_at_k(approx: MatchTables, exact: MatchTables) -> float:
 
 
 def write_match_jsonl(tables: MatchTables, fh) -> None:
-    """Emit one JSON object per generated point; distances at 9 sig digits."""
+    """Emit one JSON object per generated point, each from one template
+    of k matches. Distances carry 9 significant digits
+    (``DISTANCE_FORMAT``), so a reader gets back the tables of
+    ``as_written``."""
+    row = '{"gen_index": %d, "matches": [' + ", ".join(
+        ['{"train_index": %d, "distance": ' + DISTANCE_FORMAT + "}"] * tables.k) + "]}\n"
+    pair = [None] * (2 * tables.k)
     for j in range(tables.m):
-        pairs = ", ".join(
-            '{{"train_index": {}, "distance": {}}}'.format(
-                int(i), DISTANCE_FORMAT.format(float(d))
-            )
-            for i, d in zip(tables.indices[j], tables.distances[j])
-        )
-        fh.write(f'{{"gen_index": {j}, "matches": [{pairs}]}}\n')
+        pair[0::2], pair[1::2] = tables.indices[j].tolist(), tables.distances[j].tolist()
+        fh.write(row % (j, *pair))
+
+
+def as_written(tables: MatchTables) -> MatchTables:
+    """``tables`` as ``read_match_jsonl`` reads them back from
+    ``write_match_jsonl``: each distance rounded to 9 significant digits
+    by formatting it with ``DISTANCE_FORMAT`` and parsing the text as
+    JSON parses a number, in one format call; indices as they are."""
+    flat = tables.distances.ravel().tolist()
+    text = ((DISTANCE_FORMAT + " ") * len(flat)) % tuple(flat)
+    rounded = np.fromiter(map(float, text.split()), dtype=np.float64, count=len(flat))
+    return MatchTables(rounded.reshape(tables.distances.shape), tables.indices)
 
 
 # JSON decodes integers to int and other numbers to float; bool is

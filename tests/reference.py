@@ -8,6 +8,7 @@ exception is ``hungarian``: a frozen copy of an earlier solver, kept to
 pin which of several optimal assignments the package picks.
 """
 import itertools
+import json
 import math
 
 import mpmath
@@ -45,6 +46,30 @@ def recall_at_k_loop(approx_rows, exact_rows):
     shares with its exact row (numpy's ``intersect1d``), over m * k."""
     hits = sum(np.intersect1d(a, e).size for a, e in zip(approx_rows, exact_rows))
     return hits / (len(approx_rows) * len(approx_rows[0]))
+
+
+def match_jsonl(indices, distances):
+    """JSON-lines text of match tables built one pair at a time with
+    ``str.format``: the writer before its one template per row."""
+    lines = []
+    for j, (irow, drow) in enumerate(zip(indices, distances)):
+        pairs = ", ".join(
+            '{{"train_index": {}, "distance": {}}}'.format(int(i), "{:.9g}".format(float(d)))
+            for i, d in zip(irow, drow)
+        )
+        lines.append(f'{{"gen_index": {j}, "matches": [{pairs}]}}\n')
+    return "".join(lines)
+
+
+def jsonl_round_trip(indices, distances):
+    """The (indices, distances) tables after writing them as JSON lines
+    and parsing each line back with ``json.loads``: the route ``value
+    --inline`` took before it rounded the distances in arrays."""
+    rows = [json.loads(line) for line in match_jsonl(indices, distances).splitlines()]
+    return (
+        np.array([[p["train_index"] for p in row["matches"]] for row in rows], dtype=np.int64),
+        np.array([[float(p["distance"]) for p in row["matches"]] for row in rows]),
+    )
 
 
 # ------------------------------------------------------------------ scoring

@@ -158,11 +158,13 @@ def test_match_threads_do_not_change_bytes(exp_dir, eight_cpus):
 
 
 def test_threads_split_rows_across_scan_blocks(exp_dir, monkeypatch, eight_cpus):
-    # 60 training rows of dim 8 and 40 queries: a budget of 3 query rows
-    # per block, against 2 blocks of 30 training rows (9 bytes a pair and
-    # 4 bytes an entry of the query row), puts every thread boundary
-    # somewhere inside or between blocks
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 3 * (9 * 30 + 4 * 8))
+    # 60 training rows of dim 8 and 40 queries: 2 tiles of 30 training
+    # rows (an eighth of the budget, float32), each against blocks of 6
+    # query rows (a quarter: 9 bytes a pair and 4 bytes an entry of the
+    # query row), put every thread boundary somewhere inside or between
+    # blocks
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * 30 * 4 * 8)
+    assert embeddings.block_rows(9 * 30 + 4 * 8, embeddings.BLOCK_BYTES // 4) == 6
     args = ("match", "--train", exp_dir / "x_train.embx",
             "--gen", exp_dir / "x_hat.embx", "--k", 5)
     one = run_cli(*args, "--threads", 1)
@@ -230,6 +232,29 @@ def test_value_pipe_equals_inline(exp_dir, tmp_path):
                      "--gen", exp_dir / "x_hat.embx", "--k", 5)
     assert piped.code == inline.code == 0
     assert piped.stdout == inline.stdout
+
+
+def test_values_csv_equals_the_per_line_writer(tmp_path):
+    """The values CSV, written with one format call, holds the bytes of
+    a line-by-line ``str.format`` writer: zero values, a lone match's
+    integral 1, equal splits and softmax fractions."""
+    rng = np.random.default_rng(5)
+    m, k, n = 50, 4, 300
+    dist = np.sort(rng.uniform(0, 3, (m, k)), axis=1)
+    dist[:5] = 0.0  # four-way ties: 0.25 each
+    idx = rng.integers(0, n, (m, k))
+    idx[5:10] = idx[5:10, :1]  # one row four times: credit exactly 1
+    matches = tmp_path / "m.jsonl"
+    matches.write_text(reference.match_jsonl(idx, dist), encoding="utf-8")
+    r = run_cli("value", "--matches", matches, "--n", n, "--output", tmp_path / "v.csv")
+    assert r.code == 0
+    with open(matches, encoding="utf-8") as fh:
+        result = cli.valuation.aggregate_values(search.read_match_jsonl(fh), n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[result.ranking] = np.arange(1, n + 1)
+    want = "train_index,value,rank\n" + "".join(
+        "{},{:.9g},{}\n".format(i, v, r) for i, (v, r) in enumerate(zip(result.values.tolist(), rank.tolist())))
+    assert (tmp_path / "v.csv").read_text(encoding="utf-8") == want
 
 
 def test_value_summary_file(exp_dir, tmp_path):

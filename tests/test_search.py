@@ -2,6 +2,7 @@ import io
 import math
 import os
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -342,12 +343,12 @@ CASES = ["gaussian", "lattice", "duplicates", "near_ties", "large_offset", "huge
 
 @pytest.fixture
 def four_row_blocks(monkeypatch):
-    """Shrink the block budget so a 30-row corpus of dim 6 is one block of
-    training rows, scanned 4 query rows per block (the kernel gets a
-    quarter of the budget: 9 bytes a pair and 4 bytes an entry of the
-    query row)."""
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 4 * (9 * 30 + 4 * 6))
-    assert embeddings.block_rows(4 * 6, embeddings.BLOCK_BYTES // 2) >= 30
+    """Shrink the block budget so a 30-row corpus of dim 6 is one tile of
+    training rows (an eighth of the budget, float32), scanned 4 query
+    rows per block (the GEMM gets a quarter of the budget: 9 bytes a pair
+    and 4 bytes an entry of the query row)."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * 30 * 4 * 6)
+    assert embeddings.block_rows(4 * 6, embeddings.BLOCK_BYTES // 8) == 30
     assert embeddings.block_rows(9 * 30 + 4 * 6, embeddings.BLOCK_BYTES // 4) == 4
 
 
@@ -388,12 +389,15 @@ def test_shortlist_survives_a_rounding_bound_as_wide_as_the_corpus(rng, monkeypa
 
 
 def test_shortlist_rechecks_few_pairs_on_a_synthetic_corpus(monkeypatch):
-    """Guards the bound's width: synth's 20 000 x 128 mixture (seed 1), 500
-    generated rows, k = 10, scanned in 3 training blocks of 6 667 rows,
-    each against 15 blocks of at most 34 query rows. Each block
-    rechecks at least k rows per query, 15 000 pairs in all; the scan
-    rechecked 15 502, pinned here with 2x headroom, so a bound loosened by
-    mistake, or one that rechecks whole blocks, fails."""
+    """Guards the bounds' width: synth's 20 000 x 128 mixture (seed 1), 500
+    generated rows, k = 10, scanned in 10 tiles of 2 000 rows, each
+    against 5 blocks of at most 110 query rows. The first tile rechecks
+    at least k rows per query, 5 000 pairs; a later tile rechecks the
+    rows its running bound keeps, about k/j per query on the j-th of
+    tiles in random order, since that many beat the running k-th. The
+    scan rechecked 19 530 pairs. The ceiling stays at 31 004, twice the
+    15 502 that three blocks of 6 667 rows rechecked, so a bound
+    loosened by mistake, or one that rechecks whole tiles, fails."""
     rechecked = []
     pair_sq_dists = embeddings._pair_sq_dists
 
@@ -406,7 +410,7 @@ def test_shortlist_rechecks_few_pairs_on_a_synthetic_corpus(monkeypatch):
     train = np.concatenate([synth.sample_mixture(spec, 10_000, stream=s).data for s in (0, 1)])
     gen = synth.simulate_generated(mat(train[:10_000]), spec)
     batch_match(mat(train), gen, k=10)
-    assert len(rechecked) == 3 * 15 and 15_000 <= sum(rechecked) <= 31_004, sum(rechecked)
+    assert len(rechecked) <= 10 * 5 and 5_000 <= sum(rechecked) <= 31_004, sum(rechecked)
 
 
 @pytest.mark.parametrize("n, m, k", [(1, 3, 1), (5, 1, 1), (5, 4, 2)])
@@ -483,12 +487,12 @@ def adc_case(name, rng, n, m):
 
 def training_blocks_of(rows, dim, monkeypatch):
     """Shrink the block budget so either route scans ``rows`` training
-    rows of dim ``dim`` per block (half the budget, float32); returns the
-    list of block sizes it records. The scan slices its training source
-    once per block on both routes, reading the exact route's rows in
-    place and decoding the PQ route's codes, so the slices are the
-    blocks."""
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 2 * rows * 4 * dim)
+    rows of dim ``dim`` per tile (an eighth of the budget, float32);
+    returns the list of tile sizes it records. The scan slices its
+    training source once per tile on both routes, reading the exact
+    route's rows in place and decoding the PQ route's codes, so the
+    slices are the tiles."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * rows * 4 * dim)
     blocks = []
     kernel = search.nearest_rows
 
@@ -508,10 +512,11 @@ def training_blocks_of(rows, dim, monkeypatch):
 
 def assert_blocks_equal_subtraction_scan(train, corpus, gen, monkeypatch):
     """``train``'s tables, bit for bit, against a subtraction scan over
-    ``corpus``, with blocks of 4 training rows."""
+    ``corpus``, with tiles of 4 training rows; k = 5 fills the running
+    top k only on the second tile."""
     n = corpus.count
     blocks = training_blocks_of(4, gen.dim, monkeypatch)
-    for k in (1, 3, n, n + 5):
+    for k in (1, 3, 5, n, n + 5):
         blocks.clear()
         t = batch_match(train, gen, k=k)
         assert blocks == [min(4, n - lo) for lo in range(0, n, 4)]
@@ -559,6 +564,126 @@ def test_encode_equals_subtraction_scan(case):
         for s in range(codebook.num_subspaces)
     ], axis=1)
     assert encode(gen, codebook).codes.tolist() == want.tolist()
+
+
+# ------------------------------------------------------------ running bound
+
+
+def test_only_the_first_tile_ranks_its_rows(rng, monkeypatch):
+    """Each query block ranks its rows (partition, or min at k = 1) on the
+    first tile only; every later tile takes its threshold from the
+    running top k. 30 rows of dim 6 make 8 tiles of at most 4 rows, and
+    23 queries 8 blocks of at most 3 rows."""
+    train, gen = shortlist_case("gaussian", rng, 30, 23)
+    blocks = training_blocks_of(4, gen.dim, monkeypatch)
+    assert embeddings.block_rows(9 * 4 + 4 * gen.dim, embeddings.BLOCK_BYTES // 4) == 3
+    ranked = []
+    kth_smallest = embeddings._kth_smallest
+
+    def counting(up, kb):
+        ranked.append((up.shape[1], kb))
+        return kth_smallest(up, kb)
+
+    monkeypatch.setattr(embeddings, "_kth_smallest", counting)
+    for k in (1, 3, 6):
+        blocks.clear()
+        ranked.clear()
+        t = batch_match(train, gen, k=k)
+        assert len(blocks) == 8
+        assert ranked == [(4, min(k, 4))] * 8
+        idx, dist = subtraction_scan(train, gen, k)
+        assert t.indices.tobytes() == idx.tobytes()
+        assert t.distances.tobytes() == dist.tobytes()
+
+
+@pytest.mark.parametrize("route", ["exact", "adc"])
+def test_ties_across_tiles_go_to_the_earlier_tile(rng, monkeypatch, route):
+    """Every tile holds the same 4 lattice rows, so each row ties exactly
+    with a copy in every other tile: copies rank by index, and the
+    nearest row is always the first tile's."""
+    if route == "exact":
+        base = rng.integers(-2, 3, size=(4, 6)).astype(np.float32)
+        train = corpus = mat(np.tile(base, (5, 1)))
+        gen = mat(rng.integers(-2, 3, size=(7, 6)))
+    else:
+        codebook, codes, gen = adc_case("lattice", rng, 4, 7)
+        codes = PQCodes(np.tile(codes.codes, (5, 1)))
+        train, corpus = (codebook, codes), decode(codes, codebook)
+    training_blocks_of(4, gen.dim, monkeypatch)
+    for k in (1, 2, 4, 5, 9, 20):
+        t = batch_match(train, gen, k=k)
+        idx, dist = subtraction_scan(corpus, gen, k)
+        assert t.indices.tobytes() == idx.tobytes()
+        assert t.distances.tobytes() == dist.tobytes()
+        assert t.indices[:, 0].max() < 4
+
+
+@pytest.mark.parametrize("order", ["tiny_huge_unit", "huge_tiny_unit", "unit_huge_tiny"])
+@pytest.mark.parametrize("queries", ["small", "with_huge"])
+def test_scale_changes_between_tiles(rng, monkeypatch, order, queries):
+    """Tiles of rows near 1e-23, near 1e30 and near 1 in turn: each tile
+    scales by its own largest norm, so the running k-th distance of one
+    tile bounds the next at another scale; a huge query forces a small
+    scale on every tile instead."""
+    parts = {"tiny": rng.standard_normal((8, 6)) * 1e-23, "huge": rng.standard_normal((8, 6)) * 1e30,
+             "unit": rng.standard_normal((8, 6))}
+    train = mat(np.concatenate([parts[name] for name in order.split("_")]))
+    q = [parts["tiny"][:3] * 0.5, parts["unit"][:3] + 0.1, np.zeros((1, 6))]
+    if queries == "with_huge":
+        q.append(parts["huge"][:2] * 1.01)
+    gen = mat(np.concatenate(q))
+    training_blocks_of(4, gen.dim, monkeypatch)
+    for k in (1, 3, 5, 9, 24):
+        t = batch_match(train, gen, k=k)
+        idx, dist = subtraction_scan(train, gen, k)
+        assert t.indices.tobytes() == idx.tobytes()
+        assert t.distances.tobytes() == dist.tobytes()
+
+
+def running_bound_floor(dk, q2, s, beta, d):
+    """V' of ``nearest_rows``' docstring in exact arithmetic: the value
+    τ_run must reach for a later tile to keep every row that can enter
+    the top k, s·D_k - s·|q|²·(1 - C0 - ρ'(d-1)) + β + η/2."""
+    u, u64 = Fraction(1, 2**24), Fraction(1, 2**53)
+    c0 = (1 + u) ** (d + 3) - 1 + 4 * ((1 + u64) ** (d + 2) - 1)
+    g = 1 - c0 - ((1 + u64) ** (d - 1) - 1)
+    return Fraction(s) * Fraction(dk) - Fraction(s) * Fraction(q2) * g + Fraction(beta) + Fraction(1, 2**150)
+
+
+@pytest.mark.parametrize("d", [1, 6, 128])
+def test_running_bound_covers_its_exact_value(rng, d):
+    """τ_run >= V' in exact arithmetic: on random entries, and where V'
+    lies just above a float32 value, so that the float64 roundings or a
+    float32 rounding to nearest, left unpaid, would put τ_run below V'.
+    D_k = +inf (a running top k not yet full) keeps every row."""
+    def check(dk, q2, s, beta):
+        tau = embeddings._running_bound(np.array(dk), np.array(q2), s, beta, d)
+        assert tau.dtype == np.float32
+        for t, x, y in zip(tau.tolist(), dk, q2):
+            assert Fraction(t) >= running_bound_floor(x, y, s, beta, d), (t, x, y, s)
+
+    for s in (1.0, 2.0**-40, 2.0**-150):
+        for x2_max in (0.0, 1.0, 1e30):
+            beta = (1 + embeddings._rho(d + 1, 2.0**-24)) * 2.0**-149 * (2 * d + 1 + math.sqrt(d * x2_max))
+            # random running distances and query norms
+            dk = (np.abs(rng.standard_normal(50)) * 10.0 ** rng.uniform(-3, 3, 50)).tolist()
+            q2 = (np.abs(rng.standard_normal(50)) * 10.0 ** rng.uniform(-3, 3, 50)).tolist()
+            check(dk, q2, s, beta)
+            # D_k the least float64 with V' above a float32 target F: with
+            # |q|² = 0 the D_k term dominates, with |q|² = 100·D_k the norm
+            dks, q2s = [], []
+            for target, ratio in [(f, 0.0) for f in (1.0, 3.5, 1e10)] + [(f, 100.0) for f in (-1.0, -7.25e5)]:
+                F = float(np.float32(target * s))
+                y = 0.0 if ratio == 0 else -target * ratio / 0.99
+                dk_exact = (Fraction(F) - Fraction(beta) - Fraction(1, 2**150)
+                            - running_bound_floor(0.0, y, s, 0.0, d) + Fraction(1, 2**150)) / Fraction(s)
+                x = max(0.0, float(dk_exact))
+                while running_bound_floor(x, y, s, beta, d) <= F:
+                    x = math.nextafter(x, math.inf)
+                dks.append(x)
+                q2s.append(y)
+            check(dks, q2s, s, beta)
+    assert embeddings._running_bound(np.array([np.inf]), np.array([1.0]), 1.0, 1e-44, d).tolist() == [np.inf]
 
 
 @pytest.mark.parametrize("n", [2_000, 20_000])
@@ -729,3 +854,52 @@ def test_jsonl_distance_precision(rng):
     back = read_match_jsonl(buf)
     np.testing.assert_array_equal(back.indices, t.indices)
     np.testing.assert_allclose(back.distances, t.distances, rtol=1e-8, atol=1e-12)
+
+
+# distances whose 9-digit text is an edge of the format or of the parse:
+# 0, integral values written without a point ("3"), values near 1e16
+# where the format turns to an exponent, ties at the ninth digit,
+# subnormals and the largest float
+EDGE_DISTANCES = [
+    0.0, 3.0, 1e16, 1e16 + 2, 9999999999999998.0, 123456789.5, 1234567885.0, 0.1, 1e-5, 4.5e15,
+    2.0**53 + 2, 5e-324, 1e-310, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308, 1.7976931348623157e308,
+]
+
+
+def edge_tables(rng):
+    """Edge distances, random ones over 600 decades and random subnormals,
+    in rows of 4 with random indices."""
+    dist = np.concatenate([
+        EDGE_DISTANCES,
+        np.exp(rng.uniform(-700, 700, 400)),
+        rng.integers(1, 2**52, 40) * 5e-324,
+    ])
+    return tables(dist.reshape(-1, 4), rng.integers(0, 10**9, (dist.size // 4, 4)))
+
+
+def test_as_written_equals_the_jsonl_round_trip(rng):
+    """``as_written`` gives, bit for bit, the tables that writing JSON
+    lines and parsing them back gives."""
+    t = edge_tables(rng)
+    idx, dist = reference.jsonl_round_trip(t.indices, t.distances)
+    got = search.as_written(t)
+    assert got.indices.tobytes() == idx.tobytes()
+    assert got.distances.tobytes() == dist.tobytes()
+    buf = io.StringIO()
+    write_match_jsonl(t, buf)
+    assert read_match_jsonl(io.StringIO(buf.getvalue())).distances.tobytes() == dist.tobytes()
+
+
+def test_write_match_jsonl_equals_the_per_pair_writer(rng):
+    t = edge_tables(rng)
+    buf = io.StringIO()
+    write_match_jsonl(t, buf)
+    assert buf.getvalue() == reference.match_jsonl(t.indices, t.distances)
+
+
+def test_percent_format_equals_the_format_spec():
+    """The text outputs format with ``%``; they wrote with ``str.format``
+    before, and the two agree on every edge of ``.9g``."""
+    for x in [*EDGE_DISTANCES, -0.0, -3.0, -1e16, float("inf"), float("-inf"), float("nan"),
+              -1.7976931348623157e308, -5e-324]:
+        assert search.DISTANCE_FORMAT % x == "{:.9g}".format(x)
