@@ -149,10 +149,7 @@ def _required(args, name) -> Path:
 
 
 def _load_matrix(args, name):
-    path = _required(args, name)
-    if not path.exists():
-        raise ConfigError(f"{_flag(name)}: no such file: {path}")
-    return embeddings.load_embeddings(path, format=args.format, skip_header=args.header)
+    return embeddings.load_embeddings(_required(args, name), format=args.format, skip_header=args.header)
 
 
 def _out_stream(path):
@@ -199,9 +196,7 @@ def _match_tables(args) -> tuple[search.MatchTables, int]:
     if args.mode == "exact":
         train = _load_matrix(args, "train")
         return search.batch_match(train, gen, args.k, threads=args.threads), train.count
-    if args.index is None:
-        raise ConfigError("pq mode needs --index pointing at a GMVI file")
-    codebook, codes = pq.load_index(args.index)
+    codebook, codes = pq.load_index(_required(args, "index"))
     return search.batch_match((codebook, codes), gen, args.k, threads=args.threads), codes.count
 
 
@@ -219,18 +214,9 @@ def cmd_value(args) -> int:
         # execution agree byte for byte
         tables = search.as_written(tables)
     else:
-        # read as UTF-8 whatever the locale, a bad byte kept for the
-        # parser to report with its line number
-        if args.matches is None or args.matches == "-":
-            if hasattr(sys.stdin, "reconfigure"):
-                sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-            tables = search.read_match_jsonl(sys.stdin)
-        else:
-            with open(args.matches, encoding="utf-8", errors="surrogateescape") as fh:
-                try:
-                    tables = search.read_match_jsonl(fh)
-                except FormatError as exc:
-                    raise FormatError(f"{args.matches}: {exc}") from None
+        path = args.matches or "-"
+        with embeddings.open_text(path) as fh:
+            tables = search.read_match_jsonl(fh, "match stream" if path == "-" else f"{path}: match stream")
         if args.n is not None:
             n = args.n
         elif args.train is not None:
@@ -260,47 +246,30 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _lines(text: str):
-    """The lines of ``text`` less an empty last one, as a split at each
-    newline gives them, but split a 64 KiB chunk at a time."""
-    if not text:
-        return
-    end = len(text) - text.endswith("\n")
-    lo = 0
-    while lo <= end:
-        hi = text.find("\n", min(lo + (1 << 16), end), end)
-        hi = end if hi < 0 else hi
-        yield from text[lo:hi].split("\n")
-        lo = hi + 1
-
-
 def _read_value_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """The train_index (int64) and value (float64) columns of a value CSV,
     in file order; an error names the first line at fault."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no such file: {path}")
-    text = embeddings.read_text(path)
-    lines = enumerate(_lines(text), start=1)
-    header = text.startswith("train_index")
-    if header:
-        next(lines)
     index, value = array("q"), array("d")
-    bad = None  # the error of the first line that does not parse
-    for lineno, line in lines:
-        fields = line.split(",")
-        if len(fields) < 2:
-            bad = f"line {lineno}: expected train_index,value[,rank]"
-            break
-        try:
-            index.append(int(fields[0]))
-            value.append(float(fields[1]))
-        except ValueError:
-            bad = f"line {lineno}: unparseable field"
-            break
-        except OverflowError:
-            bad = f"line {lineno}: train_index outside the 64-bit range"
-            break
+    header, bad = False, None  # bad: the error of the first line that does not parse
+    with embeddings.open_text(path) as fh:
+        for lineno, line in enumerate(embeddings.read_lines(fh, f"{path}:"), start=1):
+            if lineno == 1 and line.startswith("train_index"):
+                header = True
+                continue
+            fields = line.split(",")
+            if len(fields) < 2:
+                bad = f"line {lineno}: expected train_index,value[,rank]"
+                break
+            try:
+                index.append(int(fields[0]))
+                value.append(float(fields[1]))
+            except ValueError:
+                bad = f"line {lineno}: unparseable field"
+                break
+            except OverflowError:
+                bad = f"line {lineno}: train_index outside the 64-bit range"
+                break
     # a line that fails on its value leaves its index behind
     index = np.frombuffer(index, dtype=np.int64)[: len(value)]
     # a stable sort puts each train_index's rows in file order, so every
@@ -388,13 +357,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval_recall(args) -> int:
+    # the scans run at max(1, 10, k), which hides a k below 1 from batch_match
     if args.k < 1:
         raise ConfigError("k must be >= 1")
     train = _load_matrix(args, "train")
     gen = _load_matrix(args, "gen")
-    if args.index is None:
-        raise ConfigError("eval-recall needs --index pointing at a GMVI file")
-    codebook, codes = pq.load_index(args.index)
+    codebook, codes = pq.load_index(_required(args, "index"))
     if (codes.count, codebook.dim) != train.data.shape:
         raise ConfigError(f"shape mismatch: index {(codes.count, codebook.dim)}, --train {train.data.shape}")
     # rows are sorted with ties to the lower index, so the top k of a row

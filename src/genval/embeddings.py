@@ -14,7 +14,8 @@ Two on-disk formats are supported:
 * ``EMBX v1`` binary: magic ``EMBX``, u32 LE version=1, u64 LE count,
   u32 LE dim, u32 LE dtype tag=1 (float32), then count*dim little-endian
   float32 values in row-major order.
-* headerless CSV, one vector per line (``--header`` skips line 1).
+* headerless CSV, one vector per line (``--header`` skips line 1), read
+  by ``read_lines`` as every line input is.
 
 EMBX and the PQ index (``pq``) share one container rule, kept by
 ``read_container`` and ``write_container``: a 4-byte magic, u32 LE
@@ -26,7 +27,9 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
+import sys
+from array import array
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,9 +129,41 @@ def save_embeddings(matrix: EmbeddingMatrix, path, format: str = "binary") -> No
         raise ValidationError(f"unknown format {format!r}, expected 'binary' or 'csv'")
 
 
+def open_text(path):
+    """The file at ``path`` (the string ``-``: stdin) opened for
+    ``read_lines``: UTF-8 whatever the locale, a byte that is not UTF-8
+    kept as a lone surrogate, and every \\r\\n, \\r or \\n read as \\n."""
+    if path != "-":
+        return open(path, encoding="utf-8", errors="surrogateescape")
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
+    return nullcontext(sys.stdin)
+
+
+def read_lines(fh, where: str):
+    """Yield the lines of the text stream ``fh`` without their newlines,
+    less an empty last one, split 64 KiB of text and the rest of its last
+    line at a time. A byte that is not UTF-8 is a ``FormatError``
+    "``where`` line N: ...", raised once the lines before it are yielded."""
+    lineno = 0
+    while chunk := fh.read(1 << 16) + fh.readline():
+        lines = chunk.removesuffix("\n").split("\n")
+        if not chunk.isascii():
+            try:
+                chunk.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                good = chunk.count("\n", 0, exc.start)
+                yield from lines[:good]
+                raise FormatError(f"{where} line {lineno + good + 1}: malformed record, byte "
+                                  f"0x{ord(chunk[exc.start]) & 0xFF:02x} is not UTF-8") from None
+        lineno += len(lines)
+        yield from lines
+
+
 def read_text(path) -> str:
     """The text of the file at ``path``, decoded as UTF-8 whatever the
-    locale; a byte that is not UTF-8 is a ``FormatError`` naming the file."""
+    locale, for a JSON document; a byte that is not UTF-8 is a
+    ``FormatError`` naming the file."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -233,29 +268,24 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
 
 
 def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
-    lines = read_text(path).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # single trailing newline is fine
-    start = 1 if skip_header else 0
-    rows = []
-    dim = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        fields = line.rstrip("\r").split(",")
-        if dim is None:
-            dim = len(fields)
-        elif len(fields) != dim:
-            raise FormatError(
-                f"{path}: line {lineno}: expected {dim} columns, found {len(fields)}"
-            )
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError:
-            raise FormatError(
-                f"{path}: line {lineno}: unparseable numeric field"
-            ) from None
-    if not rows:
+    values, dim = array("d"), None
+    with open_text(path) as fh:
+        lines = enumerate(read_lines(fh, f"{path}:"), start=1)
+        if skip_header:
+            next(lines, None)
+        for lineno, line in lines:
+            fields = line.split(",")
+            if dim is None:
+                dim = len(fields)
+            elif len(fields) != dim:
+                raise FormatError(f"{path}: line {lineno}: expected {dim} columns, found {len(fields)}")
+            try:
+                values.extend(map(float, fields))
+            except ValueError:
+                raise FormatError(f"{path}: line {lineno}: unparseable numeric field") from None
+    if not values:
         raise FormatError(f"{path}: no data rows")
-    return EmbeddingMatrix(np.array(rows, dtype=np.float64))
+    return EmbeddingMatrix(np.frombuffer(values, dtype=np.float64).reshape(-1, dim))
 
 
 # Scratch bytes one block of a blocked kernel may hold. A fixed budget,

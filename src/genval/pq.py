@@ -231,7 +231,8 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> 
         objectives.append(obj)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
-        # bincount adds each cluster's rows in row order, as np.add.at did
+        # bincount adds each cluster's rows in row order, one fixed order
+        # of float adds, so the same data and config give the same codebook
         sums = np.empty((k, d))
         for j in range(d):
             sums[:, j] = np.bincount(assign, weights=points[:, j], minlength=k)

@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, nearest_rows, validate_pair
+from .embeddings import EmbeddingMatrix, nearest_rows, read_lines, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
 from .pq import check_codes, decode_into
 from .workers import map_items, worker_count
@@ -140,8 +140,9 @@ _INT_TYPES = {int}
 _NUMBER_TYPES = {int, float}
 
 
-def read_match_jsonl(fh) -> MatchTables:
-    """Parse JSON-lines matches back into tables.
+def read_match_jsonl(fh, where: str = "match stream") -> MatchTables:
+    """Parse JSON-lines matches from the text stream ``fh``, read by
+    ``read_lines``, back into tables; every error starts with ``where``.
 
     Lines may arrive in any order but must cover gen_index 0..m-1 exactly
     once with a consistent k >= 1. Indices must be JSON integers and
@@ -151,53 +152,47 @@ def read_match_jsonl(fh) -> MatchTables:
     flat_idx, flat_dist = array("q"), array("d")
     gen, seen = [], set()
     k = None
-    for lineno, line in enumerate(fh, start=1):
+    for lineno, line in enumerate(read_lines(fh, where), start=1):
         if not line.strip():
             continue
         try:
-            # a stream read with errors="surrogateescape" holds a byte
-            # that is not UTF-8 as a lone surrogate, which cannot encode
-            if not line.isascii():
-                line.encode("utf-8")
             obj = json.loads(line)
             j = obj["gen_index"]
             idx = [p["train_index"] for p in obj["matches"]]
             dist = [p["distance"] for p in obj["matches"]]
-        except UnicodeEncodeError:
-            raise FormatError(f"match stream line {lineno}: malformed record, not UTF-8 text") from None
         except (json.JSONDecodeError, KeyError, TypeError, RecursionError):
-            raise FormatError(f"match stream line {lineno}: malformed record") from None
+            raise FormatError(f"{where} line {lineno}: malformed record") from None
         if (
             type(j) is not int
             or not set(map(type, idx)) <= _INT_TYPES
             or not set(map(type, dist)) <= _NUMBER_TYPES
         ):
             raise FormatError(
-                f"match stream line {lineno}: indices must be JSON integers "
+                f"{where} line {lineno}: indices must be JSON integers "
                 "and distances JSON numbers"
             )
         if not idx:
-            raise FormatError(f"match stream line {lineno}: record has no matches")
+            raise FormatError(f"{where} line {lineno}: record has no matches")
         if k is None:
             k = len(idx)
         elif len(idx) != k:
             raise FormatError(
-                f"match stream line {lineno}: expected {k} matches, found {len(idx)}"
+                f"{where} line {lineno}: expected {k} matches, found {len(idx)}"
             )
         if j in seen:
-            raise FormatError(f"match stream line {lineno}: duplicate gen_index {j}")
+            raise FormatError(f"{where} line {lineno}: duplicate gen_index {j}")
         seen.add(j)
         gen.append(j)
         try:
             flat_idx.extend(idx)
             flat_dist.extend(dist)
         except OverflowError:
-            raise FormatError(f"match stream line {lineno}: a number outside the 64-bit range") from None
+            raise FormatError(f"{where} line {lineno}: a number outside the 64-bit range") from None
     if not gen:
-        raise FormatError("match stream is empty")
+        raise FormatError(f"{where} is empty")
     m = len(gen)
     if sorted(gen) != list(range(m)):
-        raise FormatError("match stream gen_index values must cover 0..m-1")
+        raise FormatError(f"{where} gen_index values must cover 0..m-1")
     order = np.argsort(gen)
     return MatchTables(
         np.frombuffer(flat_dist, dtype=np.float64).reshape(m, k)[order],

@@ -271,6 +271,16 @@ def test_value_summary_file(exp_dir, tmp_path):
     assert len(s["top_indices"]) == 10
 
 
+def test_value_sized_by_train_equals_value_sized_by_n(exp_dir, tmp_path):
+    matches = tmp_path / "m.jsonl"
+    assert run_cli("match", "--train", exp_dir / "x_train.embx", "--gen", exp_dir / "x_hat.embx",
+                   "--output", matches).code == 0
+    by_n = run_cli("value", "--matches", matches, "--n", 60)
+    by_train = run_cli("value", "--matches", matches, "--train", exp_dir / "x_train.embx")
+    assert by_n.code == by_train.code == 0
+    assert by_train.stdout == by_n.stdout and by_n.stdout.count("\n") == 61
+
+
 def test_value_needs_a_size():
     r = run_cli("value", "--matches", "-", stdin=HAND_MATCHES)
     assert r.code == 2
@@ -741,11 +751,25 @@ def test_every_option_reads_the_same_from_flag_and_config(option_scenarios, tmp_
          "--output", "{tmp}/no-such-dir/x.jsonl"],
         ["build-index", "--train", "{exp}/x_train.embx", "--num-subspaces", 2,
          "--codebook-size", 4, "--kmeans-iters", 2, "--output", "{tmp}/no-such-dir/x.gmvi"],
+        ["match", "--train", "{tmp}/missing.embx", "--gen", "{exp}/x_hat.embx"],
+        ["match", "--format", "csv", "--train", "{tmp}/missing.csv", "--gen", "{tmp}/missing.csv"],
+        ["compare", "--values", "{tmp}/missing.csv", "--partition", "{exp}/partition.json"],
+        ["compare", "--values-a", "{tmp}/missing.csv", "--values-b", "{tmp}/missing.csv"],
     ],
 )
 def test_os_errors_exit_two(exp_dir, tmp_path, argv):
     argv = [str(a).format(tmp=tmp_path, exp=exp_dir) for a in argv]
-    assert_one_error_line(run_cli(*argv), "No such file")
+    named = next(a for a in argv if "/missing." in a or "/no-such-dir/" in a)
+    assert_one_error_line(run_cli(*argv), "No such file", named)
+
+
+@pytest.mark.parametrize("argv", [
+    ["match", "--mode", "pq", "--gen", "{exp}/x_hat.embx"],
+    ["eval-recall", "--train", "{exp}/x_train.embx", "--gen", "{exp}/x_hat.embx"],
+])
+def test_pq_runs_need_an_index(exp_dir, argv):
+    argv = [str(a).format(exp=exp_dir) for a in argv]
+    assert_one_error_line(run_cli(*argv), "missing required input: --index")
 
 
 def test_match_rejects_zero_threads(exp_dir):

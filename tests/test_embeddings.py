@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -12,7 +13,7 @@ from genval import (
     save_embeddings,
     validate_pair,
 )
-from genval.embeddings import exact_sq_dists
+from genval.embeddings import exact_sq_dists, open_text, read_lines
 from genval.errors import FormatError, ValidationError
 
 
@@ -209,6 +210,49 @@ def test_csv_non_numeric_field(tmp_path):
     path.write_text("1.0,fish\n")
     with pytest.raises(FormatError, match="line 1"):
         load_embeddings(path, format="csv")
+
+
+def test_csv_reader_holds_arrays(tmp_path, rng):
+    """Guards peak memory: at 5 000 x 64 the reader holds no more than the
+    file's text while it reads, then a float64 array (8 bytes an entry,
+    room left for its growth) and the float32 matrix (4): not a float
+    object and a list slot per entry."""
+    n, d = 5_000, 64
+    path = tmp_path / "m.csv"
+    save_embeddings(EmbeddingMatrix(rng.standard_normal((n, d)).astype(np.float32)), path, format="csv")
+    peak = traced_peak(lambda: load_embeddings(path, format="csv"))
+    bound = path.stat().st_size + 16 * n * d
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_read_lines_is_one_split_of_the_whole_text():
+    # lines shorter and longer than a 64 KiB chunk, and an empty one
+    lines = ["1,2", "x" * 100_000, "", "3,4" * 30_000, "5"] * 3
+    text = "\n".join(lines)
+    assert list(read_lines(io.StringIO(text), "s")) == lines
+    assert list(read_lines(io.StringIO(text + "\n"), "s")) == lines
+    assert list(read_lines(io.StringIO(text + "\n\n"), "s")) == lines + [""]
+    assert list(read_lines(io.StringIO(""), "s")) == []
+
+
+def test_open_text_reads_every_line_end_as_a_newline(tmp_path):
+    # a \r\n that straddles the first chunk's end is one line end
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"a" * 65_535 + b"\r\nb\rc\r\nd")
+    with open_text(path) as fh:
+        assert list(read_lines(fh, "t")) == ["a" * 65_535, "b", "c", "d"]
+
+
+def test_read_lines_names_the_line_of_a_bad_byte_past_the_first_chunk(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"1,2\n" * 40_000 + b"3,\xfe4\n")
+    read = 0
+    with open_text(path) as fh, pytest.raises(FormatError) as err:
+        for _ in read_lines(fh, f"{path}:"):
+            read += 1
+    # every line before the bad one is yielded first
+    assert read == 40_000
+    assert str(err.value) == f"{path}: line 40001: malformed record, byte 0xfe is not UTF-8"
 
 
 def test_save_to_unwritable_location(tmp_path):

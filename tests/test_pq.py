@@ -49,6 +49,35 @@ def test_kmeans_two_clusters_1d():
     assert quantization_error(data, cb) == pytest.approx(0.25, abs=1e-12)
 
 
+def test_zero_mass_pick_and_empty_cluster_reseed():
+    """Six 1-D points 0, 0, 1, 1, 2, 2 and k = 5, by hand.
+
+    k-means++: the stream's first draws pick point 0 (x = 0), then, with
+    weights d² = 0 0 1 1 4 4 (total 10), point 4 (x = 2), then, with
+    d² = 0 0 1 1 0 0 (total 2), point 2 (x = 1). All mass is now on
+    chosen points, so the rule takes the lowest unchosen index twice:
+    points 1 and 3, for centroids 0 2 1 0 1.
+
+    Lloyd: each point goes to its nearest centroid, ties to the lowest
+    index, so clusters 3 and 4 are empty and the others keep their
+    means. Cluster 3 (stale at 0) is reseeded to the farthest point,
+    x = 2, first at index 4; cluster 4 (stale at 1) to the farthest,
+    at distance 1, first at index 0: x = 0. The next assignment is the
+    same, so Lloyd stops at 0 2 1 2 0.
+    """
+    points = np.array([0, 0, 1, 1, 2, 2], dtype=np.float64)[:, None]
+    rng = pq._subspace_rng(0, 0)
+    first, u1, u2 = rng.integers(6), rng.random(), rng.random()
+    # the draws that make the picks above: searchsorted of u·total in
+    # the cumulative weights 0 0 1 2 6 10, then 0 0 1 2 2 2
+    assert first == 0 and 2 <= u1 * 10 < 6 and u2 * 2 < 1
+    init = pq._kmeans_pp_init(points, 5, pq._subspace_rng(0, 0))
+    assert init[:, 0].tolist() == [0, 2, 1, 0, 1]
+    centroids, objectives = pq._lloyd(points, 5, 25, pq._subspace_rng(0, 0))
+    assert centroids[:, 0].tolist() == [0, 2, 1, 2, 0]
+    assert objectives == [0.0, 0.0]
+
+
 def test_each_point_its_own_centroid(rng):
     data = mat(rng.standard_normal((6, 4)))
     cfg = PQConfig(num_subspaces=2, codebook_size=6, kmeans_iters=5, seed=1)

@@ -15,6 +15,7 @@ from genval import (
     sample_mixture,
     simulate_generated,
 )
+from genval.embeddings import exact_sq_dists
 from genval.errors import ConfigError
 
 
@@ -49,6 +50,21 @@ def test_component_means_terminate_when_separation_is_hard():
     means = component_means(spec)
     d = np.linalg.norm(means[:, None] - means[None, :], axis=-1)
     assert d[np.triu_indices(8, 1)].min() >= 6.0
+
+
+def test_component_means_grow_the_proposal_scale(monkeypatch):
+    """Twelve means 1 apart on a line: draws at the starting scale (1)
+    pile up over 100 rejections, and the grown scale places the rest."""
+    tests = []
+    monkeypatch.setattr(synth, "exact_sq_dists", lambda *a: tests.append(1) or exact_sq_dists(*a))
+    spec = ExperimentSpec(dim=1, mixture_components=12, component_spread=1.0, seed=0)
+    means = component_means(spec)
+    # every test but the first mean's is a rejection or one of 11 placements
+    assert len(tests) - 11 >= 100
+    gaps = np.diff(np.sort(means[:, 0]))
+    assert gaps.min() >= 1.0
+    monkeypatch.undo()
+    assert component_means(spec).tobytes() == means.tobytes()
 
 
 def test_single_draw():

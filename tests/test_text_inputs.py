@@ -1,6 +1,6 @@
-"""Text inputs: UTF-8 whatever the locale, JSON of any depth, and a
-mutation suite holding every CLI run on a damaged text file to exit 0 or 2
-with one error line."""
+"""Text inputs: UTF-8 whatever the locale, one newline rule for every
+line input, JSON of any depth, and a mutation suite holding every CLI
+run on a damaged text file to exit 0 or 2 with one error line."""
 import json
 import subprocess
 import sys
@@ -59,6 +59,59 @@ def test_match_file_with_a_bad_byte_names_file_and_line(tmp_path):
     assert_one_error_line(r, str(matches), "match stream line 2", "not UTF-8")
     r = run_cli_process("value", "--matches", "-", "--n", 4, stdin=matches.read_bytes())
     assert_one_error_line(r, "match stream line 2: malformed record")
+
+
+# --------------------------------------------------------------- line inputs
+
+# each line input: valid LF data, and the run that reads it from a file
+# (None: from stdin, in a child whose stdin is a real byte stream)
+LINE_INPUTS = {
+    "embeddings": (b"0.5,1.5\n2.5,3.5\n-1,0.25\n",
+                   lambda f: run_cli("match", "--format", "csv", "--train", f, "--gen", f, "--k", 2)),
+    "values": (b"train_index,value,rank\n0,0.5,2\n1,0.25,3\n2,0.75,1\n",
+               lambda f: run_cli("compare", "--values-a", f, "--values-b", f)),
+    "matches": (RECORD % (0, 0) + RECORD % (1, 1) + RECORD % (2, 3),
+                lambda f: run_cli("value", "--matches", f, "--n", 4)),
+    "stdin": (RECORD % (0, 0) + RECORD % (1, 1) + RECORD % (2, 3), None),
+}
+
+
+def run_line_input(kind, tmp_path, data: bytes):
+    """The run of ``kind`` on ``data``, and the file it read (None: stdin)."""
+    run = LINE_INPUTS[kind][1]
+    if run is None:
+        return run_cli_process("value", "--matches", "-", "--n", 4, stdin=data), None
+    path = write(tmp_path / f"{kind}.txt", data)
+    return run(path), path
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_INPUTS))
+def test_every_line_end_and_a_missing_final_newline_read_alike(tmp_path, kind):
+    valid = LINE_INPUTS[kind][0]
+    base, _ = run_line_input(kind, tmp_path, valid)
+    assert (base.code, base.stderr) == (0, "") and base.stdout
+    crlf = valid.replace(b"\n", b"\r\n")
+    for data in (crlf, valid.replace(b"\n", b"\r"), valid[:-1], crlf[:-2]):
+        r, _ = run_line_input(kind, tmp_path, data)
+        assert (r.code, r.stdout, r.stderr) == (0, base.stdout, ""), data
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_INPUTS))
+def test_a_bad_byte_in_a_line_input_names_file_and_line(tmp_path, kind):
+    lines = LINE_INPUTS[kind][0].split(b"\n")
+    lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+    r, path = run_line_input(kind, tmp_path, b"\r\n".join(lines))
+    where = {"embeddings": f"{path}:", "values": f"{path}:",
+             "matches": f"{path}: match stream", "stdin": "match stream"}[kind]
+    assert r.code == 2
+    assert r.stderr.splitlines() == [
+        f"genval: error: {where} line 2: malformed record, byte 0xff is not UTF-8"]
+
+
+def test_a_line_at_fault_before_a_bad_byte_is_the_one_reported(tmp_path):
+    values = write(tmp_path / "v.csv", b"train_index,value\n0,x\n1,\xff\n")
+    assert_one_error_line(run_cli("compare", "--values-a", values, "--values-b", values),
+                          f"{values}: line 2: unparseable field")
 
 
 # ------------------------------------------------------------- deep nesting
