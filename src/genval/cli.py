@@ -152,6 +152,15 @@ def _load_matrix(args, name):
     return embeddings.load_embeddings(_required(args, name), format=args.format, skip_header=args.header)
 
 
+def _training_rows(args):
+    """The training rows of an exact scan, as a context manager: an EMBX
+    file left in the file for the scan to read a tile at a time
+    (``embeddings.open_rows``), a CSV file parsed whole."""
+    if args.format == "binary":
+        return embeddings.open_rows(_required(args, "train"))
+    return nullcontext(_load_matrix(args, "train"))
+
+
 def _out_stream(path):
     """stdout for ``None`` or ``-``, else ``path`` replaced whole or not at all."""
     if path is None or path == "-":
@@ -194,8 +203,8 @@ def _match_tables(args) -> tuple[search.MatchTables, int]:
     """Run matching per the mode flags; returns (tables, training count)."""
     gen = _load_matrix(args, "gen")
     if args.mode == "exact":
-        train = _load_matrix(args, "train")
-        return search.batch_match(train, gen, args.k, threads=args.threads), train.count
+        with _training_rows(args) as train:
+            return search.batch_match(train, gen, args.k, threads=args.threads), train.count
     codebook, codes = pq.load_index(_required(args, "index"))
     return search.batch_match((codebook, codes), gen, args.k, threads=args.threads), codes.count
 
@@ -360,15 +369,17 @@ def cmd_eval_recall(args) -> int:
     # the scans run at max(1, 10, k), which hides a k below 1 from batch_match
     if args.k < 1:
         raise ConfigError("k must be >= 1")
-    train = _load_matrix(args, "train")
-    gen = _load_matrix(args, "gen")
-    codebook, codes = pq.load_index(_required(args, "index"))
-    if (codes.count, codebook.dim) != train.data.shape:
-        raise ConfigError(f"shape mismatch: index {(codes.count, codebook.dim)}, --train {train.data.shape}")
-    # rows are sorted with ties to the lower index, so the top k of a row
-    # is a prefix of its top max(ks): one scan of each kind serves every k
-    ks = sorted({1, 10, args.k})
-    exact = search.batch_match(train, gen, ks[-1], threads=args.threads)
+    with _training_rows(args) as train:
+        gen = _load_matrix(args, "gen")
+        codebook, codes = pq.load_index(_required(args, "index"))
+        if (codes.count, codebook.dim) != (train.count, train.dim):
+            raise ConfigError(
+                f"shape mismatch: index {(codes.count, codebook.dim)}, --train {(train.count, train.dim)}")
+        # rows are sorted with ties to the lower index, so the top k of a
+        # row is a prefix of its top max(ks): one scan of each kind serves
+        # every k
+        ks = sorted({1, 10, args.k})
+        exact = search.batch_match(train, gen, ks[-1], threads=args.threads)
     approx = search.batch_match((codebook, codes), gen, ks[-1], threads=args.threads)
     for k in ks:
         print(f"recall@{k}={search.recall_at_k(_prefix(approx, k), _prefix(exact, k)):.6f}")

@@ -1,10 +1,11 @@
 """Embedding matrices: validation, persistence, row identities, and the
 nearest-row kernel that exact matching, PQ matching and PQ encoding
 share. The kernel scans float32 training rows a tile at a time, read in
-place or decoded into one tile-sized block; it takes a shortlist from a
-float32 GEMM, against a threshold ranked on the first tile and drawn
-from the running top k on every later one, and recomputes the shortlist
-by float64 subtraction, the arithmetic that defines every distance.
+place, read from an EMBX file or decoded into one tile-sized block; it
+takes a shortlist from a float32 GEMM, against a threshold ranked on
+the first tile and drawn from the running top k on every later one, and
+recomputes the shortlist by float64 subtraction, the arithmetic that
+defines every distance.
 
 A training set and a generated set are both plain dense matrices of
 32-bit floats. The row index is the only identity used downstream.
@@ -13,13 +14,18 @@ Two on-disk formats are supported:
 
 * ``EMBX v1`` binary: magic ``EMBX``, u32 LE version=1, u64 LE count,
   u32 LE dim, u32 LE dtype tag=1 (float32), then count*dim little-endian
-  float32 values in row-major order.
+  float32 values in row-major order. ``load_embeddings`` reads a file
+  whole; ``open_rows`` checks its header and size and leaves the rows in
+  the file for the scan to read a tile at a time; ``writing_embx``
+  writes one a block of rows at a time. No other module packs or
+  unpacks the header.
 * headerless CSV, one vector per line (``--header`` skips line 1), read
   by ``read_lines`` as every line input is.
 
 EMBX and the PQ index (``pq``) share one container rule, kept by
-``read_container`` and ``write_container``: a 4-byte magic, u32 LE
-version, the format's fields, then LE arrays that fill the file exactly.
+``check_container``, ``read_container`` and ``write_container``: a
+4-byte magic, u32 LE version, the format's fields, then LE arrays that
+fill the file exactly.
 """
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ import math
 import os
 import struct
 import sys
+import threading
 from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -35,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, InternalError, ValidationError
 
 EMBX_MAGIC = b"EMBX"
 EMBX_VERSION = 1
@@ -116,10 +123,8 @@ def save_embeddings(matrix: EmbeddingMatrix, path, format: str = "binary") -> No
     """
     path = Path(path)
     if format == "binary":
-        header = _HEADER.pack(
-            EMBX_MAGIC, EMBX_VERSION, matrix.count, matrix.dim, EMBX_DTYPE_F32
-        )
-        write_container(path, header, matrix.data.astype("<f4", copy=False))
+        with writing_embx(path, matrix.count, matrix.dim) as write:
+            write(matrix.data)
     elif format == "csv":
         with replacing(path, text=True) as fh:
             for row in matrix.data:
@@ -183,21 +188,22 @@ def read_json(path, what: str):
         raise FormatError(f"{path}: {what} is not valid JSON: nested too deeply") from None
 
 
-def read_container(path: Path, header: struct.Struct, magic: bytes, version: int, layout) -> list[np.ndarray]:
-    """Read-only views of the arrays in a binary container file.
+def check_container(path, head: bytes, size: int, header: struct.Struct, magic: bytes, version: int,
+                    layout) -> list[tuple[np.dtype, tuple]]:
+    """The ``(dtype, shape)`` of each array in a binary container file of
+    ``size`` bytes that starts with the bytes ``head``.
 
     ``header`` unpacks the 4-byte magic, the u32 version and then the
     format's own fields. ``layout(*fields)`` checks those fields and
     returns the ``(dtype, shape)`` of each array; the arrays follow the
     header back to back and must fill the file exactly.
     """
-    blob = path.read_bytes()
-    if len(blob) < header.size:
+    if size < header.size:
         raise FormatError(
-            f"{path}: truncated header, file ends at byte {len(blob)} "
+            f"{path}: truncated header, file ends at byte {size} "
             f"but the header needs {header.size} bytes"
         )
-    found, found_version, *fields = header.unpack_from(blob)
+    found, found_version, *fields = header.unpack_from(head)
     if found != magic:
         off = next(i for i in range(4) if found[i] != magic[i])
         raise FormatError(
@@ -207,11 +213,19 @@ def read_container(path: Path, header: struct.Struct, magic: bytes, version: int
         raise FormatError(f"{path}: unsupported version {found_version} at byte 4")
     arrays = [(np.dtype(dtype), shape) for dtype, shape in layout(*fields)]
     expected = header.size + sum(dt.itemsize * math.prod(shape) for dt, shape in arrays)
-    if len(blob) != expected:
+    if size != expected:
         raise FormatError(
-            f"{path}: wrong size at byte {min(len(blob), expected)}, "
-            f"expected {expected} bytes total, found {len(blob)}"
+            f"{path}: wrong size at byte {min(size, expected)}, "
+            f"expected {expected} bytes total, found {size}"
         )
+    return arrays
+
+
+def read_container(path: Path, header: struct.Struct, magic: bytes, version: int, layout) -> list[np.ndarray]:
+    """Read-only views of the arrays in a binary container file, read
+    whole and checked by ``check_container``."""
+    blob = path.read_bytes()
+    arrays = check_container(path, blob, len(blob), header, magic, version, layout)
     views, offset = [], header.size
     for dt, shape in arrays:
         views.append(np.frombuffer(blob, dt, math.prod(shape), offset).reshape(shape))
@@ -253,7 +267,27 @@ def write_container(path, header: bytes, *arrays: np.ndarray) -> None:
             fh.write(np.ascontiguousarray(arr))
 
 
-def _load_binary(path: Path) -> EmbeddingMatrix:
+@contextmanager
+def writing_embx(path, count: int, dim: int):
+    """Write an EMBX file of ``count`` rows of dim ``dim`` through
+    ``replacing``, a block of rows at a time: the block gets
+    ``write(rows)``, which appends the float32 rows ``rows``, and must
+    write ``count`` rows in all."""
+    with replacing(path) as fh:
+        fh.write(_HEADER.pack(EMBX_MAGIC, EMBX_VERSION, count, dim, EMBX_DTYPE_F32))
+        written = 0
+
+        def write(rows: np.ndarray) -> None:
+            nonlocal written
+            fh.write(np.ascontiguousarray(rows, dtype="<f4"))
+            written += len(rows)
+
+        yield write
+        if written != count:
+            raise InternalError(f"{path}: {written} rows written, the header says {count}")
+
+
+def _embx_layout(path):
     def layout(count, dim, dtype):
         if dim < 1:
             raise FormatError(f"{path}: dim must be >= 1, found {dim} at byte {_OFF_DIM}")
@@ -263,8 +297,89 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
             )
         return [("<f4", (count, dim))]
 
-    (data,) = read_container(path, _HEADER, EMBX_MAGIC, EMBX_VERSION, layout)
+    return layout
+
+
+def _load_binary(path: Path) -> EmbeddingMatrix:
+    (data,) = read_container(path, _HEADER, EMBX_MAGIC, EMBX_VERSION, _embx_layout(path))
     return EmbeddingMatrix(data)
+
+
+class EmbxRows(EmbeddingMatrix):
+    """The matrix of an EMBX file, left in the file for the scan to read
+    a tile at a time with ``fill``. Its header is checked against the
+    file's size as ``load_embeddings`` checks it. It is an
+    ``EmbeddingMatrix``, so whatever takes a matrix takes it: ``count``
+    and ``dim`` need no read, and ``data`` loads the whole matrix on
+    first use. Open one with ``open_rows``; it owns an open file until
+    closed."""
+
+    def __init__(self, path):
+        path = Path(path)
+        fh = open(path, "rb", buffering=0)
+        try:
+            head = fh.read(_HEADER.size)
+            size = os.fstat(fh.fileno()).st_size
+            ((_, (count, dim)),) = check_container(
+                path, head, size, _HEADER, EMBX_MAGIC, EMBX_VERSION, _embx_layout(path))
+        except BaseException:
+            fh.close()
+            raise
+        for name, value in (("path", path), ("_fh", fh), ("_lock", threading.Lock()),
+                            ("_shape", (count, dim)), ("_data", None)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            object.__setattr__(self, "_data", _load_binary(self.path).data)
+        return self._data
+
+    @property
+    def count(self) -> int:
+        return self._shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self._shape[1]
+
+    def fill(self, block: np.ndarray, lo: int, hi: int) -> None:
+        """Read rows lo..hi-1 into the float32 rows ``block``, by seeking
+        and reading under a lock, so that threads may share the file. A
+        non-finite value is a ``ValidationError`` naming its row and
+        column, as ``EmbeddingMatrix`` names them."""
+        view = memoryview(block).cast("B")
+        offset = _HEADER.size + lo * self.dim * 4
+        with self._lock:
+            self._fh.seek(offset)
+            while view:
+                got = self._fh.readinto(view)
+                if not got:
+                    raise FormatError(f"{self.path}: file ends at byte {offset} while rows are read")
+                view, offset = view[got:], offset + got
+        if sys.byteorder == "big":
+            block.byteswap(inplace=True)
+        if not all_finite(block):
+            r, c = np.argwhere(~np.isfinite(block))[0]
+            raise ValidationError(f"non-finite value at row {lo + r}, column {c}")
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def open_rows(path):
+    """The EMBX file at ``path`` as a context manager for a matrix: an
+    ``EmbxRows`` over a regular file, whose rows the scan reads a tile at
+    a time; anything else (a pipe, a directory, a missing file) goes
+    through ``load_embeddings``, so it is read whole or refused as there."""
+    path = Path(path)
+    return EmbxRows(path) if path.is_file() else nullcontext(_load_binary(path))
 
 
 def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
@@ -354,13 +469,15 @@ def _running_bound(dk: np.ndarray, q2: np.ndarray, s: float, beta: float, d: int
     return np.nextafter(up, np.float32(np.inf), out=up, where=up < tau)
 
 
-def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def nearest_rows(source, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k training rows for each row of ``queries``.
 
-    ``source`` has one row per training row (n >= 1). With ``fill`` None
-    it holds the training rows as float32 and the scan reads them in
-    place; otherwise ``fill(block, source[lo:hi])`` writes training rows
-    lo..hi-1 into a float32 block. ``queries`` are float32, possibly
+    ``source`` has one entry per training row (n = ``len(source)`` >= 1).
+    With ``fill`` None it holds the training rows as float32 and the
+    scan reads them in place; otherwise ``fill(block, lo, hi)`` writes
+    training rows lo..hi-1 into a float32 block (decoding them or reading
+    them from a file), and the scan reads only ``len(source)``. A
+    ``fill`` that raises ends the scan. ``queries`` are float32, possibly
     strided. Returns ``(m, min(k, n))`` index and squared-distance
     tables, each row sorted ascending by distance with ties to the lower
     index; the distances are bitwise those of a full scan of the corpus
@@ -369,7 +486,8 @@ def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple
     Tiles. The scan takes the training rows a tile at a time, in index
     order, and each tile against blocks of query rows. Scratch stays
     within ``BLOCK_BYTES`` at 4 bytes an entry: a tile of float32 rows
-    takes an eighth (allocated only with ``fill``), the GEMM's two
+    takes an eighth (allocated only with ``fill``: on the PQ route, and
+    for an EMBX file read a tile at a time), the GEMM's two
     float32 tables, its bool mask and the scaled query rows a quarter (9
     bytes a pair and 4 an entry of a query row), and the recheck's
     temporaries a quarter. At d = 128 that is 2 048 rows a tile and 110
@@ -451,7 +569,7 @@ def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple
     the factor, exactly but for the underflow β counts, and the recheck
     reads rows and queries as they are.
     """
-    n = source.shape[0]
+    n = len(source)
     m, d = queries.shape
     k = min(k, n)
     u, u64 = 2.0**-24, 2.0**-53
@@ -477,7 +595,7 @@ def nearest_rows(source: np.ndarray, fill, queries: np.ndarray, k: int) -> tuple
             train = source[lo : lo + nt]
         else:
             train = tile[: n - lo]
-            fill(train, source[lo : lo + train.shape[0]])
+            fill(train, lo, lo + train.shape[0])
         t = train.shape[0]
         x2 = np.einsum("ij,ij->i", train, train, dtype=np.float64)
         x2_max = x2.max()

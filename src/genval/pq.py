@@ -308,19 +308,19 @@ def check_codes(codes: PQCodes, codebook: Codebook) -> None:
         )
 
 
-def decode_into(codebook: Codebook, out: np.ndarray, codes: np.ndarray) -> None:
-    """Write the rows that ``codes`` (checked, one row per row of ``out``)
-    decode to into ``out``, converting to its dtype."""
+def decode_into(codebook: Codebook, codes: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+    """Write the rows that rows lo..hi-1 of ``codes`` (checked) decode to
+    into ``out`` (hi - lo rows), converting to its dtype."""
     sd = codebook.subspace_dim
     for s in range(codebook.num_subspaces):
-        out[:, s * sd : (s + 1) * sd] = codebook.centroids[s][codes[:, s]]
+        out[:, s * sd : (s + 1) * sd] = codebook.centroids[s][codes[lo:hi, s]]
 
 
 def decode(codes: PQCodes, codebook: Codebook) -> EmbeddingMatrix:
     """Reconstruct vectors by concatenating the addressed centroids."""
     check_codes(codes, codebook)
     out = np.empty((codes.count, codebook.dim), dtype=np.float32)
-    decode_into(codebook, out, codes.codes)
+    decode_into(codebook, codes.codes, out, 0, codes.count)
     return EmbeddingMatrix(out)
 
 
@@ -348,7 +348,7 @@ def quantization_error(data: EmbeddingMatrix, codebook: Codebook, codes: PQCodes
     decoded = np.empty((max(hi - lo for lo, hi in blocks), d), dtype=np.float32)
     sq = np.empty(n)
     for lo, hi in blocks:
-        decode_into(codebook, decoded[: hi - lo], codes.codes[lo:hi])
+        decode_into(codebook, codes.codes, decoded[: hi - lo], lo, hi)
         sq[lo:hi] = exact_sq_dists(data.data[lo:hi], decoded[: hi - lo])
     return float(sq.mean())
 

@@ -1,11 +1,12 @@
 """Top-k matching of generated points against training points.
 
 Both routes run ``embeddings.nearest_rows``, the one scan, over tiles
-of float32 training rows. The exact route reads the stored rows in
-place; the PQ route decodes the codes one tile at a time into a
-tile-sized float32 block, so its distance is the asymmetric distance of
-product quantization: the exact distance from the query to the decoded
-row. The scan takes a shortlist from one float32 BLAS GEMM per tile and
+of float32 training rows. The exact route reads rows held in memory in
+place, and reads an EMBX file's rows (``embeddings.EmbxRows``) one tile
+at a time into a tile-sized float32 block; the PQ route decodes the
+codes one tile at a time into such a block, so its distance is the
+asymmetric distance of product quantization: the exact distance from
+the query to the decoded row. The scan takes a shortlist from one float32 BLAS GEMM per tile and
 block of query rows, against a threshold ranked on the first tile and
 drawn from the running top k on every later one, and recomputes only
 the shortlist by float64 subtraction; rigorous rounding bounds keep
@@ -26,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, nearest_rows, read_lines, validate_pair
+from .embeddings import EmbeddingMatrix, EmbxRows, nearest_rows, read_lines, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
 from .pq import check_codes, decode_into
 from .workers import map_items, worker_count
@@ -64,23 +65,28 @@ class MatchTables:
 def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int = 1) -> MatchTables:
     """Top-k match every generated row; rows are independent.
 
-    ``training_repr`` is either an :class:`EmbeddingMatrix` (exact mode)
-    or a ``(Codebook, PQCodes)`` pair (PQ mode). A single query is a
-    one-row ``generated`` matrix. ``threads`` splits the query rows
-    across at most that many workers, and never more than there are
-    rows or CPUs; the result is identical for any count.
+    ``training_repr`` is an :class:`EmbeddingMatrix` or an
+    :class:`EmbxRows` from ``embeddings.open_rows`` (exact mode), or a
+    ``(Codebook, PQCodes)`` pair (PQ mode); the two exact forms of one
+    matrix give the same tables. A single query is a one-row
+    ``generated`` matrix. ``threads`` splits the query rows across at
+    most that many workers, and never more than there are rows or CPUs;
+    each worker holds one tile of training rows when they are read or
+    decoded, and the result is identical for any count.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    if isinstance(training_repr, EmbeddingMatrix):
+    if isinstance(training_repr, EmbxRows):
+        source, fill, dim = range(training_repr.count), training_repr.fill, training_repr.dim
+    elif isinstance(training_repr, EmbeddingMatrix):
         source, fill, dim = training_repr.data, None, training_repr.dim
     else:
         codebook, codes = training_repr
         check_codes(codes, codebook)
-        source, fill, dim = codes.codes, partial(decode_into, codebook), codebook.dim
-    validate_pair((source.shape[0], dim), generated)
+        source, fill, dim = codes.codes, partial(decode_into, codebook, codes.codes), codebook.dim
+    validate_pair((len(source), dim), generated)
     workers = worker_count(generated.count, threads)
     parts = map_items(partial(nearest_rows, source, fill, k=k),
                       np.array_split(generated.data, workers), workers)

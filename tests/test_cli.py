@@ -158,19 +158,22 @@ def test_match_threads_do_not_change_bytes(exp_dir, eight_cpus):
 
 
 def test_threads_split_rows_across_scan_blocks(exp_dir, monkeypatch, eight_cpus):
-    # 60 training rows of dim 8 and 40 queries: 2 tiles of 30 training
-    # rows (an eighth of the budget, float32), each against blocks of 6
-    # query rows (a quarter: 9 bytes a pair and 4 bytes an entry of the
-    # query row), put every thread boundary somewhere inside or between
-    # blocks
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * 30 * 4 * 8)
-    assert embeddings.block_rows(9 * 30 + 4 * 8, embeddings.BLOCK_BYTES // 4) == 6
-    args = ("match", "--train", exp_dir / "x_train.embx",
-            "--gen", exp_dir / "x_hat.embx", "--k", 5)
-    one = run_cli(*args, "--threads", 1)
-    three = run_cli(*args, "--threads", 3)
-    assert one.code == three.code == 0
-    assert one.stdout == three.stdout
+    """60 training rows of dim 8 and 40 queries: 8 tiles of at most 8
+    training rows (an eighth of the budget, float32), each against
+    blocks of 4 query rows (a quarter: 9 bytes a pair and 4 bytes an
+    entry of the query row), put every thread boundary somewhere inside
+    or between blocks. The EMBX files, read a tile at a time, and the
+    same rows as CSV, parsed whole, give the same bytes."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * 8 * 4 * 8)
+    assert embeddings.block_rows(9 * 8 + 4 * 8, embeddings.BLOCK_BYTES // 4) == 4
+    for name in ("x_train", "x_hat"):
+        save_embeddings(load_embeddings(exp_dir / f"{name}.embx"), exp_dir / f"{name}.csv", format="csv")
+    for command in (["match"], ["value", "--inline"]):
+        runs = [run_cli(*command, "--train", exp_dir / f"x_train.{ext}", "--gen", exp_dir / f"x_hat.{ext}",
+                        "--format", fmt, "--k", 5, "--threads", threads)
+                for ext, fmt in (("embx", "binary"), ("csv", "csv")) for threads in (1, 3)]
+        assert [r.code for r in runs] == [0] * 4
+        assert len({r.stdout for r in runs}) == 1
 
 
 def test_match_output_flag_matches_stdout(exp_dir, tmp_path):

@@ -105,6 +105,68 @@ def test_field_checks_name_their_byte(tmp_path, fmt, offset, value):
         load(path)
 
 
+# the exact scans, each reading --train from an EMBX file a tile at a
+# time: (id, argv, the output file it would write or None for stdout)
+EXACT_SCANS = [
+    ("match", ["match", "--train", "train.embx", "--gen", "gen.embx", "--k", 3, "--output", "out.jsonl"],
+     "out.jsonl"),
+    ("value-inline", ["value", "--inline", "--train", "train.embx", "--gen", "gen.embx", "--k", 3,
+                      "--output", "v.csv", "--summary", "s.json"], "v.csv"),
+    ("eval-recall", ["eval-recall", "--train", "train.embx", "--gen", "gen.embx", "--index", "i.gmvi",
+                     "--k", 3], None),
+]
+
+# damage to a training file: its id -> (mutate(blob), message(header, size))
+TRAIN_DAMAGE = {
+    **{name: (mutate, message) for name, mutate, message in CORRUPTIONS},
+    "dtype": (lambda b: set_u32(b, 20, 2), lambda h, n: "unsupported dtype tag 2 at byte 20"),
+}
+
+
+@pytest.mark.parametrize("argv, output", [c[1:] for c in EXACT_SCANS], ids=[c[0] for c in EXACT_SCANS])
+@pytest.mark.parametrize("damage", [*TRAIN_DAMAGE, "nan-last-tile", "directory"])
+def test_a_damaged_training_file_fails_each_exact_scan_with_one_line(tmp_path, monkeypatch, argv, output,
+                                                                    damage):
+    """Each exact scan reads --train a tile at a time, here ten tiles of
+    4 rows, so a non-finite value in row 38 is found only in the last
+    tile; every damage exits 2 with the line ``load_embeddings`` gives
+    for the file, and writes no output and leaves no temporary file.
+    A non-finite value's line names its row and column, not the file,
+    as ``EmbeddingMatrix`` words it."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((40, 4)).astype(np.float32)
+    save_embeddings(EmbeddingMatrix(rows), "train.embx")
+    save_embeddings(EmbeddingMatrix(rng.standard_normal((5, 4)).astype(np.float32)), "gen.embx")
+    codebook = train_codebooks(EmbeddingMatrix(rows), PQConfig(2, 4, 3, seed=0))
+    save_index(codebook, encode(EmbeddingMatrix(rows), codebook), "i.gmvi")
+    path = tmp_path / "train.embx"
+    if damage == "directory":
+        path.unlink()
+        path.mkdir()
+        message = "[Errno 21] Is a directory: 'train.embx'"
+    elif damage == "nan-last-tile":
+        bad = rows.copy()
+        bad[38, 2] = np.nan
+        path.write_bytes(path.read_bytes()[:24] + bad.tobytes())
+        message = "non-finite value at row 38, column 2"
+    else:
+        mutate, text = TRAIN_DAMAGE[damage]
+        blob = path.read_bytes()
+        path.write_bytes(mutate(blob))
+        message = f"train.embx: {text(24, len(blob))}"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * 4 * 4 * 4)
+    r = run_cli(*argv)
+    assert_one_error_line(r)
+    # a bad magic's message ends with the bytes expected and found
+    assert r.stderr.startswith(f"genval: error: {message}")
+    assert r.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if output is not None:
+        assert not (tmp_path / output).exists()
+
+
 @pytest.mark.parametrize("ks, width", [(256, 1), (257, 2)])
 def test_index_code_width_follows_the_documented_layout(tmp_path, ks, width):
     """28-byte header, M*Ks*subspace_dim float32 centroids, then count*M

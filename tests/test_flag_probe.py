@@ -9,8 +9,9 @@ allocated, capped (``--k`` by the row count, ``--threads`` by the row and
 CPU counts) or quick on these inputs. Sizes between 2**31 and the limit
 a check refuses would allocate their size, and ``synth --components``
 near such a size places each mean against every earlier one, so none is
-probed. ``synth`` draws one component: at ``--spread=1e-320`` placing a
-second takes seconds of rejections before the proposal scale has grown.
+probed. ``synth`` draws two components, so every ``--spread`` reaches
+the placement of a second mean: ``--spread=1e-320``, whose square
+underflows, is refused before any is placed.
 """
 import pytest
 
@@ -23,7 +24,7 @@ FLOATS = ("nan", "inf", "-inf", "0", "1e-320", "1e308")
 # command: (argv before the probed flag, its integer flags, its float flags)
 PROBES = {
     "synth": (["synth", "--out-dir", "{d}/s", "--dim", 4, "--n-per-split", 3, "--m", 2,
-               "--components", 1],
+               "--components", 2],
               ["--dim", "--n-per-split", "--m", "--components", "--seed"],
               ["--spread", "--noise-sigma"]),
     "build-index": (["build-index", "--train", "{exp}/x_train.embx", "--output", "{d}/i.gmvi",

@@ -1,6 +1,8 @@
+import contextlib
 import io
 import math
 import os
+import sys
 import threading
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import traced_peak
+from conftest import traced_peak, write_embx
 from genval import embeddings, search, synth
 from genval import (
     Codebook,
@@ -447,18 +449,41 @@ def test_a_last_block_of_one_long_row_keeps_the_corpus_arithmetic(rng, monkeypat
         assert t.distances.tobytes() == want_dist.tobytes()
 
 
-@pytest.mark.parametrize("route", ["exact", "adc"])
-def test_threads_split_across_blocks(rng, monkeypatch, eight_cpus, route):
-    if route == "exact":
+@pytest.mark.parametrize("route", ["exact", "embx", "adc"])
+def test_threads_split_across_blocks(rng, tmp_path, monkeypatch, eight_cpus, route):
+    if route in ("exact", "embx"):
         train, gen = shortlist_case("near_ties", rng, 30, 23)
     else:
         codebook, codes, gen = adc_case("lattice", rng, 30, 23)
         train = (codebook, codes)
     training_blocks_of(4, gen.dim, monkeypatch)
-    one = batch_match(train, gen, k=6, threads=1)
-    three = batch_match(train, gen, k=6, threads=3)
+    if route == "embx":
+        train = embeddings.open_rows(write_embx(tmp_path / "train.embx", train.data))
+    with train if route == "embx" else contextlib.nullcontext():
+        one = batch_match(train, gen, k=6, threads=1)
+        three = batch_match(train, gen, k=6, threads=3)
     assert one.indices.tobytes() == three.indices.tobytes()
     assert one.distances.tobytes() == three.distances.tobytes()
+
+
+def test_threads_share_one_embx_file(rng, tmp_path, monkeypatch, eight_cpus):
+    """Eight workers, more than the CPUs, read one open EMBX file, each
+    its own 4-row tiles, with the interpreter switching threads every
+    microsecond: a read that lost its position to another thread would
+    give one worker another tile's rows, and change its tables."""
+    train, gen = shortlist_case("gaussian", rng, 60, 64)
+    want = batch_match(train, gen, k=5)
+    training_blocks_of(4, gen.dim, monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with embeddings.open_rows(write_embx(tmp_path / "train.embx", train.data)) as rows:
+            for _ in range(5):
+                got = batch_match(rows, gen, k=5, threads=8)
+                assert got.indices.tobytes() == want.indices.tobytes()
+                assert got.distances.tobytes() == want.distances.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------- training-row blocks
@@ -486,12 +511,12 @@ def adc_case(name, rng, n, m):
 
 
 def training_blocks_of(rows, dim, monkeypatch):
-    """Shrink the block budget so either route scans ``rows`` training
+    """Shrink the block budget so every route scans ``rows`` training
     rows of dim ``dim`` per tile (an eighth of the budget, float32);
-    returns the list of tile sizes it records. The scan slices its
-    training source once per tile on both routes, reading the exact
-    route's rows in place and decoding the PQ route's codes, so the
-    slices are the tiles."""
+    returns the list of tile sizes it records. The scan slices rows held
+    in memory once per tile, reading them in place, and calls ``fill``
+    once per tile for rows it decodes or reads from a file, so the
+    slices and the fills are the tiles."""
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * rows * 4 * dim)
     blocks = []
     kernel = search.nearest_rows
@@ -503,8 +528,15 @@ def training_blocks_of(rows, dim, monkeypatch):
                 blocks.append(len(part))
             return part.view(np.ndarray)
 
-    def recording(source, *a, **kw):
-        return kernel(source.view(Sliced), *a, **kw)
+    def recording(source, fill, *a, **kw):
+        if fill is None:
+            return kernel(source.view(Sliced), fill, *a, **kw)
+
+        def filling(block, lo, hi):
+            blocks.append(hi - lo)
+            fill(block, lo, hi)
+
+        return kernel(source, filling, *a, **kw)
 
     monkeypatch.setattr(search, "nearest_rows", recording)
     return blocks
@@ -537,6 +569,17 @@ def test_training_row_blocks_equal_subtraction_scan(case, n, m, monkeypatch):
     rng = np.random.default_rng(EXACT_BLOCK_CASES.index(case) * 100 + n + m)
     train, gen = shortlist_case(case, rng, n, m)
     assert_blocks_equal_subtraction_scan(train, train, gen, monkeypatch)
+
+
+@pytest.mark.parametrize("n, m", BLOCK_SHAPES)
+@pytest.mark.parametrize("case", EXACT_BLOCK_CASES)
+def test_embx_file_tiles_equal_subtraction_scan(case, n, m, tmp_path, monkeypatch):
+    """The exact route's tables with 4-row tiles read from an EMBX file."""
+    rng = np.random.default_rng(EXACT_BLOCK_CASES.index(case) * 100 + n + m)
+    train, gen = shortlist_case(case, rng, n, m)
+    with embeddings.open_rows(write_embx(tmp_path / "train.embx", train.data)) as rows:
+        assert isinstance(rows, embeddings.EmbxRows)
+        assert_blocks_equal_subtraction_scan(rows, train, gen, monkeypatch)
 
 
 ADC_CASES = ["gaussian", "lattice", "wide_codes", "tiny", "float32_max"]
@@ -713,6 +756,27 @@ def test_exact_scratch_stays_inside_the_block_budget(rng, n, dim):
     gen = mat(rng.standard_normal((500, dim)))
     scratch = traced_peak(lambda: batch_match(train, gen, k=10))
     assert scratch < embeddings.BLOCK_BYTES + (1 << 19), f"scratch {scratch / 2**20:.2f} MiB"
+
+
+def test_an_embx_file_scan_holds_no_corpus(rng, tmp_path):
+    """Guards peak memory: over an EMBX file the exact route opens the
+    file (its header only), reads one tile at a time into an eighth of
+    BLOCK_BYTES and holds the kernel's other buffers in half of it, so
+    opening and scanning stay inside the PQ route's bound of
+    BLOCK_BYTES + 0.5 MiB, 8.5 MiB: below the 9.77 MiB float32 corpus
+    of value-exact's shape, 20 000 x 128."""
+    n, dim = 20_000, 128
+    path = write_embx(tmp_path / "train.embx", rng.standard_normal((n, dim)))
+    gen = mat(rng.standard_normal((500, dim)))
+
+    def scan():
+        with embeddings.open_rows(path) as train:
+            batch_match(train, gen, k=10)
+
+    bound = embeddings.BLOCK_BYTES + (1 << 19)
+    assert bound < n * dim * 4
+    peak = traced_peak(scan)
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
 
 
 # ------------------------------------------------------------------- recall

@@ -1,9 +1,10 @@
+import errno
 import json
 
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import assert_one_error_line, run_cli, traced_peak
 from genval import embeddings, synth
 from genval import (
     EmbeddingMatrix,
@@ -27,11 +28,24 @@ def test_experiment_spec_validation():
         dict(mixture_components=0),
         dict(component_spread=0.0),
         dict(component_spread=float("inf")),
+        dict(component_spread=1e-320),
+        dict(component_spread=1.4e-154),
         dict(noise_sigma=-0.1),
         dict(m_generated=0),
     ):
         with pytest.raises(ConfigError):
             ExperimentSpec(**bad).validate()
+
+
+def test_a_spread_whose_square_underflows_is_refused():
+    """Means are placed by squared distance: a spread whose square is no
+    normal float64 is refused at once, rather than rejected until the
+    proposal scale has grown by some 10^166; one just above is placed."""
+    with pytest.raises(ConfigError, match=r"^component_spread 1e-320 is too small: its square is below"):
+        ExperimentSpec(component_spread=1e-320).validate()
+    spec = ExperimentSpec(dim=4, mixture_components=2, component_spread=1.5e-154, seed=1)
+    means = component_means(spec)
+    assert np.sqrt(exact_sq_dists(means[:1], means[1]))[0] >= 1.5e-154
 
 
 def test_component_means_respect_separation():
@@ -103,7 +117,7 @@ def one_shot_mixture(spec, count, stream):
 def test_blocked_draws_equal_one_draw(monkeypatch, dim, count, block):
     """Blocks of normals continue one stream; a count that is not a
     multiple of the block leaves a short last block."""
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * block * 16 * dim)
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 16 * block * 16 * dim)
     spec = ExperimentSpec(dim=dim, mixture_components=3, seed=9)
     for stream in (0, 1):
         want = one_shot_mixture(spec, count, stream).astype(np.float32)
@@ -119,11 +133,12 @@ def test_experiment_splits_are_the_mixture_draws(tmp_path):
 
 def test_mixture_draws_convert_one_block_at_a_time():
     """Guards peak memory: besides the float32 rows, drawing holds a
-    quarter block budget of float64 rows and the finiteness checks."""
+    sixteenth of the block budget in float64 rows (the normals and their
+    means), a float32 block and the component labels."""
     spec = ExperimentSpec(dim=128, n_per_split=10_000, seed=1)
     rows32 = spec.n_per_split * spec.dim * 4
     peak = traced_peak(lambda: sample_mixture(spec, spec.n_per_split))
-    assert peak < rows32 + embeddings.BLOCK_BYTES // 2, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < rows32 + embeddings.BLOCK_BYTES // 8, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_zero_noise_generator_memorizes_exactly():
@@ -193,12 +208,37 @@ def test_generator_converts_only_the_rows_it_picks(rng):
     assert peak < subset.data.nbytes, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_experiment_peak_is_drawing_a_split(tmp_path):
-    """Guards peak memory: the peak is drawing the second split while the
-    first is held; simulating the generator and writing the files,
-    x_train included, add no copy on top."""
-    spec = ExperimentSpec(dim=64, n_per_split=10_000, m_generated=10, seed=1)
-    draw = traced_peak(lambda: sample_mixture(spec, spec.n_per_split))
-    split32 = spec.n_per_split * spec.dim * 4
+def test_experiment_holds_no_corpus(tmp_path):
+    """Guards peak memory: at value-exact's shape (2 x 10 000 x 128, a
+    float32 corpus of 9.77 MiB, and 500 generated rows) each split is
+    drawn and written a block of rows at a time, so the experiment
+    allocates under a third of the corpus: a sixteenth of the block
+    budget of float64 rows, a float32 block, a split's component labels,
+    the picked rows (250 KiB) and the files' buffers."""
+    spec = ExperimentSpec(dim=128, n_per_split=10_000, m_generated=500, seed=1)
+    corpus32 = 2 * spec.n_per_split * spec.dim * 4
     peak = traced_peak(lambda: make_ra2_experiment(spec, tmp_path))
-    assert peak < draw + split32 + (1 << 18), f"peak {peak / 2**20:.2f} MiB, draw {draw / 2**20:.2f} MiB"
+    assert peak < corpus32 // 3, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_a_failed_block_leaves_the_older_experiment_whole(tmp_path, monkeypatch):
+    """synth replaces the whole set or nothing: a block of split 2 that
+    fails, here as a full disk does, leaves every file of the experiment
+    already in the directory as it was, and no temporary file."""
+    old = ["synth", "--out-dir", tmp_path, "--dim", 4, "--n-per-split", 40, "--m", 7, "--seed", 1]
+    assert run_cli(*old).code == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(before) == 6
+    draw = synth._mixture_blocks
+
+    def failing(spec, count, stream):
+        for i, rows in enumerate(draw(spec, count, stream)):
+            if (stream, i) == (1, 2):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield rows
+
+    monkeypatch.setattr(synth, "_mixture_blocks", failing)
+    # 8 rows a block: each split of 40 rows takes 5 blocks
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 16 * 8 * 16 * 4)
+    assert_one_error_line(run_cli(*old[:-1], 2), "No space left on device")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
