@@ -161,6 +161,19 @@ def _training_rows(args):
     return nullcontext(_load_matrix(args, "train"))
 
 
+def _checked_count(args) -> int:
+    """The row count of ``--train``, once every value is found finite: an
+    EMBX file read a tile at a time into one block, a pipe or CSV whole."""
+    with _training_rows(args) as train:
+        if isinstance(train, embeddings.EmbxRows):
+            tile = embeddings.block_rows(4 * train.dim, embeddings.BLOCK_BYTES // 8)
+            block = np.empty((min(tile, train.count), train.dim), dtype=np.float32)
+            for lo in range(0, train.count, tile):
+                hi = min(lo + tile, train.count)
+                train.fill(block[: hi - lo], lo, hi)
+        return train.count
+
+
 def _out_stream(path):
     """stdout for ``None`` or ``-``, else ``path`` replaced whole or not at all."""
     if path is None or path == "-":
@@ -229,7 +242,7 @@ def cmd_value(args) -> int:
         if args.n is not None:
             n = args.n
         elif args.train is not None:
-            n = _load_matrix(args, "train").count
+            n = _checked_count(args)
         else:
             raise ConfigError("need --n or --train to size the value vector")
     result = valuation.aggregate_values(tables, n, args.temperature)

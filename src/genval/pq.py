@@ -6,7 +6,10 @@ random draw comes from a Philox counter-based generator keyed by
 ``(seed, subspace_index)``, so each codebook is a pure function of its
 own column block and the config, down to the bit: the subspaces are
 independent, and ``train_codebooks`` trains up to one per CPU at once
-with the same bytes as one after another.
+with the same bytes as one after another. The draws are numpy's
+Philox4x64-10 stream seeded by ``SeedSequence([seed, subspace_index])``,
+computed by ``philox.Philox`` so that training never loads
+``numpy.random``; tests pin it against ``numpy.random`` itself.
 
 The trained index persists as a "GMVI v1" file: magic ``GMVI``, u32 LE
 version=1, u32 LE num_subspaces, u32 LE subspace_dim, u32 LE
@@ -19,6 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,6 +31,9 @@ from .embeddings import (EmbeddingMatrix, all_finite, block_rows, exact_sq_dists
                          read_container, write_container)
 from .errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
 from .workers import map_items, worker_count
+
+if TYPE_CHECKING:
+    from .philox import Philox
 
 GMVI_MAGIC = b"GMVI"
 GMVI_VERSION = 1
@@ -125,14 +132,18 @@ class PQCodes:
         return self.codes.shape[1]
 
 
-def _subspace_rng(seed: int, subspace: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, subspace])))
+def _subspace_rng(seed: int, subspace: int) -> Philox:
+    # imported here: a CLI child without cached bytecode compiles every
+    # module it imports, and only training draws
+    from .philox import Philox
+
+    return Philox([seed, subspace])
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: Philox) -> np.ndarray:
     """k-means++ seeding; returns initial centroids (k, dim) float64."""
     n = points.shape[0]
-    chosen = [int(rng.integers(n))]
+    chosen = [rng.integers(n)]
     d2 = exact_sq_dists(points, points[chosen[0]])
     for _ in range(1, k):
         total = float(d2.sum())
@@ -212,7 +223,7 @@ def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray, buf: np.n
     return assign, obj
 
 
-def _lloyd(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> tuple[np.ndarray, list[float]]:
+def _lloyd(points: np.ndarray, k: int, iters: int, rng: Philox) -> tuple[np.ndarray, list[float]]:
     """Lloyd's algorithm; returns (centroids, per-iteration objectives)."""
     n, d = points.shape
     centroids = _kmeans_pp_init(points, k, rng)

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 import genval.cli as cli
 import reference
-from conftest import (assert_one_error_line, make_value_csv, run_cli, run_cli_process, traced_peak,
-                      write_embx)
+from conftest import (assert_one_error_line, child_env, make_value_csv, run_cli, run_cli_process,
+                      traced_peak, write_embx)
 from genval import embeddings, load_embeddings, pq, save_embeddings, search
 from genval.errors import GenvalError, InternalError
 
@@ -282,6 +284,33 @@ def test_value_sized_by_train_equals_value_sized_by_n(exp_dir, tmp_path):
     by_train = run_cli("value", "--matches", matches, "--train", exp_dir / "x_train.embx")
     assert by_n.code == by_train.code == 0
     assert by_train.stdout == by_n.stdout and by_n.stdout.count("\n") == 61
+
+
+def test_value_sized_by_train_reads_one_tile_at_a_time(tmp_path, rng):
+    """An EMBX --train is checked a tile at a time, never held whole; the
+    bytes are those of --n."""
+    train = write_embx(tmp_path / "train.embx", rng.standard_normal((4_000, 512)))
+    gen = write_embx(tmp_path / "gen.embx", rng.standard_normal((5, 512)))
+    matches = tmp_path / "m.jsonl"
+    assert run_cli("match", "--train", train, "--gen", gen, "--k", 3, "--output", matches).code == 0
+    by_n = run_cli("value", "--matches", matches, "--n", 4_000)
+    runs = []
+    peak = traced_peak(lambda: runs.append(run_cli("value", "--matches", matches, "--train", train)))
+    assert by_n.code == runs[0].code == 0 and runs[0].stdout == by_n.stdout
+    assert peak < 4_000 * 512 * 4 // 4, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_value_sized_by_train_refuses_a_nan_in_the_last_tile(tmp_path, rng):
+    """A NaN in the last of four tiles is the line the whole-file check gave."""
+    rows = rng.standard_normal((3 * 2_048 + 5, 128))
+    rows[-2, 7] = np.nan
+    train = tmp_path / "train.embx"
+    # writing_embx writes the rows unchecked, so the file holds the NaN
+    with embeddings.writing_embx(train, len(rows), 128) as write:
+        write(rows)
+    r = run_cli("value", "--matches", "-", "--train", train, stdin=HAND_MATCHES)
+    assert_one_error_line(r)
+    assert r.stderr == f"genval: error: non-finite value at row {3 * 2_048 + 3}, column 7\n"
 
 
 def test_value_needs_a_size():
@@ -932,3 +961,34 @@ def test_csv_non_finite_value_is_one_error_line(tmp_path, cell):
     r = run_cli_process("match", "--train", bad, "--gen", bad, "--format", "csv", "--k", 1)
     assert r.code == 2
     assert r.stderr.splitlines() == ["genval: error: non-finite value at row 1, column 1"]
+
+
+# runs each argv of sys.argv[1] through main and names the first command
+# after which numpy.random is loaded
+NO_NUMPY_RANDOM_CHILD = """
+import json, sys
+from genval.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    assert "numpy.random" not in sys.modules, argv[0] + " loads numpy.random"
+"""
+
+
+def test_pq_pipeline_never_loads_numpy_random(exp_dir, tmp_path):
+    """Importing numpy.random costs about 5.5 MiB of RSS, and none of
+    these commands draws a normal: k-means++ takes its draws from
+    genval.philox."""
+    train, gen, index = exp_dir / "x_train.embx", exp_dir / "x_hat.embx", tmp_path / "i.gmvi"
+    matches, values = tmp_path / "m.jsonl", tmp_path / "v.csv"
+    argvs = [
+        ["build-index", "--train", train, "--output", index, "--num-subspaces", 2,
+         "--codebook-size", 8, "--kmeans-iters", 3],
+        ["match", "--mode", "pq", "--index", index, "--gen", gen, "--k", 3, "--output", matches],
+        ["eval-recall", "--train", train, "--gen", gen, "--index", index],
+        ["value", "--matches", matches, "--train", train, "--output", values],
+        ["compare", "--values", values, "--partition", exp_dir / "partition.json"],
+    ]
+    argv_json = json.dumps([list(map(str, argv)) for argv in argvs])
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM_CHILD, argv_json],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr

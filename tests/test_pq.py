@@ -22,6 +22,7 @@ from genval import (
 )
 from genval.embeddings import exact_sq_dists
 from genval.errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
+from genval.philox import Philox
 
 
 def mat(rows, dtype=np.float32):
@@ -76,6 +77,44 @@ def test_zero_mass_pick_and_empty_cluster_reseed():
     centroids, objectives = pq._lloyd(points, 5, 25, pq._subspace_rng(0, 0))
     assert centroids[:, 0].tolist() == [0, 2, 1, 2, 0]
     assert objectives == [0.0, 0.0]
+
+
+def numpy_philox(entropy):
+    """The oracle: numpy's own stream for ``entropy``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+# the seeds of the flag probe against two subspaces, and entropy of one,
+# six and many words
+ENTROPIES = [[seed, s] for seed in (0, 2**32 - 1, 2**32, 2**63, 10**30) for s in (0, 7)] + [
+    [], [5], [1, 2, 3, 4, 5, 6], [2**200 + 3, 0, 2**64 - 1, 9]]
+# both sides of the 32-bit path's 2**32 limit; 2**31 + 1 and 2**62 + 1
+# reject about half and a quarter of their draws
+BOUNDS = [1, 2, 10_000, 2**31 + 1, 2**32, 2**32 + 1, 2**62 + 1, 2**63 - 1]
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES)
+def test_philox_is_numpys_stream(entropy):
+    ours, oracle = Philox(entropy), numpy_philox(entropy)
+    for n in BOUNDS:
+        assert [ours.integers(n) for _ in range(30)] == oracle.integers(n, size=30).tolist()
+    # interleaved: a 32-bit draw keeps its draw's high half for the next
+    # one, and random() between them leaves it kept
+    for step in range(300):
+        if step % 3 == 1:
+            assert ours.random() == oracle.random()
+        else:
+            n = BOUNDS[step % len(BOUNDS)]
+            assert ours.integers(n) == oracle.integers(n)
+
+
+@pytest.mark.parametrize("n, draw", [(2**31 + 1, "_next32"), (2**62 + 1, "_next64")])
+def test_philox_rejection_loops_redraw(n, draw):
+    ours, oracle = Philox([3, 1]), numpy_philox([3, 1])
+    raw, calls = getattr(ours, draw), []
+    setattr(ours, draw, lambda: calls.append(1) or raw())
+    assert [ours.integers(n) for _ in range(200)] == oracle.integers(n, size=200).tolist()
+    assert len(calls) > 220
 
 
 def test_each_point_its_own_centroid(rng):
