@@ -152,25 +152,12 @@ def _load_matrix(args, name):
     return embeddings.load_embeddings(_required(args, name), format=args.format, skip_header=args.header)
 
 
-def _training_rows(args):
-    """The training rows of an exact scan, as a context manager: an EMBX
-    file left in the file for the scan to read a tile at a time
-    (``embeddings.open_rows``), a CSV file parsed whole."""
-    if args.format == "binary":
-        return embeddings.open_rows(_required(args, "train"))
-    return nullcontext(_load_matrix(args, "train"))
-
-
 def _checked_count(args) -> int:
-    """The row count of ``--train``, once every value is found finite: an
-    EMBX file read a tile at a time into one block, a pipe or CSV whole."""
-    with _training_rows(args) as train:
-        if isinstance(train, embeddings.EmbxRows):
-            tile = embeddings.block_rows(4 * train.dim, embeddings.BLOCK_BYTES // 8)
-            block = np.empty((min(tile, train.count), train.dim), dtype=np.float32)
-            for lo in range(0, train.count, tile):
-                hi = min(lo + tile, train.count)
-                train.fill(block[: hi - lo], lo, hi)
+    """The row count of ``--train``, once every value is found finite,
+    read a tile at a time as the scan reads it."""
+    with embeddings.open_rows(_required(args, "train"), args.format, args.header) as train:
+        for _ in embeddings.filled_tiles(train.count, train.dim, train.fill):
+            pass
         return train.count
 
 
@@ -216,7 +203,7 @@ def _match_tables(args) -> tuple[search.MatchTables, int]:
     """Run matching per the mode flags; returns (tables, training count)."""
     gen = _load_matrix(args, "gen")
     if args.mode == "exact":
-        with _training_rows(args) as train:
+        with embeddings.open_rows(_required(args, "train"), args.format, args.header) as train:
             return search.batch_match(train, gen, args.k, threads=args.threads), train.count
     codebook, codes = pq.load_index(_required(args, "index"))
     return search.batch_match((codebook, codes), gen, args.k, threads=args.threads), codes.count
@@ -268,9 +255,10 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _read_value_csv(path) -> tuple[np.ndarray, np.ndarray]:
+def _read_value_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The train_index (int64) and value (float64) columns of a value CSV,
-    in file order; an error names the first line at fault."""
+    in file order, and the permutation that sorts train_index; an error
+    names the first line at fault."""
     path = Path(path)
     index, value = array("q"), array("d")
     header, bad = False, None  # bad: the error of the first line that does not parse
@@ -306,7 +294,7 @@ def _read_value_csv(path) -> tuple[np.ndarray, np.ndarray]:
         bad = "no value rows"
     if bad is not None:
         raise FormatError(f"{path}: {bad}")
-    return index, np.frombuffer(value, dtype=np.float64)
+    return index, np.frombuffer(value, dtype=np.float64), order
 
 
 def _pick(index: np.ndarray, value: np.ndarray, name: str, wanted: list) -> np.ndarray:
@@ -334,8 +322,7 @@ def _compare_groups(args) -> tuple[np.ndarray, np.ndarray, str, str]:
         b = _read_value_csv(args.values_b)[1]
         return a, b, "a", "b"
     if args.values is not None and args.partition is not None:
-        index, value = _read_value_csv(args.values)
-        order = np.argsort(index)
+        index, value, order = _read_value_csv(args.values)
         index, value = index[order], value[order]
         groups = embeddings.read_json(args.partition, "partition file")
         if not isinstance(groups, dict):
@@ -382,7 +369,7 @@ def cmd_eval_recall(args) -> int:
     # the scans run at max(1, 10, k), which hides a k below 1 from batch_match
     if args.k < 1:
         raise ConfigError("k must be >= 1")
-    with _training_rows(args) as train:
+    with embeddings.open_rows(_required(args, "train"), args.format, args.header) as train:
         gen = _load_matrix(args, "gen")
         codebook, codes = pq.load_index(_required(args, "index"))
         if (codes.count, codebook.dim) != (train.count, train.dim):

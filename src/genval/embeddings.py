@@ -1,11 +1,11 @@
 """Embedding matrices: validation, persistence, row identities, and the
 nearest-row kernel that exact matching, PQ matching and PQ encoding
-share. The kernel scans float32 training rows a tile at a time, read in
-place, read from an EMBX file or decoded into one tile-sized block; it
-takes a shortlist from a float32 GEMM, against a threshold ranked on
-the first tile and drawn from the running top k on every later one, and
-recomputes the shortlist by float64 subtraction, the arithmetic that
-defines every distance.
+share. The kernel scans float32 training rows a tile at a time, each
+copied, read from an EMBX file or decoded into one tile-sized block by
+the training source's ``fill``; it takes a shortlist from a float32
+GEMM, against a threshold ranked on the first tile and drawn from the
+running top k on every later one, and recomputes the shortlist by
+float64 subtraction, the arithmetic that defines every distance.
 
 A training set and a generated set are both plain dense matrices of
 32-bit floats. The row index is the only identity used downstream.
@@ -59,6 +59,17 @@ def all_finite(arr: np.ndarray) -> bool:
     return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
+def _check_finite(rows: np.ndarray, lo: int = 0, given: np.ndarray | None = None) -> None:
+    """Refuse the first non-finite entry of ``rows``, its row counted from
+    ``lo``, as beyond float32 range where ``given``, the uncast rows, is finite."""
+    if all_finite(rows):
+        return
+    r, c = np.argwhere(~np.isfinite(rows))[0]
+    if given is not None and np.isfinite(given[r, c]):
+        raise ValidationError(f"value {given[r, c]:g} at row {r}, column {c} is beyond float32 range")
+    raise ValidationError(f"non-finite value at row {lo + r}, column {c}")
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """Immutable (count, dim) float32 matrix with implicit row identities."""
@@ -74,13 +85,7 @@ class EmbeddingMatrix:
         # a value beyond float32's range casts to inf, reported below
         with np.errstate(over="ignore"):
             data = np.ascontiguousarray(arr, dtype=np.float32)
-        if not all_finite(data):
-            r, c = np.argwhere(~np.isfinite(data))[0]
-            if np.isfinite(arr[r, c]):
-                raise ValidationError(
-                    f"value {arr[r, c]:g} at row {r}, column {c} is beyond float32 range"
-                )
-            raise ValidationError(f"non-finite value at row {r}, column {c}")
+        _check_finite(data, given=arr)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -91,6 +96,10 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
+
+    def fill(self, block: np.ndarray, lo: int, hi: int) -> None:
+        """Copy rows lo..hi-1 into the float32 rows ``block``."""
+        block[...] = self.data[lo:hi]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingMatrix):
@@ -109,7 +118,8 @@ def load_embeddings(path, format: str = "binary", skip_header: bool = False) -> 
     """
     path = Path(path)
     if format == "binary":
-        return _load_binary(path)
+        (data,) = read_container(path, _HEADER, EMBX_MAGIC, EMBX_VERSION, _embx_layout(path))
+        return EmbeddingMatrix(data)
     if format == "csv":
         return _load_csv(path, skip_header=skip_header)
     raise ValidationError(f"unknown format {format!r}, expected 'binary' or 'csv'")
@@ -300,19 +310,14 @@ def _embx_layout(path):
     return layout
 
 
-def _load_binary(path: Path) -> EmbeddingMatrix:
-    (data,) = read_container(path, _HEADER, EMBX_MAGIC, EMBX_VERSION, _embx_layout(path))
-    return EmbeddingMatrix(data)
-
-
 class EmbxRows(EmbeddingMatrix):
     """The matrix of an EMBX file, left in the file for the scan to read
     a tile at a time with ``fill``. Its header is checked against the
     file's size as ``load_embeddings`` checks it. It is an
     ``EmbeddingMatrix``, so whatever takes a matrix takes it: ``count``
-    and ``dim`` need no read, and ``data`` loads the whole matrix on
-    first use. Open one with ``open_rows``; it owns an open file until
-    closed."""
+    and ``dim`` need no read, and ``data`` reads the whole matrix from
+    the open file on first use. Open one with ``open_rows``; it owns an
+    open file until closed."""
 
     def __init__(self, path):
         path = Path(path)
@@ -332,7 +337,10 @@ class EmbxRows(EmbeddingMatrix):
     @property
     def data(self) -> np.ndarray:
         if self._data is None:
-            object.__setattr__(self, "_data", _load_binary(self.path).data)
+            data = np.empty(self._shape, dtype=np.float32)
+            self.fill(data, 0, self.count)
+            data.flags.writeable = False
+            object.__setattr__(self, "_data", data)
         return self._data
 
     @property
@@ -359,9 +367,7 @@ class EmbxRows(EmbeddingMatrix):
                 view, offset = view[got:], offset + got
         if sys.byteorder == "big":
             block.byteswap(inplace=True)
-        if not all_finite(block):
-            r, c = np.argwhere(~np.isfinite(block))[0]
-            raise ValidationError(f"non-finite value at row {lo + r}, column {c}")
+        _check_finite(block, lo)
 
     def close(self) -> None:
         self._fh.close()
@@ -373,13 +379,15 @@ class EmbxRows(EmbeddingMatrix):
         self.close()
 
 
-def open_rows(path):
-    """The EMBX file at ``path`` as a context manager for a matrix: an
-    ``EmbxRows`` over a regular file, whose rows the scan reads a tile at
-    a time; anything else (a pipe, a directory, a missing file) goes
-    through ``load_embeddings``, so it is read whole or refused as there."""
-    path = Path(path)
-    return EmbxRows(path) if path.is_file() else nullcontext(_load_binary(path))
+def open_rows(path, format: str = "binary", skip_header: bool = False):
+    """The training rows at ``path``, as ``load_embeddings`` takes its
+    arguments, as a context manager for a matrix whose ``fill`` the scan
+    reads a tile at a time: an ``EmbxRows`` over a regular EMBX file,
+    left in the file; anything else (a CSV file, a pipe, a directory, a
+    missing file) read whole by ``load_embeddings`` or refused as there."""
+    if format == "binary" and Path(path).is_file():
+        return EmbxRows(path)
+    return nullcontext(load_embeddings(path, format, skip_header))
 
 
 def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
@@ -469,14 +477,27 @@ def _running_bound(dk: np.ndarray, q2: np.ndarray, s: float, beta: float, d: int
     return np.nextafter(up, np.float32(np.inf), out=up, where=up < tau)
 
 
-def nearest_rows(source, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def filled_tiles(n: int, d: int, fill):
+    """Yield ``(lo, tile)`` for each tile of n training rows of dim d, in
+    index order: ``fill(tile, lo, hi)`` writes rows lo..hi-1 into one
+    float32 block of at most an eighth of ``BLOCK_BYTES``, reused for
+    every tile. The tiles are as few as that allows and all of one size
+    but the last. A ``fill`` that raises ends the iteration."""
+    nt = min(n, block_rows(4 * d, BLOCK_BYTES // 8))
+    nt = -(-n // -(-n // nt)) if n else 1
+    block = np.empty((nt, d), dtype=np.float32)
+    for lo in range(0, n, nt):
+        tile = block[: n - lo]
+        fill(tile, lo, lo + tile.shape[0])
+        yield lo, tile
+
+
+def nearest_rows(n: int, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k training rows for each row of ``queries``.
 
-    ``source`` has one entry per training row (n = ``len(source)`` >= 1).
-    With ``fill`` None it holds the training rows as float32 and the
-    scan reads them in place; otherwise ``fill(block, lo, hi)`` writes
-    training rows lo..hi-1 into a float32 block (decoding them or reading
-    them from a file), and the scan reads only ``len(source)``. A
+    The corpus has n >= 1 training rows; ``fill(block, lo, hi)`` writes
+    rows lo..hi-1 into a float32 block (copying, decoding or reading them
+    from a file), one tile at a time through ``filled_tiles``, and a
     ``fill`` that raises ends the scan. ``queries`` are float32, possibly
     strided. Returns ``(m, min(k, n))`` index and squared-distance
     tables, each row sorted ascending by distance with ties to the lower
@@ -486,13 +507,12 @@ def nearest_rows(source, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray,
     Tiles. The scan takes the training rows a tile at a time, in index
     order, and each tile against blocks of query rows. Scratch stays
     within ``BLOCK_BYTES`` at 4 bytes an entry: a tile of float32 rows
-    takes an eighth (allocated only with ``fill``: on the PQ route, and
-    for an EMBX file read a tile at a time), the GEMM's two
-    float32 tables, its bool mask and the scaled query rows a quarter (9
-    bytes a pair and 4 an entry of a query row), and the recheck's
-    temporaries a quarter. At d = 128 that is 2 048 rows a tile and 110
-    query rows a block, so each SGEMM packs its tile once for a hundred
-    query rows; at d = 64 tiles of 2 048 to 4 096 rows measured alike.
+    takes an eighth, the GEMM's two float32 tables, its bool mask and
+    the scaled query rows a quarter (9 bytes a pair and 4 an entry of a
+    query row), and the recheck's temporaries a quarter. At d = 128 that
+    is 2 048 rows a tile and 110 query rows a block, so each SGEMM packs
+    its tile once for a hundred query rows; at d = 64 tiles of 2 048 to
+    4 096 rows measured alike.
     Only the first tile ranks its rows to find a threshold; every later
     tile takes it from the running top k.
 
@@ -569,33 +589,18 @@ def nearest_rows(source, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray,
     the factor, exactly but for the underflow β counts, and the recheck
     reads rows and queries as they are.
     """
-    n = len(source)
     m, d = queries.shape
     k = min(k, n)
     u, u64 = 2.0**-24, 2.0**-53
     c = (_rho(d + 8, u) + 8 * _rho(d + 2, u64)) / (1 - 4 * u - _rho(d + 2, u64))
     eta = (1 + _rho(d + 1, u)) * 2.0**-149
     budget = BLOCK_BYTES // 4
-    nt = min(n, block_rows(4 * d, BLOCK_BYTES // 8))
-    nt = -(-n // -(-n // nt))  # as few tiles, all of one size but the last
-    # two float32 and one bool entry per pair, and the scaled query row
-    b = max(1, min(m, block_rows(9 * nt + 4 * d, budget)))
-    tile = None if fill is None else np.empty((nt, d), dtype=np.float32)
-    w_block = np.empty((b, d), dtype=np.float32)
-    approx = np.empty(b * nt, dtype=np.float32)
-    upper = np.empty(b * nt, dtype=np.float32)
-    keep = np.empty(b * nt, dtype=bool)
     q2 = np.einsum("ij,ij->i", queries, queries, dtype=np.float64)
     # (+inf, n) ranks after every real entry, so each row holds k entries
     # from the start and the merge below picks a fixed width
     indices = np.full((m, k), n, dtype=np.int64)
     sq_dists = np.full((m, k), np.inf)
-    for lo in range(0, n, nt):
-        if fill is None:
-            train = source[lo : lo + nt]
-        else:
-            train = tile[: n - lo]
-            fill(train, lo, lo + train.shape[0])
+    for lo, train in filled_tiles(n, d, fill):
         t = train.shape[0]
         x2 = np.einsum("ij,ij->i", train, train, dtype=np.float64)
         x2_max = x2.max()
@@ -608,6 +613,13 @@ def nearest_rows(source, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray,
         if lo == 0:
             kb = min(k, t)
             bq = (q2 * (2 * c * s) + 4 * beta).astype(np.float32)
+            # the first tile is the largest; two float32 and one bool
+            # entry per pair, and the scaled query row
+            b = max(1, min(m, block_rows(9 * t + 4 * d, budget)))
+            w_block = np.empty((b, d), dtype=np.float32)
+            approx = np.empty(b * t, dtype=np.float32)
+            upper = np.empty(b * t, dtype=np.float32)
+            keep = np.empty(b * t, dtype=bool)
         for qlo in range(0, m, b):
             r = min(b, m - qlo)
             q = queries[qlo : qlo + r]

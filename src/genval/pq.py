@@ -292,7 +292,8 @@ def encode(data: EmbeddingMatrix, codebook: Codebook) -> PQCodes:
     Distances are those of direct subtraction in float64, so exactly
     equidistant centroids really compare equal; ``nearest_rows`` finds
     the nearest one with a float32 GEMM shortlist over the subspace's
-    centroid table, read in place, and an exact recheck.
+    centroid table, an ``EmbeddingMatrix`` filled a tile at a time, and an
+    exact recheck.
     """
     if data.dim != codebook.dim:
         raise ConfigError(
@@ -302,7 +303,8 @@ def encode(data: EmbeddingMatrix, codebook: Codebook) -> PQCodes:
     codes = np.empty((data.count, m), dtype=_code_dtype(codebook.codebook_size))
     for s in range(m):
         sub = data.data[:, s * sd : (s + 1) * sd]
-        codes[:, s] = nearest_rows(codebook.centroids[s], None, sub, 1)[0][:, 0]
+        table = EmbeddingMatrix(codebook.centroids[s])
+        codes[:, s] = nearest_rows(table.count, table.fill, sub, 1)[0][:, 0]
     return PQCodes(codes)
 
 

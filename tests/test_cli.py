@@ -286,6 +286,44 @@ def test_value_sized_by_train_equals_value_sized_by_n(exp_dir, tmp_path):
     assert by_train.stdout == by_n.stdout and by_n.stdout.count("\n") == 61
 
 
+@pytest.mark.parametrize("header", [False, True])
+def test_value_sized_by_a_csv_train_equals_value_sized_by_n(exp_dir, tmp_path, header):
+    matches = tmp_path / "m.jsonl"
+    assert run_cli("match", "--train", exp_dir / "x_train.embx", "--gen", exp_dir / "x_hat.embx",
+                   "--output", matches).code == 0
+    train = tmp_path / "train.csv"
+    save_embeddings(load_embeddings(exp_dir / "x_train.embx"), train, format="csv")
+    if header:
+        train.write_text("c" + ",c" * 7 + "\n" + train.read_text())
+    flags = ["--header"] if header else []
+    by_n = run_cli("value", "--matches", matches, "--n", 60)
+    by_train = run_cli("value", "--matches", matches, "--train", train, "--format", "csv", *flags)
+    assert by_n.code == by_train.code == 0
+    assert by_train.stdout == by_n.stdout and by_n.stdout.count("\n") == 61
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_value_sized_by_a_csv_train_refuses_a_nan_field(tmp_path, rng, header):
+    lines = [",".join(map(str, row)) for row in rng.standard_normal((5, 3)).tolist()]
+    lines[3] = lines[3].split(",", 1)[0] + ",nan," + lines[3].rsplit(",", 1)[1]
+    train = tmp_path / "train.csv"
+    train.write_text("x,y,z\n" * header + "\n".join(lines) + "\n")
+    flags = ["--header"] if header else []
+    r = run_cli("value", "--matches", "-", "--train", train, "--format", "csv", *flags, stdin=HAND_MATCHES)
+    assert_one_error_line(r)
+    assert r.stderr == "genval: error: non-finite value at row 3, column 1\n"
+
+
+def test_value_sized_by_an_empty_train_exits_2(tmp_path):
+    """A valid EMBX file of no rows is read as no tiles, then refused."""
+    train = tmp_path / "train.embx"
+    with embeddings.writing_embx(train, 0, 3):
+        pass
+    r = run_cli("value", "--matches", "-", "--train", train, stdin=HAND_MATCHES)
+    assert_one_error_line(r)
+    assert r.stderr == "genval: error: training count must be >= 1\n"
+
+
 def test_value_sized_by_train_reads_one_tile_at_a_time(tmp_path, rng):
     """An EMBX --train is checked a tile at a time, never held whole; the
     bytes are those of --n."""

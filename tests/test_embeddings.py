@@ -13,7 +13,7 @@ from genval import (
     save_embeddings,
     validate_pair,
 )
-from genval.embeddings import exact_sq_dists, open_text, read_lines
+from genval.embeddings import exact_sq_dists, open_rows, open_text, read_lines
 from genval.errors import FormatError, ValidationError
 
 
@@ -158,6 +158,23 @@ def test_binary_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError):
         load_embeddings(path)
+
+
+def test_embx_rows_data_reads_the_file_it_opened(tmp_path, rng):
+    """A file renamed over the path of an open ``EmbxRows`` changes none
+    of its rows: ``data`` reads the file that was opened, as ``count``,
+    ``dim`` and ``fill`` do."""
+    path = tmp_path / "x.embx"
+    first = EmbeddingMatrix(rng.standard_normal((4, 3)).astype(np.float32))
+    save_embeddings(first, path)
+    with open_rows(path) as rows:
+        save_embeddings(EmbeddingMatrix(rng.standard_normal((6, 2)).astype(np.float32)), path)
+        block = np.empty((4, 3), dtype=np.float32)
+        rows.fill(block, 0, 4)
+        assert (rows.count, rows.dim) == (4, 3)
+        assert block.tobytes() == first.data.tobytes()
+        assert rows.data.shape == (4, 3) and rows.data.tobytes() == first.data.tobytes()
+        assert not rows.data.flags.writeable
 
 
 # --------------------------------------------------------------- csv format

@@ -513,30 +513,18 @@ def adc_case(name, rng, n, m):
 def training_blocks_of(rows, dim, monkeypatch):
     """Shrink the block budget so every route scans ``rows`` training
     rows of dim ``dim`` per tile (an eighth of the budget, float32);
-    returns the list of tile sizes it records. The scan slices rows held
-    in memory once per tile, reading them in place, and calls ``fill``
-    once per tile for rows it decodes or reads from a file, so the
-    slices and the fills are the tiles."""
+    returns the list of tile sizes it records. Every route calls
+    ``fill`` once per tile, so the fills are the tiles."""
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * rows * 4 * dim)
     blocks = []
     kernel = search.nearest_rows
 
-    class Sliced(np.ndarray):
-        def __getitem__(self, key):
-            part = np.ndarray.__getitem__(self, key)
-            if isinstance(key, slice):
-                blocks.append(len(part))
-            return part.view(np.ndarray)
-
-    def recording(source, fill, *a, **kw):
-        if fill is None:
-            return kernel(source.view(Sliced), fill, *a, **kw)
-
+    def recording(n, fill, *a, **kw):
         def filling(block, lo, hi):
             blocks.append(hi - lo)
             fill(block, lo, hi)
 
-        return kernel(source, filling, *a, **kw)
+        return kernel(n, filling, *a, **kw)
 
     monkeypatch.setattr(search, "nearest_rows", recording)
     return blocks
