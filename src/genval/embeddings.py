@@ -1,11 +1,6 @@
-"""Embedding matrices: validation, persistence, row identities, and the
-nearest-row kernel that exact matching, PQ matching and PQ encoding
-share. The kernel scans float32 training rows a tile at a time, each
-copied, read from an EMBX file or decoded into one tile-sized block by
-the training source's ``fill``; it takes a shortlist from a float32
-GEMM, against a threshold ranked on the first tile and drawn from the
-running top k on every later one, and recomputes the shortlist by
-float64 subtraction, the arithmetic that defines every distance.
+"""Embedding matrices: validation, persistence, row identities, and
+``nearest_rows``, the nearest-row scan that exact matching, PQ matching
+and PQ encoding share (its docstring holds the design).
 
 A training set and a generated set are both plain dense matrices of
 32-bit floats. The row index is the only identity used downstream.
@@ -175,23 +170,13 @@ def read_lines(fh, where: str):
         yield from lines
 
 
-def read_text(path) -> str:
-    """The text of the file at ``path``, decoded as UTF-8 whatever the
-    locale, for a JSON document; a byte that is not UTF-8 is a
-    ``FormatError`` naming the file."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"{path}: not UTF-8 text, byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
-        ) from None
-
-
 def read_json(path, what: str):
-    """The JSON value in the file at ``path``, read as ``read_text`` reads;
-    every error names the file and ``what`` it should hold."""
+    """The JSON value in the file at ``path`` (a file even if named
+    ``-``), read by ``read_lines`` as every text input is; every error
+    names the file and ``what`` it should hold."""
     try:
-        return json.loads(read_text(path))
+        with open_text(Path(path)) as fh:
+            return json.loads("\n".join(read_lines(fh, f"{path}:")))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: {what} is not valid JSON: {exc}") from None
     except RecursionError:
@@ -417,10 +402,22 @@ def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
 BLOCK_BYTES = 8 << 20
 
 
-def block_rows(row_bytes: int, budget: int | None = None) -> int:
+def block_rows(row_bytes: int, budget: int) -> int:
     """Rows per block when each row needs ``row_bytes`` of scratch out of
-    ``budget`` bytes (default ``BLOCK_BYTES``)."""
-    return max(1, (BLOCK_BYTES if budget is None else budget) // row_bytes)
+    ``budget`` bytes."""
+    return max(1, budget // row_bytes)
+
+
+def row_blocks(n: int, step: int) -> list[tuple[int, int]]:
+    """[lo, hi) blocks of n rows that start at multiples of ``step``; the
+    last one takes the remainder, so every block holds step to 2 * step - 1
+    rows (all n rows when n < step). A loop whose bits must not depend on
+    where it cuts takes its blocks here: einsum sums a lone row of more
+    than 8192 entries in buffer-sized pieces but a row of a taller matrix
+    in one go, and BLAS may hand a short tail block to another kernel
+    (gemv, a small-matrix kernel) than the full ones."""
+    starts = list(range(0, max(n - step, 0) + 1, step))
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def exact_sq_dists(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -435,18 +432,15 @@ def exact_sq_dists(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 def _pair_sq_dists(train, queries, rows, cols, budget, corpus_rows) -> np.ndarray:
     """``exact_sq_dists`` of every pair (train[cols[t]], queries[rows[t]])."""
-    # einsum sums a lone row of more than 8192 entries in buffer-sized
-    # pieces but a row of a taller matrix in one go; a full scan of the
-    # corpus is what defines each distance, so a call gets one row only
-    # when the corpus has one row, however few rows its block has
+    # a full scan of the corpus is what defines each distance, so a call
+    # gets one row (see row_blocks) only when the corpus has one row
     if corpus_rows > 1 and rows.size == 1:
         return exact_sq_dists(train[np.repeat(cols, 2)], queries[np.repeat(rows, 2)])[:1]
-    # two float32 gathers and their float64 difference, (step, d) each;
-    # chunks of at least step/2 >= 2 rows
-    step = 1 if corpus_rows == 1 else max(4, block_rows(16 * train.shape[1], budget))
-    bounds = np.linspace(0, rows.size, -(-rows.size // step) + 1, dtype=np.int64)
+    # two float32 gathers and their float64 difference, 16 bytes an entry,
+    # for each of under 2 * step rows
+    step = 1 if corpus_rows == 1 else max(2, block_rows(32 * train.shape[1], budget))
     out = np.empty(rows.size)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in row_blocks(rows.size, step):
         out[lo:hi] = exact_sq_dists(train[cols[lo:hi]], queries[rows[lo:hi]])
     return out
 

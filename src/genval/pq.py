@@ -28,7 +28,7 @@ import numpy as np
 
 from . import embeddings
 from .embeddings import (EmbeddingMatrix, all_finite, block_rows, exact_sq_dists, nearest_rows,
-                         read_container, write_container)
+                         read_container, row_blocks, write_container)
 from .errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
 from .workers import map_items, worker_count
 
@@ -161,27 +161,17 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: Philox) -> np.ndarray:
     return points[np.array(chosen)].copy()
 
 
-# _assign runs its GEMM over row blocks, and a row's product is bitwise
-# the one of a single full GEMM only while BLAS computes the row the same
-# way: blocks start at multiples of 64 rows (a multiple of every kernel's
-# row unroll) and the last one takes the remainder, so no short tail
-# block falls to gemv or a small-matrix kernel.
+# _assign's blocks and GEMM pieces come from row_blocks with a step that
+# is a multiple of 64 rows, a multiple of every BLAS kernel's row unroll,
+# so each row's product is bitwise the one of a single full GEMM
 _ASSIGN_ALIGN = 64
-
-
-def _row_blocks(n: int, step: int) -> list[tuple[int, int]]:
-    """[lo, hi) blocks starting at multiples of ``step``; the last one
-    takes the remainder, so it holds step to 2 * step - 1 rows (all n
-    rows when n < step)."""
-    starts = list(range(0, max(n - step, 0) + 1, step))
-    return list(zip(starts, starts[1:] + [n]))
 
 
 def _assign_blocks(n: int, k: int) -> list[tuple[int, int]]:
     """_assign's row blocks: 8-byte scores of a block fill a sixteenth of
     BLOCK_BYTES (256 rows at k = 256, in cache), step a multiple of 64."""
     step = block_rows(8 * k, embeddings.BLOCK_BYTES // 16) // _ASSIGN_ALIGN * _ASSIGN_ALIGN
-    return _row_blocks(n, max(_ASSIGN_ALIGN, step))
+    return row_blocks(n, max(_ASSIGN_ALIGN, step))
 
 
 # OpenBLAS runs a GEMM of at most 65536 * GEMM_MULTITHREAD_THRESHOLD
@@ -213,8 +203,7 @@ def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray, buf: np.n
     best = np.empty(n)
     for lo, hi in _assign_blocks(n, k):
         scores = buf[: hi - lo]
-        # GEMM pieces start at multiples of 64 rows as the blocks do
-        for plo, phi in _row_blocks(hi - lo, rows):
+        for plo, phi in row_blocks(hi - lo, rows):
             np.matmul(points[lo + plo : lo + phi], neg2c.T, out=scores[plo:phi])
         scores += c2
         assign[lo:hi] = np.argmin(scores, axis=1)
@@ -354,10 +343,8 @@ def quantization_error(data: EmbeddingMatrix, codebook: Codebook, codes: PQCodes
         )
     n, d = data.data.shape
     # a block of fewer than 2 * step rows, each a float32 decoded row and
-    # its float64 difference, fills at most a sixteenth of BLOCK_BYTES;
-    # step >= 2, as einsum sums a lone row of more than 8192 entries in
-    # pieces but a row of a taller matrix in one go (see _pair_sq_dists)
-    blocks = _row_blocks(n, max(2, block_rows(24 * d, embeddings.BLOCK_BYTES // 16)))
+    # its float64 difference, fills at most a sixteenth of BLOCK_BYTES
+    blocks = row_blocks(n, max(2, block_rows(24 * d, embeddings.BLOCK_BYTES // 16)))
     decoded = np.empty((max(hi - lo for lo, hi in blocks), d), dtype=np.float32)
     sq = np.empty(n)
     for lo, hi in blocks:

@@ -1,22 +1,17 @@
 """Top-k matching of generated points against training points.
 
-Both routes run ``embeddings.nearest_rows``, the one scan, over tiles
-of float32 training rows, each filled into one tile-sized block by the
-training source's ``fill``. The exact route copies a matrix's rows or
-reads an EMBX file's (``embeddings.open_rows``) one tile at a time; the
-PQ route decodes the codes one tile at a time, so its distance is the
-asymmetric distance of product quantization: the exact distance from
-the query to the decoded row. The scan takes a shortlist from one float32 BLAS GEMM per tile and
-block of query rows, against a threshold ranked on the first tile and
-drawn from the running top k on every later one, and recomputes only
-the shortlist by float64 subtraction; rigorous rounding bounds keep
-every row that could still be in the top k, so its tables are bitwise
-those of a full subtraction scan. Reported distances are non-squared
-Euclidean; rows are sorted ascending by distance with ties broken by
-ascending training index, so output is reproducible bit for bit
-regardless of tile size or scheduling. JSON lines carry distances at 9
-significant digits; ``as_written`` gives the tables a reader gets back,
-so ``value --inline`` values exactly what a piped ``value`` reads.
+Both routes run ``embeddings.nearest_rows``, the one scan (its docstring
+holds the design), over tiles of training rows that each route's
+``fill`` writes: the exact route copies a matrix's rows or reads an EMBX
+file's (``embeddings.open_rows``); the PQ route decodes the codes, so
+its distance is the asymmetric distance of product quantization, the
+exact distance from the query to the decoded row. Reported distances
+are non-squared Euclidean; rows are sorted ascending by distance with
+ties broken by ascending training index, so output is reproducible bit
+for bit regardless of tile size or scheduling. JSON lines carry
+distances at 9 significant digits; ``as_written`` gives the tables a
+reader gets back, so ``value --inline`` values exactly what a piped
+``value`` reads.
 """
 from __future__ import annotations
 

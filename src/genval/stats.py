@@ -87,7 +87,7 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(x, a, b) / a
-    return 1.0 - math.exp(b * math.log1p(-x) + a * math.log(x) - _log_beta(b, a)) * _beta_cf(1.0 - x, b, a) / b
+    return 1.0 - front * _beta_cf(1.0 - x, b, a) / b
 
 
 def student_t_sf(t: float, df: float) -> float:

@@ -92,19 +92,20 @@ def component_means(spec: ExperimentSpec) -> np.ndarray:
     """
     spec.validate()
     rng = _rng(spec.seed, _DOMAIN_MEANS)
-    means: list[np.ndarray] = []
+    means = np.empty((spec.mixture_components, spec.dim))
     scale = spec.component_spread
-    rejections = 0
-    while len(means) < spec.mixture_components:
+    placed = rejections = 0
+    while placed < spec.mixture_components:
         candidate = scale * rng.standard_normal(spec.dim)
         _check_range(candidate, "component_spread", spec.component_spread)
-        if not means or np.sqrt(exact_sq_dists(np.stack(means), candidate)).min() >= spec.component_spread:
-            means.append(candidate)
+        if not placed or np.sqrt(exact_sq_dists(means[:placed], candidate)).min() >= spec.component_spread:
+            means[placed] = candidate
+            placed += 1
         else:
             rejections += 1
             if rejections % 100 == 0:
                 scale *= 1.5
-    return np.stack(means)
+    return means
 
 
 def sample_mixture(spec: ExperimentSpec, count: int, stream: int = 0) -> EmbeddingMatrix:

@@ -13,7 +13,8 @@ from genval import (
     save_embeddings,
     validate_pair,
 )
-from genval.embeddings import exact_sq_dists, open_rows, open_text, read_lines
+from genval import embeddings
+from genval.embeddings import exact_sq_dists, open_rows, open_text, read_lines, row_blocks
 from genval.errors import FormatError, ValidationError
 
 
@@ -305,6 +306,35 @@ def test_exact_sq_dists_on_float32_is_the_float64_call_bit_for_bit(rng):
 
 
 # ------------------------------------------------------------------ pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 300), step=st.integers(1, 40))
+def test_row_blocks_start_at_multiples_of_step_and_never_cut_short(n, step):
+    blocks = row_blocks(n, step)
+    assert [lo for lo, _ in blocks] == list(range(0, step * len(blocks), step))
+    assert [hi for _, hi in blocks] == [lo for lo, _ in blocks[1:]] + [n]
+    sizes = [hi - lo for lo, hi in blocks]
+    assert all(step <= s < 2 * step for s in sizes) if n >= step else sizes == [n]
+
+
+@pytest.mark.parametrize("pairs", [2, 3, 5, 7])
+def test_pair_distances_never_take_a_lone_row_from_a_taller_corpus(rng, monkeypatch, pairs):
+    """At d = 9 000 einsum sums a lone row in pieces; with a budget that
+    gives chunks of 2 to 3 rows, every chunk still holds at least 2, so
+    each distance is the one of a scan of the whole corpus."""
+    d, budget = 9_000, 2 * 32 * 9_000
+    assert embeddings.block_rows(32 * d, budget) == 2
+    train = rng.standard_normal((4, d)).astype(np.float32)
+    queries = rng.standard_normal((3, d)).astype(np.float32)
+    rows, cols = rng.integers(0, 3, pairs), rng.integers(0, 4, pairs)
+    chunks = []
+    monkeypatch.setattr(embeddings, "exact_sq_dists",
+                        lambda a, b: chunks.append(len(a)) or exact_sq_dists(a, b))
+    got = embeddings._pair_sq_dists(train, queries, rows, cols, budget, len(train))
+    assert sum(chunks) == pairs and min(chunks) >= 2, chunks
+    want = [exact_sq_dists(train, queries[r])[c] for r, c in zip(rows, cols)]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_validate_pair():

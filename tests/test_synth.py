@@ -81,6 +81,30 @@ def test_component_means_grow_the_proposal_scale(monkeypatch):
     assert component_means(spec).tobytes() == means.tobytes()
 
 
+def stacked_component_means(spec):
+    """``component_means`` placed by stacking every earlier mean for each
+    proposal, the reference for its one preallocated array."""
+    rng = synth._rng(spec.seed, synth._DOMAIN_MEANS)
+    means, scale, rejections = [], spec.component_spread, 0
+    while len(means) < spec.mixture_components:
+        candidate = scale * rng.standard_normal(spec.dim)
+        if not means or np.sqrt(exact_sq_dists(np.stack(means), candidate)).min() >= spec.component_spread:
+            means.append(candidate)
+        else:
+            rejections += 1
+            if rejections % 100 == 0:
+                scale *= 1.5
+    return np.stack(means)
+
+
+@pytest.mark.parametrize("dim, components", [(2, 300), (64, 6), (9_000, 6)])
+def test_component_means_are_the_stacking_loops_bytes(dim, components):
+    # at d = 9 000 the second mean is tested against a lone row, which
+    # einsum sums in pieces
+    spec = ExperimentSpec(dim=dim, mixture_components=components, seed=7)
+    assert component_means(spec).tobytes() == stacked_component_means(spec).tobytes()
+
+
 def test_single_draw():
     spec = ExperimentSpec(dim=16, seed=5)
     m = sample_mixture(spec, 1)

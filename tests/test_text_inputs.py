@@ -63,9 +63,22 @@ def test_match_file_with_a_bad_byte_names_file_and_line(tmp_path):
 
 # --------------------------------------------------------------- line inputs
 
-# each line input: valid LF data, and the run that reads it from a file
+PARTITION = b'{\n "v1": [0, 2],\n "v2": [1, 3]\n}\n'
+
+
+def compare_beside(f, *argv, stdin=""):
+    """``compare`` of a values CSV written beside ``f``, with ``argv``."""
+    values = make_value_csv(f.parent / "v.csv", [0.5, 0.25, 0.75, 0.125])
+    return run_cli("compare", "--values", values, *argv, stdin=stdin)
+
+
+# each text input: valid LF data, and the run that reads it from a file
 # (None: from stdin, in a child whose stdin is a real byte stream)
 LINE_INPUTS = {
+    "config": (b'{\n "alpha": 0.05,\n "group_a": "v1"\n}\n',
+               lambda f: compare_beside(f, "--partition", write(f.parent / "p.json", PARTITION),
+                                        "--config", f)),
+    "partition": (PARTITION, lambda f: compare_beside(f, "--partition", f)),
     "embeddings": (b"0.5,1.5\n2.5,3.5\n-1,0.25\n",
                    lambda f: run_cli("match", "--format", "csv", "--train", f, "--gen", f, "--k", 2)),
     "values": (b"train_index,value,rank\n0,0.5,2\n1,0.25,3\n2,0.75,1\n",
@@ -101,7 +114,7 @@ def test_a_bad_byte_in_a_line_input_names_file_and_line(tmp_path, kind):
     lines = LINE_INPUTS[kind][0].split(b"\n")
     lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
     r, path = run_line_input(kind, tmp_path, b"\r\n".join(lines))
-    where = {"embeddings": f"{path}:", "values": f"{path}:",
+    where = {"embeddings": f"{path}:", "values": f"{path}:", "config": f"{path}:", "partition": f"{path}:",
              "matches": f"{path}: match stream", "stdin": "match stream"}[kind]
     assert r.code == 2
     assert r.stderr.splitlines() == [
@@ -112,6 +125,16 @@ def test_a_line_at_fault_before_a_bad_byte_is_the_one_reported(tmp_path):
     values = write(tmp_path / "v.csv", b"train_index,value\n0,x\n1,\xff\n")
     assert_one_error_line(run_cli("compare", "--values-a", values, "--values-b", values),
                           f"{values}: line 2: unparseable field")
+
+
+def test_a_config_file_named_dash_is_read_from_that_file(tmp_path, monkeypatch):
+    part = write(tmp_path / "p.json", PARTITION)
+    want = compare_beside(part, "--partition", part, "--alpha=0.05")
+    assert "alpha=0.05" in want.stdout
+    write(tmp_path / "-", b'{"alpha": 0.05}\n')
+    monkeypatch.chdir(tmp_path)
+    r = compare_beside(part, "--partition", part, "--config", "-", stdin='{"alpha": 0.2}')
+    assert (r.code, r.stdout, r.stderr) == (0, want.stdout, "")
 
 
 # ------------------------------------------------------------- deep nesting
