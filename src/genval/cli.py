@@ -169,6 +169,7 @@ def _out_stream(path):
 
 
 def cmd_synth(args) -> int:
+    out_dir = _required(args, "out_dir")
     spec = synth.ExperimentSpec(
         dim=args.dim,
         n_per_split=args.n_per_split,
@@ -178,7 +179,7 @@ def cmd_synth(args) -> int:
         m_generated=args.m,
         seed=args.seed,
     )
-    files = synth.make_ra2_experiment(spec, _required(args, "out_dir"))
+    files = synth.make_ra2_experiment(spec, out_dir)
     print(files["manifest"].read_text(encoding="utf-8"), end="")
     return 0
 

@@ -54,6 +54,13 @@ def all_finite(arr: np.ndarray) -> bool:
     return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
+def frozen(arr, dtype=None) -> np.ndarray:
+    """``arr`` as a contiguous, read-only array of ``dtype`` (its own if None)."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_finite(rows: np.ndarray, lo: int = 0, given: np.ndarray | None = None) -> None:
     """Refuse the first non-finite entry of ``rows``, its row counted from
     ``lo``, as beyond float32 range where ``given``, the uncast rows, is finite."""
@@ -81,8 +88,7 @@ class EmbeddingMatrix:
         with np.errstate(over="ignore"):
             data = np.ascontiguousarray(arr, dtype=np.float32)
         _check_finite(data, given=arr)
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", frozen(data))
 
     @property
     def count(self) -> int:
@@ -324,8 +330,7 @@ class EmbxRows(EmbeddingMatrix):
         if self._data is None:
             data = np.empty(self._shape, dtype=np.float32)
             self.fill(data, 0, self.count)
-            data.flags.writeable = False
-            object.__setattr__(self, "_data", data)
+            object.__setattr__(self, "_data", frozen(data))
         return self._data
 
     @property

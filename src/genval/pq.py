@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import embeddings
-from .embeddings import (EmbeddingMatrix, all_finite, block_rows, exact_sq_dists, nearest_rows,
+from .embeddings import (EmbeddingMatrix, all_finite, block_rows, exact_sq_dists, frozen, nearest_rows,
                          read_container, row_blocks, write_container)
 from .errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
 from .workers import map_items, worker_count
@@ -87,8 +87,7 @@ class Codebook:
             raise ConfigError("centroids must have shape (M, Ks, subspace_dim)")
         if not all_finite(arr):
             raise CorruptionError("codebook contains non-finite centroids")
-        arr.flags.writeable = False
-        object.__setattr__(self, "centroids", arr)
+        object.__setattr__(self, "centroids", frozen(arr))
 
     @property
     def num_subspaces(self) -> int:
@@ -119,9 +118,7 @@ class PQCodes:
             raise CorruptionError("codes must have shape (count, M)")
         if not np.issubdtype(arr.dtype, np.unsignedinteger):
             raise CorruptionError("codes must be unsigned integers")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "codes", arr)
+        object.__setattr__(self, "codes", frozen(arr))
 
     @property
     def count(self) -> int:

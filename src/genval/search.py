@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, nearest_rows, read_lines, validate_pair
+from .embeddings import EmbeddingMatrix, frozen, nearest_rows, read_lines, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
 from .pq import check_codes, decode_into
 from .workers import map_items, worker_count
@@ -43,10 +43,8 @@ class MatchTables:
         i = np.ascontiguousarray(self.indices, dtype=np.int64)
         if d.ndim != 2 or i.shape != d.shape:
             raise ValidationError("distance and index tables must share an (m, k) shape")
-        d.flags.writeable = False
-        i.flags.writeable = False
-        object.__setattr__(self, "distances", d)
-        object.__setattr__(self, "indices", i)
+        object.__setattr__(self, "distances", frozen(d))
+        object.__setattr__(self, "indices", frozen(i))
 
     @property
     def m(self) -> int:
@@ -190,7 +188,8 @@ def read_match_jsonl(fh, where: str = "match stream") -> MatchTables:
     if not gen:
         raise FormatError(f"{where} is empty")
     m = len(gen)
-    if sorted(gen) != list(range(m)):
+    # gen_index values are m distinct ints: they cover 0..m-1 when both ends do
+    if min(gen) != 0 or max(gen) != m - 1:
         raise FormatError(f"{where} gen_index values must cover 0..m-1")
     order = np.argsort(gen)
     return MatchTables(

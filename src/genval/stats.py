@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, exact_sq_dists
+from .embeddings import EmbeddingMatrix, exact_sq_dists, frozen
 from .errors import ValidationError
 
 _BETA_EPS = 1e-12
@@ -220,5 +220,4 @@ def exact_wasserstein(source: EmbeddingMatrix, target: EmbeddingMatrix, p: int =
     assignment = _hungarian(cost_matrix)
     mean_cost = float(cost_matrix[np.arange(n), assignment].mean())
     cost = mean_cost if p == 1 else math.sqrt(mean_cost)
-    assignment.flags.writeable = False
-    return TransportResult(cost=cost, p=p, assignment=assignment)
+    return TransportResult(cost=cost, p=p, assignment=frozen(assignment))

@@ -46,6 +46,9 @@ class ExperimentSpec:
     m_generated: int = 500
     seed: int = 42
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
@@ -90,7 +93,6 @@ def component_means(spec: ExperimentSpec) -> np.ndarray:
     proposal scale grows when rejections pile up, so placement always
     terminates.
     """
-    spec.validate()
     rng = _rng(spec.seed, _DOMAIN_MEANS)
     means = np.empty((spec.mixture_components, spec.dim))
     scale = spec.component_spread
@@ -110,7 +112,6 @@ def component_means(spec: ExperimentSpec) -> np.ndarray:
 
 def sample_mixture(spec: ExperimentSpec, count: int, stream: int = 0) -> EmbeddingMatrix:
     """Draw ``count`` points; ``stream`` selects an independent substream."""
-    spec.validate()
     if count < 1:
         raise ConfigError("count must be >= 1")
     return EmbeddingMatrix(_gather(_mixture_blocks(spec, count, stream), count, spec.dim))
@@ -118,20 +119,13 @@ def sample_mixture(spec: ExperimentSpec, count: int, stream: int = 0) -> Embeddi
 
 def simulate_generated(training_subset: EmbeddingMatrix, spec: ExperimentSpec) -> EmbeddingMatrix:
     """Memorizing generator: resample training rows plus isotropic noise."""
-    spec.validate()
     if training_subset.count < 1:
         raise ConfigError("training subset is empty")
     rng = _rng(spec.seed, _DOMAIN_GENERATOR)
-    picks = rng.integers(0, training_subset.count, size=spec.m_generated)
-    blocks = _noisy_blocks(training_subset.data[picks], spec, rng)
-    return EmbeddingMatrix(_gather(blocks, spec.m_generated, training_subset.dim))
-
-
-def _block_rows(spec: ExperimentSpec) -> int:
-    """Rows per block of a draw: two float64 rows of scratch per row (the
-    normals and their means, or a picked row and its noise) in a
-    sixteenth of ``BLOCK_BYTES``."""
-    return block_rows(16 * spec.dim, embeddings.BLOCK_BYTES // 16)
+    picked = training_subset.data[rng.integers(0, training_subset.count, size=spec.m_generated)]
+    blocks = _draw_blocks(rng, lambda lo, hi: picked[lo:hi], spec.noise_sigma, *picked.shape,
+                          "noise_sigma", spec.noise_sigma)
+    return EmbeddingMatrix(_gather(blocks, *picked.shape))
 
 
 def _gather(blocks, count: int, dim: int) -> np.ndarray:
@@ -144,39 +138,36 @@ def _gather(blocks, count: int, dim: int) -> np.ndarray:
     return out
 
 
-def _mixture_blocks(spec: ExperimentSpec, count: int, stream: int):
-    """Yield ``sample_mixture``'s ``count`` rows as float32 blocks, each
-    checked for overflow; the normals, drawn one block of rows at a
-    time, continue one stream. Every block reuses one buffer."""
-    means = component_means(spec)
-    rng = _rng(spec.seed, _DOMAIN_MIXTURE, stream)
-    comp = rng.integers(0, spec.mixture_components, size=count)
-    b = min(count, _block_rows(spec))
-    block = np.empty((b, spec.dim))
-    out = np.empty((b, spec.dim), dtype=np.float32)
+def _draw_blocks(rng: np.random.Generator, base, scale: float, count: int, dim: int,
+                 option: str, value: float):
+    """Yield ``count`` rows of ``dim`` as float32 blocks: ``scale`` times
+    normals that continue ``rng``'s stream, plus the rows ``base(lo, hi)``,
+    summed in float64. An overflow in a block is blamed on ``option`` =
+    ``value``. Every block reuses one float64 and one float32 buffer,
+    sized by two float64 rows a row in a sixteenth of ``BLOCK_BYTES``."""
+    b = min(count, block_rows(16 * dim, embeddings.BLOCK_BYTES // 16))
+    block = np.empty((b, dim))
+    out = np.empty((b, dim), dtype=np.float32)
     for lo in range(0, count, b):
         rows, rows32 = block[: count - lo], out[: count - lo]
         rng.standard_normal(out=rows)
         # overflow gives inf, which the check reports
         with np.errstate(over="ignore"):
-            rows += means[comp[lo : lo + len(rows)]]
+            rows *= scale
+            rows += base(lo, lo + len(rows))
             rows32[...] = rows
-        _check_range(rows32, "component_spread", spec.component_spread)
+        _check_range(rows32, option, value)
         yield rows32
 
 
-def _noisy_blocks(picked: np.ndarray, spec: ExperimentSpec, rng: np.random.Generator):
-    """Yield the generated rows as float32 blocks, each checked for
-    overflow: the float32 rows ``picked`` plus ``noise_sigma`` times
-    normals that continue ``rng``'s stream, summed in float64."""
-    b = _block_rows(spec)
-    for lo in range(0, len(picked), b):
-        base = picked[lo : lo + b].astype(np.float64)
-        with np.errstate(over="ignore"):
-            base += spec.noise_sigma * rng.standard_normal(base.shape)
-            rows = base.astype(np.float32)
-        _check_range(rows, "noise_sigma", spec.noise_sigma)
-        yield rows
+def _mixture_blocks(spec: ExperimentSpec, count: int, stream: int):
+    """Yield ``sample_mixture``'s ``count`` rows as float32 blocks: each
+    row is its component's mean plus normals from ``stream``."""
+    means = component_means(spec)
+    rng = _rng(spec.seed, _DOMAIN_MIXTURE, stream)
+    comp = rng.integers(0, spec.mixture_components, size=count)
+    return _draw_blocks(rng, lambda lo, hi: means[comp[lo:hi]], 1.0, count, spec.dim,
+                        "component_spread", spec.component_spread)
 
 
 def _check_range(rows: np.ndarray, option: str, value: float) -> None:
@@ -200,7 +191,6 @@ def make_ra2_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     file is replaced together or none is: each goes through
     ``embeddings.replacing``, renamed once all six are written.
     """
-    spec.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n, m, dim = spec.n_per_split, spec.m_generated, spec.dim
@@ -233,7 +223,8 @@ def make_ra2_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
         for rows in _mixture_blocks(spec, n, stream=1):
             x_v2(rows)
             x_train(rows)
-        for rows in _noisy_blocks(picked, spec, gen_rng):
+        for rows in _draw_blocks(gen_rng, lambda lo, hi: picked[lo:hi], spec.noise_sigma, m, dim,
+                                 "noise_sigma", spec.noise_sigma):
             x_hat(rows)
 
         fh = stack.enter_context(embeddings.replacing(files["partition"], text=True))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import frozen
 from .errors import ConfigError, CorruptionError, InternalError, ValidationError
 from .search import MatchTables
 
@@ -29,12 +30,8 @@ class ValuationResult:
     ranking: np.ndarray  # (n,) int64, descending value, ties by index
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        r = np.ascontiguousarray(self.ranking, dtype=np.int64)
-        v.flags.writeable = False
-        r.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "ranking", r)
+        object.__setattr__(self, "values", frozen(self.values, np.float64))
+        object.__setattr__(self, "ranking", frozen(self.ranking, np.int64))
 
 
 def discount_scores(distances, temperature: float = 1.0) -> np.ndarray:
@@ -89,5 +86,5 @@ def aggregate_values(tables: MatchTables, n: int, temperature: float = 1.0) -> V
         raise InternalError(
             f"value mass {total} deviates from generated count {tables.m}"
         )
-    ranking = np.lexsort((np.arange(n), -values))
+    ranking = np.argsort(-values, kind="stable")  # ties stay in index order
     return ValuationResult(n=n, m=tables.m, k=tables.k, values=values, ranking=ranking)

@@ -972,6 +972,7 @@ def test_credit_overflow_is_the_exact_limit(tmp_path):
 @pytest.mark.parametrize("flags, option", [
     (("--spread", 1e308, "--components", 2), "component_spread"),
     (("--noise-sigma", 1e300), "noise_sigma"),
+    (("--noise-sigma", 1e308), "noise_sigma"),
 ])
 def test_synth_out_of_range_names_its_option(tmp_path, flags, option):
     r = run_cli_process("synth", "--out-dir", tmp_path / "exp", "--dim", 8,

@@ -855,6 +855,14 @@ def test_jsonl_lines_may_arrive_out_of_order():
             '{"gen_index": 1, "matches": [{"train_index": 1, "distance": 1}]}\n',
             r"cover 0\.\.m-1",
         ),
+        *(
+            (
+                f'{{"gen_index": {a}, "matches": [{{"train_index": 1, "distance": 1}}]}}\n'
+                f'{{"gen_index": {b}, "matches": [{{"train_index": 1, "distance": 1}}]}}\n',
+                r"cover 0\.\.m-1",
+            )
+            for a, b in ((0, 2), (-1, 0), (0, 2**70))
+        ),
         ("", r"empty"),
         ('{"gen_index": 0, "matches": []}\n', r"line 1: record has no matches"),
         ('{"gen_index": 0, "matches": [{"train_index": 1.7, "distance": 1}]}\n', r"line 1: indices"),

@@ -37,6 +37,11 @@ def test_experiment_spec_validation():
             ExperimentSpec(**bad).validate()
 
 
+def test_a_bad_spec_is_refused_when_made():
+    with pytest.raises(ConfigError, match=r"^dim must be >= 1$"):
+        ExperimentSpec(dim=0)
+
+
 def test_a_spread_whose_square_underflows_is_refused():
     """Means are placed by squared distance: a spread whose square is no
     normal float64 is refused at once, rather than rejected until the
@@ -148,6 +153,21 @@ def test_blocked_draws_equal_one_draw(monkeypatch, dim, count, block):
         assert sample_mixture(spec, count, stream).data.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dim, m, block", [(1, 30, 7), (5, 29, 4), (3000, 61, 20)])
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 2.5])
+def test_blocked_generator_equals_one_draw(monkeypatch, dim, m, block, sigma):
+    """The generator's blocks of normals continue one stream too: at
+    three or more blocks, the last one short, its rows are the picked
+    rows plus sigma times one (m, dim) draw, summed in float64."""
+    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 16 * block * 16 * dim)
+    spec = ExperimentSpec(dim=dim, noise_sigma=sigma, m_generated=m, seed=9)
+    subset = sample_mixture(spec, 50)
+    rng = synth._rng(spec.seed, synth._DOMAIN_GENERATOR)
+    picked = subset.data[rng.integers(0, subset.count, size=m)]
+    want = (picked + sigma * rng.standard_normal((m, dim))).astype(np.float32)
+    assert simulate_generated(subset, spec).data.tobytes() == want.tobytes()
+
+
 def test_experiment_splits_are_the_mixture_draws(tmp_path):
     spec = ExperimentSpec(dim=6, n_per_split=25, m_generated=5, seed=2)
     files = make_ra2_experiment(spec, tmp_path)
@@ -230,6 +250,19 @@ def test_generator_converts_only_the_rows_it_picks(rng):
     subset = EmbeddingMatrix(rng.standard_normal((20_000, 64)).astype(np.float32))
     peak = traced_peak(lambda: simulate_generated(subset, ExperimentSpec(m_generated=10)))
     assert peak < subset.data.nbytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_generator_draws_into_two_reused_blocks(rng):
+    """Guards peak memory: besides the picked rows and the generated
+    rows, float32 both, the generator holds one float64 and one float32
+    block, under a sixteenth of the block budget; a float64 copy of the
+    picked rows, the normals and their scaled copy, fresh for each
+    block, come to more."""
+    subset = EmbeddingMatrix(rng.standard_normal((2000, 128)).astype(np.float32))
+    spec = ExperimentSpec(dim=128, m_generated=2000, seed=3)
+    rows32 = spec.m_generated * spec.dim * 4
+    peak = traced_peak(lambda: simulate_generated(subset, spec))
+    assert peak < 2 * rows32 + embeddings.BLOCK_BYTES // 16, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_experiment_holds_no_corpus(tmp_path):

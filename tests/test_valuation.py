@@ -181,6 +181,21 @@ def test_equal_values_rank_in_index_order():
     np.testing.assert_allclose(res.values[res.ranking], [1 / 3] * 3)
 
 
+@settings(deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.tuples(st.integers(0, 39), st.sampled_from([0.0, 0.5, 2.0])), min_size=3, max_size=3),
+        min_size=1, max_size=16,
+    ),
+)
+def test_ranking_is_the_lexsort_by_value_then_index(rows):
+    """Three distances and at most 48 matches of 40 rows give many tied
+    values and exact zeros; the ranking is the two-key sort's (numpy's
+    default quicksort is not, at 40 rows)."""
+    res = aggregate_values(tables([[d for _, d in r] for r in rows], [[i for i, _ in r] for r in rows]), n=40)
+    assert res.ranking.tolist() == np.lexsort((np.arange(40), -res.values)).tolist()
+
+
 def test_out_of_range_index_is_corruption():
     t = tables([[1.0]], [[9]])
     with pytest.raises(CorruptionError, match=r"row 0"):
