@@ -13,23 +13,35 @@ so one file can drive a whole pipeline. Exit codes: 0 success, 2
 usage/config/data error or an input too large for memory, 3 violated
 internal invariant. Data goes to stdout (or ``--output``), diagnostics
 to stderr.
+
+Each command imports the modules it runs when it runs, and calls them
+as ``module.function``, looked up at the call: ``compare`` runs on the
+standard library alone, without numpy.
 """
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import sys
 from array import array
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import embeddings, pq, search, stats, synth, valuation
+from . import textio
 from .errors import ConfigError, FormatError, GenvalError, InternalError
 
+if TYPE_CHECKING:
+    from . import search
+
 VALUE_FORMAT = "%.9g"
+# rows of the value CSV formatted per write, or sorted per run
+VALUE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,7 @@ def _config_value(opt: Option, value):
 
 
 def _load_config(path) -> dict:
-    raw = embeddings.read_json(path, "config file")
+    raw = textio.read_json(path, "config file")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config file must hold a flat JSON object")
     return raw
@@ -149,12 +161,16 @@ def _required(args, name) -> Path:
 
 
 def _load_matrix(args, name):
+    from . import embeddings
+
     return embeddings.load_embeddings(_required(args, name), format=args.format, skip_header=args.header)
 
 
 def _checked_count(args) -> int:
     """The row count of ``--train``, once every value is found finite,
     read a tile at a time as the scan reads it."""
+    from . import embeddings
+
     with embeddings.open_rows(_required(args, "train"), args.format, args.header) as train:
         for _ in embeddings.filled_tiles(train.count, train.dim, train.fill):
             pass
@@ -165,10 +181,14 @@ def _out_stream(path):
     """stdout for ``None`` or ``-``, else ``path`` replaced whole or not at all."""
     if path is None or path == "-":
         return nullcontext(sys.stdout)
+    from . import embeddings
+
     return embeddings.replacing(path, text=True)
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     out_dir = _required(args, "out_dir")
     spec = synth.ExperimentSpec(
         dim=args.dim,
@@ -185,6 +205,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_index(args) -> int:
+    from . import pq
+
     train = _load_matrix(args, "train")
     cfg = pq.PQConfig(
         num_subspaces=args.num_subspaces,
@@ -202,15 +224,21 @@ def cmd_build_index(args) -> int:
 
 def _match_tables(args) -> tuple[search.MatchTables, int]:
     """Run matching per the mode flags; returns (tables, training count)."""
+    from . import embeddings, search
+
     gen = _load_matrix(args, "gen")
     if args.mode == "exact":
         with embeddings.open_rows(_required(args, "train"), args.format, args.header) as train:
             return search.batch_match(train, gen, args.k, threads=args.threads), train.count
+    from . import pq
+
     codebook, codes = pq.load_index(_required(args, "index"))
     return search.batch_match((codebook, codes), gen, args.k, threads=args.threads), codes.count
 
 
 def cmd_match(args) -> int:
+    from . import search
+
     tables, _ = _match_tables(args)
     with _out_stream(args.output) as fh:
         search.write_match_jsonl(tables, fh)
@@ -218,6 +246,10 @@ def cmd_match(args) -> int:
 
 
 def cmd_value(args) -> int:
+    import numpy as np
+
+    from . import embeddings, search, valuation
+
     if args.inline:
         tables, n = _match_tables(args)
         # the distances a piped run reads, so that inline and piped
@@ -225,7 +257,7 @@ def cmd_value(args) -> int:
         tables = search.as_written(tables)
     else:
         path = args.matches or "-"
-        with embeddings.open_text(path) as fh:
+        with textio.open_text(path) as fh:
             tables = search.read_match_jsonl(fh, "match stream" if path == "-" else f"{path}: match stream")
         if args.n is not None:
             n = args.n
@@ -239,9 +271,7 @@ def cmd_value(args) -> int:
     # the summary is written inside the values' block, so a summary that
     # cannot be written leaves no values file either
     with _out_stream(args.output) as fh:
-        fields = [None] * (3 * result.n)
-        fields[0::3], fields[1::3], fields[2::3] = range(result.n), result.values.tolist(), rank.tolist()
-        fh.write("train_index,value,rank\n" + ("%d," + VALUE_FORMAT + ",%d\n") * result.n % tuple(fields))
+        _write_value_csv(fh, result.values, rank)
         if args.summary is not None:
             summary = {
                 "n": result.n,
@@ -256,15 +286,26 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _read_value_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _write_value_csv(fh, values, rank) -> None:
+    """Write the value CSV of the float64 ``values`` and int64 ``rank``
+    arrays, ``VALUE_ROWS`` rows formatted at a time."""
+    fh.write("train_index,value,rank\n")
+    for lo in range(0, len(values), VALUE_ROWS):
+        hi = min(lo + VALUE_ROWS, len(values))
+        fields = [None] * (3 * (hi - lo))
+        fields[0::3], fields[1::3], fields[2::3] = range(lo, hi), values[lo:hi].tolist(), rank[lo:hi].tolist()
+        fh.write(("%d," + VALUE_FORMAT + ",%d\n") * (hi - lo) % tuple(fields))
+
+
+def _read_value_csv(path, by_index: bool = False) -> tuple[array, array]:
     """The train_index (int64) and value (float64) columns of a value CSV,
-    in file order, and the permutation that sorts train_index; an error
+    in file order, or sorted by train_index with ``by_index``; an error
     names the first line at fault."""
     path = Path(path)
     index, value = array("q"), array("d")
     header, bad = False, None  # bad: the error of the first line that does not parse
-    with embeddings.open_text(path) as fh:
-        for lineno, line in enumerate(embeddings.read_lines(fh, f"{path}:"), start=1):
+    with textio.open_text(path) as fh:
+        for lineno, line in enumerate(textio.read_lines(fh, f"{path}:"), start=1):
             if lineno == 1 and line.startswith("train_index"):
                 header = True
                 continue
@@ -282,50 +323,60 @@ def _read_value_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 bad = f"line {lineno}: train_index outside the 64-bit range"
                 break
     # a line that fails on its value leaves its index behind
-    index = np.frombuffer(index, dtype=np.int64)[: len(value)]
-    # a stable sort puts each train_index's rows in file order, so every
-    # row after the first of its run repeats an earlier line's index
-    order = np.argsort(index, kind="stable")
-    ordered = index[order]
-    repeats = order[1:][ordered[1:] == ordered[:-1]]
-    if repeats.size:
-        row = int(repeats.min())
+    del index[len(value):]
+    # rows in ascending train_index, as value writes them, need no sort;
+    # else a stable sort puts each train_index's rows in file order, so
+    # every row after the first of its run repeats an earlier line's index
+    order, row = None, None
+    if not all(map(lt, index, islice(index, 1, None))):
+        order = _stable_order(index)
+        row = min((j for i, j in zip(order, islice(order, 1, None)) if index[i] == index[j]), default=None)
+    if row is not None:
         bad = f"line {row + 1 + header}: duplicate train_index {index[row]}"
-    elif bad is None and not index.size:
+    elif bad is None and not index:
         bad = "no value rows"
     if bad is not None:
         raise FormatError(f"{path}: {bad}")
-    return index, np.frombuffer(value, dtype=np.float64), order
+    if by_index and order is not None:
+        # one column at a time, so that only one copy is held
+        index = array("q", map(index.__getitem__, order))
+        value = array("d", map(value.__getitem__, order))
+    return index, value
 
 
-def _pick(index: np.ndarray, value: np.ndarray, name: str, wanted: list) -> np.ndarray:
+def _stable_order(index: array) -> array:
+    """The rows of ``index`` by ascending value, rows of equal value in row
+    order (a stable argsort), as an int64 array: runs of ``VALUE_ROWS``
+    rows are sorted, then merged, so no Python list is longer than a run."""
+    runs = array("q")
+    for lo in range(0, len(index), VALUE_ROWS):
+        runs.extend(sorted(range(lo, min(lo + VALUE_ROWS, len(index))), key=index.__getitem__))
+    view = memoryview(runs)
+    # on a tie the merge takes the earlier run, that is the earlier row
+    merged = heapq.merge(*(view[lo : lo + VALUE_ROWS] for lo in range(0, len(runs), VALUE_ROWS)),
+                         key=index.__getitem__)
+    return array("q", merged)
+
+
+def _pick(index: array, value: array, name: str, wanted: list) -> array:
     """The values of the rows whose train_index ``wanted`` lists, in its
-    order; ``index`` is sorted and ``value`` follows it."""
-    try:
-        want, fits = np.array(wanted, dtype=np.int64), np.ones(len(wanted), dtype=bool)
-    except OverflowError:
-        # no train_index lies outside int64; 0 stands in for such an entry
-        fits = np.array([-(1 << 63) <= i < (1 << 63) for i in wanted], dtype=bool)
-        want = np.array([i if ok else 0 for i, ok in zip(wanted, fits)], dtype=np.int64)
-    at = np.minimum(np.searchsorted(index, want), index.size - 1)
-    missing = ~fits | (index[at] != want)
-    if missing.any():
-        raise ConfigError(
-            f"group {name!r} references train_index {wanted[int(np.argmax(missing))]} "
-            "missing from the value CSV"
-        )
-    return value[at]
+    order; ``index`` is sorted, without repeats, and ``value`` follows it."""
+    n = len(index)
+    at = [bisect_left(index, i) for i in wanted]
+    for i, t in zip(wanted, at):
+        if not (t < n and index[t] == i):
+            raise ConfigError(f"group {name!r} references train_index {i} missing from the value CSV")
+    return array("d", map(value.__getitem__, at))
 
 
-def _compare_groups(args) -> tuple[np.ndarray, np.ndarray, str, str]:
+def _compare_groups(args) -> tuple[array, array, str, str]:
     if args.values_a is not None and args.values_b is not None:
         a = _read_value_csv(args.values_a)[1]
         b = _read_value_csv(args.values_b)[1]
         return a, b, "a", "b"
     if args.values is not None and args.partition is not None:
-        index, value, order = _read_value_csv(args.values)
-        index, value = index[order], value[order]
-        groups = embeddings.read_json(args.partition, "partition file")
+        index, value = _read_value_csv(args.values, by_index=True)
+        groups = textio.read_json(args.partition, "partition file")
         if not isinstance(groups, dict):
             raise ConfigError(f"{args.partition}: partition file must hold a JSON object of groups")
         name_a, name_b = args.group_a, args.group_b
@@ -345,6 +396,8 @@ def _compare_groups(args) -> tuple[np.ndarray, np.ndarray, str, str]:
 
 
 def cmd_compare(args) -> int:
+    from . import stats
+
     a, b, name_a, name_b = _compare_groups(args)
     alpha = args.alpha
     if not 0 < alpha < 1:
@@ -367,6 +420,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval_recall(args) -> int:
+    from . import embeddings, pq, search
+
     # the scans run at max(1, 10, k), which hides a k below 1 from batch_match
     if args.k < 1:
         raise ConfigError("k must be >= 1")
@@ -388,10 +443,14 @@ def cmd_eval_recall(args) -> int:
 
 
 def _prefix(tables: search.MatchTables, k: int) -> search.MatchTables:
+    from . import search
+
     return search.MatchTables(tables.distances[:, :k], tables.indices[:, :k])
 
 
 def cmd_wasserstein(args) -> int:
+    from . import embeddings, stats
+
     source = _load_matrix(args, "source")
     target = _load_matrix(args, "target")
     res = stats.exact_wasserstein(source, target, p=args.p)

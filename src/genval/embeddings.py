@@ -15,7 +15,7 @@ Two on-disk formats are supported:
   writes one a block of rows at a time. No other module packs or
   unpacks the header.
 * headerless CSV, one vector per line (``--header`` skips line 1), read
-  by ``read_lines`` as every line input is.
+  by ``textio.read_lines`` as every line input is.
 
 EMBX and the PQ index (``pq``) share one container rule, kept by
 ``check_container``, ``read_container`` and ``write_container``: a
@@ -24,7 +24,6 @@ fill the file exactly.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -38,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InternalError, ValidationError
+from .textio import open_text, read_lines
 
 EMBX_MAGIC = b"EMBX"
 EMBX_VERSION = 1
@@ -55,10 +55,14 @@ def all_finite(arr: np.ndarray) -> bool:
 
 
 def frozen(arr, dtype=None) -> np.ndarray:
-    """``arr`` as a contiguous, read-only array of ``dtype`` (its own if None)."""
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
+    """``arr`` as a contiguous, read-only array of ``dtype`` (its own if
+    None); an ``arr`` that is one already is frozen as a view, so the
+    caller's array stays writeable and nothing is copied."""
+    out = np.ascontiguousarray(arr, dtype=dtype)
+    if out is arr:
+        out = out.view()
+    out.flags.writeable = False
+    return out
 
 
 def _check_finite(rows: np.ndarray, lo: int = 0, given: np.ndarray | None = None) -> None:
@@ -143,50 +147,6 @@ def save_embeddings(matrix: EmbeddingMatrix, path, format: str = "binary") -> No
                 fh.write("\n")
     else:
         raise ValidationError(f"unknown format {format!r}, expected 'binary' or 'csv'")
-
-
-def open_text(path):
-    """The file at ``path`` (the string ``-``: stdin) opened for
-    ``read_lines``: UTF-8 whatever the locale, a byte that is not UTF-8
-    kept as a lone surrogate, and every \\r\\n, \\r or \\n read as \\n."""
-    if path != "-":
-        return open(path, encoding="utf-8", errors="surrogateescape")
-    if hasattr(sys.stdin, "reconfigure"):
-        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
-    return nullcontext(sys.stdin)
-
-
-def read_lines(fh, where: str):
-    """Yield the lines of the text stream ``fh`` without their newlines,
-    less an empty last one, split 64 KiB of text and the rest of its last
-    line at a time. A byte that is not UTF-8 is a ``FormatError``
-    "``where`` line N: ...", raised once the lines before it are yielded."""
-    lineno = 0
-    while chunk := fh.read(1 << 16) + fh.readline():
-        lines = chunk.removesuffix("\n").split("\n")
-        if not chunk.isascii():
-            try:
-                chunk.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                good = chunk.count("\n", 0, exc.start)
-                yield from lines[:good]
-                raise FormatError(f"{where} line {lineno + good + 1}: malformed record, byte "
-                                  f"0x{ord(chunk[exc.start]) & 0xFF:02x} is not UTF-8") from None
-        lineno += len(lines)
-        yield from lines
-
-
-def read_json(path, what: str):
-    """The JSON value in the file at ``path`` (a file even if named
-    ``-``), read by ``read_lines`` as every text input is; every error
-    names the file and ``what`` it should hold."""
-    try:
-        with open_text(Path(path)) as fh:
-            return json.loads("\n".join(read_lines(fh, f"{path}:")))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {what} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise FormatError(f"{path}: {what} is not valid JSON: nested too deeply") from None
 
 
 def check_container(path, head: bytes, size: int, header: struct.Struct, magic: bytes, version: int,

@@ -22,9 +22,9 @@ from functools import partial
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, frozen, nearest_rows, read_lines, validate_pair
+from .embeddings import EmbeddingMatrix, frozen, nearest_rows, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
-from .pq import check_codes, decode_into
+from .textio import read_lines
 from .workers import map_items, worker_count
 
 # distances in JSON-lines output carry 9 significant digits
@@ -74,6 +74,9 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
     if isinstance(training_repr, EmbeddingMatrix):
         n, fill, dim = training_repr.count, training_repr.fill, training_repr.dim
     else:
+        # imported here, so that the exact route loads no pq
+        from .pq import check_codes, decode_into
+
         codebook, codes = training_repr
         check_codes(codes, codebook)
         n, fill, dim = codes.count, partial(decode_into, codebook, codes.codes), codebook.dim

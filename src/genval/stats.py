@@ -1,7 +1,10 @@
 """Statistical validation: one-sided Welch test and exact transport cost.
 
-The t tail probability is evaluated through the regularized incomplete
-beta function (continued fraction, 1e-12 convergence threshold, 300
+The Welch test runs on the standard library alone, so ``compare`` needs
+no numpy: its sums port numpy's float64 pairwise summation, so the
+means and variances are bitwise ``mean()`` and ``var(ddof=1)``. The t
+tail probability is evaluated through the regularized incomplete beta
+function (continued fraction, 1e-12 convergence threshold, 300
 iteration cap). The transport cost solves the min-cost perfect
 assignment between two equal-size point sets with an O(n^3) Hungarian
 algorithm; it is a desk-scale oracle, capped at n = 256.
@@ -10,11 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .embeddings import EmbeddingMatrix, exact_sq_dists, frozen
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .embeddings import EmbeddingMatrix
 
 _BETA_EPS = 1e-12
 _BETA_MAX_ITER = 300
@@ -99,26 +107,63 @@ def student_t_sf(t: float, df: float) -> float:
     return tail if t >= 0 else 1.0 - tail
 
 
+def _floats(x) -> list[float]:
+    """The values of ``numpy.asarray(x, float64).reshape(-1)``, in order,
+    for ``x`` a numpy array, an ``array.array``, (nested) lists or a scalar."""
+    if hasattr(x, "reshape"):
+        x = x.reshape(-1)
+    if hasattr(x, "tolist"):
+        x = x.tolist()
+    if not isinstance(x, (list, tuple)):
+        return [float(x)]
+    try:
+        return list(map(float, x))
+    except TypeError:
+        return [v for item in x for v in _floats(item)]
+
+
+def _pairwise_sum(x: list[float], lo: int, hi: int) -> float:
+    """numpy's float64 pairwise sum of ``x[lo:hi]``, bit for bit: under 8
+    values in order from 0.0; up to 128 in eight strided accumulators,
+    combined as a tree, then the tail; above, the halves split at a
+    multiple of 8."""
+    n = hi - lo
+    if n < 8:
+        return reduce(add, x[lo:hi], 0.0)
+    if n <= 128:
+        end = hi - n % 8
+        r = [reduce(add, x[lo + j + 8 : end : 8], x[lo + j]) for j in range(8)]
+        return reduce(add, x[end:hi], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(x, lo, lo + half) + _pairwise_sum(x, lo + half, hi)
+
+
+def _mean_var(x: list[float]) -> tuple[float, float]:
+    """``mean()`` and ``var(ddof=1)`` of the float64 array ``x`` as numpy
+    gives them: a reduction adds the pairwise sum to its identity 0.0, so
+    -0.0 values sum to 0.0. An overflow gives inf or nan, not an error."""
+    n = len(x)
+    mean = (0.0 + _pairwise_sum(x, 0, n)) / n
+    return mean, (0.0 + _pairwise_sum([(v - mean) * (v - mean) for v in x], 0, n)) / (n - 1)
+
+
 def welch_t_test(a, b) -> TTestResult:
     """One-sided Welch test of mean(a) > mean(b), unequal variances.
 
-    Uses unbiased sample variances and the Welch-Satterthwaite degrees
-    of freedom; raises ValidationError when these leave float64's range.
+    ``a`` and ``b`` are read as float64 arrays, flattened. Uses unbiased
+    sample variances and the Welch-Satterthwaite degrees of freedom;
+    raises ValidationError when these leave float64's range.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.size < 2 or b.size < 2:
+    a, b = _floats(a), _floats(b)
+    n_a, n_b = len(a), len(b)
+    if n_a < 2 or n_b < 2:
         raise ValidationError(
-            f"sample too small: need >= 2 per group, got {a.size} and {b.size}"
+            f"sample too small: need >= 2 per group, got {n_a} and {n_b}"
         )
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (all(map(math.isfinite, a)) and all(map(math.isfinite, b))):
         raise ValidationError("samples must be finite")
-    n_a, n_b = a.size, b.size
     # a sum or square beyond float64's range is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_a, mean_b = float(a.mean()), float(b.mean())
-        var_a = float(a.var(ddof=1))
-        var_b = float(b.var(ddof=1))
+    (mean_a, var_a), (mean_b, var_b) = _mean_var(a), _mean_var(b)
     if var_a == 0.0 and var_b == 0.0:
         raise ValidationError("degenerate samples: both variances are zero")
     sa, sb = var_a / n_a, var_b / n_b
@@ -154,6 +199,8 @@ def _hungarian(cost: np.ndarray) -> np.ndarray:
     Shortest-augmenting-path formulation with row/column potentials;
     returns the column assigned to each row.
     """
+    import numpy as np
+
     n = cost.shape[0]
     u = np.zeros(n + 1)
     v = np.zeros(n + 1)
@@ -196,6 +243,10 @@ def exact_wasserstein(source: EmbeddingMatrix, target: EmbeddingMatrix, p: int =
     Solves min over permutations s of (mean_i d(x_i, y_s(i))^p)^(1/p).
     Only equal-mass, equal-count instances are supported.
     """
+    import numpy as np
+
+    from .embeddings import exact_sq_dists, frozen
+
     if p not in (1, 2):
         raise ValidationError(f"p must be 1 or 2, got {p}")
     if source.count != target.count:

@@ -122,10 +122,12 @@ def simulate_generated(training_subset: EmbeddingMatrix, spec: ExperimentSpec) -
     if training_subset.count < 1:
         raise ConfigError("training subset is empty")
     rng = _rng(spec.seed, _DOMAIN_GENERATOR)
-    picked = training_subset.data[rng.integers(0, training_subset.count, size=spec.m_generated)]
-    blocks = _draw_blocks(rng, lambda lo, hi: picked[lo:hi], spec.noise_sigma, *picked.shape,
+    # the picks come first in the stream; each block gathers its own rows
+    picks = rng.integers(0, training_subset.count, size=spec.m_generated)
+    m, dim, rows = spec.m_generated, training_subset.dim, training_subset.data
+    blocks = _draw_blocks(rng, lambda lo, hi: rows[picks[lo:hi]], spec.noise_sigma, m, dim,
                           "noise_sigma", spec.noise_sigma)
-    return EmbeddingMatrix(_gather(blocks, *picked.shape))
+    return EmbeddingMatrix(_gather(blocks, m, dim))
 
 
 def _gather(blocks, count: int, dim: int) -> np.ndarray:

@@ -122,6 +122,25 @@ def welch(a, b):
     return t, df, mp_student_t_sf(t, df)
 
 
+def welch_numpy(a, b):
+    """The Welch statistics (mean_a, mean_b, var_a, var_b, t, df) as
+    numpy's reductions give them: both samples read as flat float64
+    arrays, ``mean()`` and ``var(ddof=1)``, then t and df by the package's
+    formulas; a result beyond float64's range reads inf or nan."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ma, mb = float(a.mean()), float(b.mean())
+        va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
+    sa, sb = va / a.size, vb / b.size
+    try:
+        t = (ma - mb) / math.sqrt(sa + sb)
+        df = (sa + sb) ** 2 / (sa * sa / (a.size - 1) + sb * sb / (b.size - 1))
+    except OverflowError:
+        t = df = math.inf
+    return ma, mb, va, vb, t, df
+
+
 def mp_student_t_sf(t, df, dps=50):
     """P(T > t) for Student's t via mpmath's incomplete beta."""
     with mpmath.workdps(dps):

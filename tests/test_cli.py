@@ -15,7 +15,7 @@ import genval.cli as cli
 import reference
 from conftest import (assert_one_error_line, child_env, make_value_csv, run_cli, run_cli_process,
                       traced_peak, write_embx)
-from genval import embeddings, load_embeddings, pq, save_embeddings, search
+from genval import embeddings, load_embeddings, pq, save_embeddings, search, stats, valuation
 from genval.errors import GenvalError, InternalError
 
 
@@ -254,7 +254,7 @@ def test_values_csv_equals_the_per_line_writer(tmp_path):
     r = run_cli("value", "--matches", matches, "--n", n, "--output", tmp_path / "v.csv")
     assert r.code == 0
     with open(matches, encoding="utf-8") as fh:
-        result = cli.valuation.aggregate_values(search.read_match_jsonl(fh), n)
+        result = valuation.aggregate_values(search.read_match_jsonl(fh), n)
     rank = np.empty(n, dtype=np.int64)
     rank[result.ranking] = np.arange(1, n + 1)
     want = "train_index,value,rank\n" + "".join(
@@ -530,6 +530,55 @@ def test_value_csv_reader_holds_arrays(tmp_path):
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
+def test_value_csv_reader_sorts_a_shuffled_file_in_runs(tmp_path):
+    """Guards peak memory on a file out of train_index order: at 100 000
+    rows the reader's stable sort stays under the bound of the sorted
+    file's read, sorting VALUE_ROWS rows at a time and merging them, where
+    one list of every row took about 10 MiB. The rows come back in
+    train_index order, and the first line that repeats an earlier index
+    is named, across runs too."""
+    n = 100_000
+    rows = np.random.default_rng(0).permutation(n).tolist()
+    values = np.random.default_rng(1).random(n).tolist()
+    lines = [f"{i},{values[i]},{i + 1}\n" for i in rows]
+    shuffled = tmp_path / "v.csv"
+    shuffled.write_text("train_index,value,rank\n" + "".join(lines))
+    bound = 2 * shuffled.stat().st_size + 4 * 8 * n
+    for by_index in (False, True):
+        peak = traced_peak(lambda: cli._read_value_csv(shuffled, by_index=by_index))
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+    index, value = cli._read_value_csv(shuffled, by_index=True)
+    assert list(index) == list(range(n)) and list(value) == values
+    # a repeat in a later run than its first line, and an earlier repeat
+    # whose first line lies in the same run
+    repeated = tmp_path / "r.csv"
+    for at in ((5, 9000), (9000, 4100, 4099)):
+        body = lines[:]
+        for line in at[1:]:
+            body[line] = body[at[0]]
+        text = "train_index,value,rank\n" + "".join(body)
+        repeated.write_text(text)
+        with pytest.raises(ValueError) as want:
+            reference.value_csv_table(text)
+        with pytest.raises(GenvalError, match=f": {want.value}$"):
+            cli._read_value_csv(repeated)
+
+
+def test_value_csv_writer_formats_a_block_of_rows_at_a_time(tmp_path):
+    """Guards peak memory: at 100 000 rows the writer formats VALUE_ROWS
+    rows at a time, under 2 MiB, where the whole file's fields at once
+    take about 17 MiB; the bytes are those of one format of every row."""
+    n = 100_000
+    values = np.random.default_rng(0).random(n)
+    rank = np.random.default_rng(1).permutation(n).astype(np.int64) + 1
+    out = tmp_path / "v.csv"
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        peak = traced_peak(lambda: cli._write_value_csv(fh, values, rank))
+    assert peak < 2 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert out.read_text(encoding="utf-8") == "train_index,value,rank\n" + "".join(
+        "{},{:.9g},{}\n".format(i, v, r) for i, (v, r) in enumerate(zip(values.tolist(), rank.tolist())))
+
+
 # -------------------------------------------------------------- eval-recall
 
 
@@ -687,7 +736,7 @@ def test_internal_errors_exit_three(tmp_path, monkeypatch, rng):
     def boom(*args, **kwargs):
         raise InternalError("invariant violated")
 
-    monkeypatch.setattr(cli.stats, "exact_wasserstein", boom)
+    monkeypatch.setattr(stats, "exact_wasserstein", boom)
     r = run_cli("wasserstein", "--source", pts, "--target", pts)
     assert r.code == 3
     assert "internal error" in r.stderr

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -159,6 +160,45 @@ def test_welch_input_validation():
         welch_t_test([1.0, 1.0], [2.0, 2.0])  # both variances zero
     with pytest.raises(ValidationError):
         welch_t_test([1.0, 2.0], [0.0, np.nan])
+
+
+def bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def welch_pairs():
+    """Sample pairs for the numpy-free Welch test: every length to 300,
+    two lengths past numpy's 8192-value blocks, skewed, near-overflow,
+    all -0.0, float32 and 2-D samples."""
+    r = np.random.default_rng(11)
+    for n in range(2, 301):
+        yield r.standard_normal(n) + r.uniform(-3, 3), r.lognormal(0, 2, n)
+    for n in (4097, 100_003):
+        yield r.lognormal(0, 3, n), r.standard_normal(n) * 10.0 ** r.uniform(-5, 5, n)
+    for n in (2, 9, 17, 300):
+        yield 10.0 ** r.uniform(150, 200, n) * r.choice([-1, 1], n), r.standard_normal(n)
+        yield np.full(n, -0.0), r.standard_normal(n)
+    yield r.standard_normal(1000).astype(np.float32), r.standard_normal(999).astype(np.float32)
+    yield r.standard_normal((30, 7)), r.standard_normal((4, 5, 6)).tolist()
+
+
+def test_welch_matches_numpy_bit_for_bit():
+    """Without numpy, the test gives numpy's float64 means, variances,
+    t and df bit for bit, and the p they give; where numpy's statistics
+    leave float64's range, it refuses the samples."""
+    for a, b in welch_pairs():
+        want = reference.welch_numpy(a, b)
+        if not all(map(math.isfinite, want)):
+            with pytest.raises(ValidationError, match="values too large for a float64 variance"):
+                welch_t_test(a, b)
+            continue
+        res = welch_t_test(a, b)
+        assert bits(res.mean_a, res.mean_b, res.var_a, res.var_b, res.t_statistic,
+                    res.degrees_of_freedom) == bits(*want)
+        assert res.p_one_sided == student_t_sf(want[4], want[5])
+        assert (res.n_a, res.n_b) == (np.size(a), np.size(b))
+    with pytest.raises(ValidationError, match="sample too small: need >= 2 per group, got 1 and 2"):
+        welch_t_test(np.ones((1, 1)), [1.0, 2.0])
 
 
 @pytest.mark.parametrize("a, b, message", [

@@ -211,3 +211,14 @@ def test_result_arrays_are_frozen():
     with pytest.raises(ValueError):
         res.ranking[0] = 1
 
+
+def test_a_record_freezes_a_view_and_leaves_the_callers_array_writeable():
+    """A record built on the caller's own array copies nothing and keeps
+    its data read-only, and the caller's array stays writeable."""
+    a = np.zeros((2, 2), np.float32)
+    d, i = np.zeros((2, 1)), np.zeros((2, 1), np.int64)
+    matrix, match = EmbeddingMatrix(a), MatchTables(d, i)
+    for given, kept in ((a, matrix.data), (d, match.distances), (i, match.indices)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert np.shares_memory(given, kept)
+
