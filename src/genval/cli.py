@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import heapq
 import json
+import os
 import sys
 from array import array
 from bisect import bisect_left
@@ -246,6 +247,11 @@ def cmd_match(args) -> int:
 
 
 def cmd_value(args) -> int:
+    # a summary renamed to the values' path would be renamed over by them
+    if args.summary is not None and args.output not in (None, "-") \
+            and os.path.realpath(args.output) == os.path.realpath(args.summary):
+        raise ConfigError(f"--summary {args.summary} and --output {args.output} name the same file")
+
     import numpy as np
 
     from . import embeddings, search, valuation

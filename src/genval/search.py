@@ -29,6 +29,8 @@ from .workers import map_items, worker_count
 
 # distances in JSON-lines output carry 9 significant digits
 DISTANCE_FORMAT = "%.9g"
+# distances formatted and parsed back per block in ``as_written``
+ROUND_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -127,10 +129,14 @@ def as_written(tables: MatchTables) -> MatchTables:
     """``tables`` as ``read_match_jsonl`` reads them back from
     ``write_match_jsonl``: each distance rounded to 9 significant digits
     by formatting it with ``DISTANCE_FORMAT`` and parsing the text as
-    JSON parses a number, in one format call; indices as they are."""
-    flat = tables.distances.ravel().tolist()
-    text = ((DISTANCE_FORMAT + " ") * len(flat)) % tuple(flat)
-    rounded = np.fromiter(map(float, text.split()), dtype=np.float64, count=len(flat))
+    JSON parses a number, ``ROUND_BLOCK`` distances at a time into one
+    array; indices as they are."""
+    flat = tables.distances.reshape(-1)
+    rounded = np.empty(flat.size)
+    for lo in range(0, flat.size, ROUND_BLOCK):
+        part = flat[lo : lo + ROUND_BLOCK].tolist()
+        text = ((DISTANCE_FORMAT + " ") * len(part)) % tuple(part)
+        rounded[lo : lo + len(part)] = np.fromiter(map(float, text.split()), np.float64, len(part))
     return MatchTables(rounded.reshape(tables.distances.shape), tables.indices)
 
 

@@ -28,12 +28,7 @@ _DOMAIN_MEANS = 0
 _DOMAIN_MIXTURE = 1
 _DOMAIN_GENERATOR = 2
 
-X_V1_FILE = "x_v1.embx"
-X_V2_FILE = "x_v2.embx"
-X_TRAIN_FILE = "x_train.embx"
-X_HAT_FILE = "x_hat.embx"
-PARTITION_FILE = "partition.json"
-MANIFEST_FILE = "experiment.json"
+_INDEX_CHUNK = 4096  # indices per write to partition.json
 
 
 @dataclass(frozen=True)
@@ -196,14 +191,10 @@ def make_ra2_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n, m, dim = spec.n_per_split, spec.m_generated, spec.dim
-    files = {
-        "x_v1": out / X_V1_FILE,
-        "x_v2": out / X_V2_FILE,
-        "x_train": out / X_TRAIN_FILE,
-        "x_hat": out / X_HAT_FILE,
-        "partition": out / PARTITION_FILE,
-        "manifest": out / MANIFEST_FILE,
-    }
+    # the experiment's matrices and their rows, in the order they are written
+    counts = {"x_v1": n, "x_v2": n, "x_train": 2 * n, "x_hat": m}
+    files = {name: out / f"{name}.embx" for name in counts}
+    files.update(partition=out / "partition.json", manifest=out / "experiment.json")
     gen_rng = _rng(spec.seed, _DOMAIN_GENERATOR)
     picks = gen_rng.integers(0, n, size=m)
     order = np.argsort(picks, kind="stable")
@@ -213,7 +204,7 @@ def make_ra2_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
     with ExitStack() as stack:
         x_v1, x_v2, x_train, x_hat = (
             stack.enter_context(embeddings.writing_embx(files[name], count, dim))
-            for name, count in (("x_v1", n), ("x_v2", n), ("x_train", 2 * n), ("x_hat", m)))
+            for name, count in counts.items())
         # the picks, sorted once, fall in a block as one run of them
         lo = 0
         for rows in _mixture_blocks(spec, n, stream=0):
@@ -236,20 +227,17 @@ def make_ra2_experiment(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
         _write_index_list(fh, n, 2 * n)
         fh.write("}\n")
 
-        manifest = {
-            "spec": asdict(spec),
-            "files": {name: path.name for name, path in files.items() if name != "manifest"},
-            "counts": {"x_v1": n, "x_v2": n, "x_train": 2 * n, "x_hat": m},
-        }
+        manifest = {"spec": asdict(spec), "counts": counts,
+                    "files": {name: path.name for name, path in files.items() if name != "manifest"}}
         fh = stack.enter_context(embeddings.replacing(files["manifest"], text=True))
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return files
 
 
-def _write_index_list(fh, lo: int, hi: int, chunk: int = 4096) -> None:
-    """Write ``json.dumps(list(range(lo, hi)))`` to ``fh``, ``chunk``
+def _write_index_list(fh, lo: int, hi: int) -> None:
+    """Write ``json.dumps(list(range(lo, hi)))`` to ``fh``, ``_INDEX_CHUNK``
     indices at a time, so the list is never built."""
     fh.write("[")
-    for a in range(lo, hi, chunk):
-        fh.write((", " if a > lo else "") + ", ".join(map(str, range(a, min(a + chunk, hi)))))
+    for a in range(lo, hi, _INDEX_CHUNK):
+        fh.write((", " if a > lo else "") + ", ".join(map(str, range(a, min(a + _INDEX_CHUNK, hi)))))
     fh.write("]")

@@ -276,6 +276,27 @@ def test_value_summary_file(exp_dir, tmp_path):
     assert len(s["top_indices"]) == 10
 
 
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("summary", ["./o2.csv", "o2.csv", "link.csv"])
+def test_value_refuses_a_summary_at_the_output_path(exp_dir, tmp_path, monkeypatch, summary, existing):
+    """The values would be renamed over the summary: the run is refused
+    before any input is read, and a file already at the path keeps its
+    bytes."""
+    monkeypatch.chdir(tmp_path)
+    os.symlink("o2.csv", "link.csv")
+    if existing:
+        Path("o2.csv").write_bytes(b"old bytes\n")
+    before = sorted(os.listdir())
+    r = run_cli("value", "--inline", "--train", "missing.embx", "--gen", exp_dir / "x_hat.embx",
+                "--k", 3, "--output", "o2.csv", "--summary", summary)
+    assert_one_error_line(r, "--summary", "--output", "same file")
+    assert r.stdout == ""
+    assert sorted(os.listdir()) == before
+    assert Path("o2.csv").exists() == existing
+    if existing:
+        assert Path("o2.csv").read_bytes() == b"old bytes\n"
+
+
 def test_value_sized_by_train_equals_value_sized_by_n(exp_dir, tmp_path):
     matches = tmp_path / "m.jsonl"
     assert run_cli("match", "--train", exp_dir / "x_train.embx", "--gen", exp_dir / "x_hat.embx",

@@ -36,6 +36,7 @@ from genval import (
     save_index,
     train_codebooks,
 )
+from genval.errors import InternalError
 
 
 def write_embx(path):
@@ -246,6 +247,35 @@ def test_a_write_to_a_missing_directory_names_the_target(tmp_path):
     assert err.value.filename == str(target)
 
 
+def test_an_embx_block_short_of_its_header_keeps_the_target(tmp_path):
+    """A ``writing_embx`` block that writes fewer rows than its header
+    says is an internal error: the target keeps its old bytes and no
+    temporary file is left."""
+    target = tmp_path / "out.embx"
+    target.write_bytes(b"old bytes")
+    message = rf"^{re.escape(str(target))}: 2 rows written, the header says 3$"
+    with pytest.raises(InternalError, match=message):
+        with embeddings.writing_embx(target, 3, 2) as write:
+            write(np.zeros((2, 2), dtype=np.float32))
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+    assert target.read_bytes() == b"old bytes"
+
+
+def test_rows_of_a_file_truncated_while_open_name_where_it_ends(tmp_path):
+    """``open_rows`` checks the size once, at open; a file cut short
+    later fails the first fill past its new end, naming that byte."""
+    path = tmp_path / "t.embx"
+    save_embeddings(EmbeddingMatrix(np.arange(12, dtype=np.float32).reshape(6, 2)), path)
+    block = np.empty((2, 2), dtype=np.float32)
+    with embeddings.open_rows(path) as rows:
+        os.truncate(path, 24 + 3 * 8 + 4)  # three and a half rows
+        rows.fill(block, 0, 2)
+        np.testing.assert_array_equal(block, [[0, 1], [2, 3]])
+        message = rf"^{re.escape(str(path))}: file ends at byte 52 while rows are read$"
+        with pytest.raises(FormatError, match=message):
+            rows.fill(block, 2, 4)
+
+
 def test_a_pipe_is_written_in_place(tmp_path):
     """A target that is no regular file (a pipe, /dev/null) is not
     replaced by one."""
@@ -260,6 +290,31 @@ def test_a_pipe_is_written_in_place(tmp_path):
     assert not reader.is_alive()
     assert stat.S_ISFIFO(pipe.stat().st_mode)
     assert got == [(tmp_path / "want.embx").read_bytes()]
+
+
+@pytest.mark.parametrize("flag", ["--train", "--gen"])
+def test_an_embx_input_is_read_whole_from_a_pipe(tmp_path, monkeypatch, flag):
+    """An EMBX input that is no regular file (a pipe) is read whole,
+    through ``read_container``, and matches as the regular file does."""
+    rng = np.random.default_rng(3)
+    inputs = {"--train": tmp_path / "train.embx", "--gen": tmp_path / "gen.embx"}
+    for path, count in zip(inputs.values(), (40, 9)):
+        save_embeddings(EmbeddingMatrix(rng.standard_normal((count, 5)).astype(np.float32)), path)
+    want = run_cli("match", "--train", inputs["--train"], "--gen", inputs["--gen"], "--k", 3)
+    assert want.code == 0 and want.stdout.count("\n") == 9
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = []
+    read_container = embeddings.read_container
+    monkeypatch.setattr(embeddings, "read_container",
+                        lambda path, *a: read.append(path) or read_container(path, *a))
+    writer = threading.Thread(target=lambda: pipe.write_bytes(inputs[flag].read_bytes()), daemon=True)
+    writer.start()
+    got = run_cli("match", *(x for f, p in inputs.items() for x in (f, pipe if f == flag else p)), "--k", 3)
+    writer.join(10)
+    assert not writer.is_alive()
+    assert pipe in read
+    assert (got.code, got.stdout, got.stderr) == (0, want.stdout, "")
 
 
 # every text output and the file whose write is made to fail: (id, argv)

@@ -950,6 +950,24 @@ def test_as_written_equals_the_jsonl_round_trip(rng):
     assert read_match_jsonl(io.StringIO(buf.getvalue())).distances.tobytes() == dist.tobytes()
 
 
+def test_as_written_blocks_split_rows_and_end_ragged(rng, monkeypatch):
+    """Blocks of 7 distances cut across the rows of 4 and leave a short
+    last block; the bits are those of the round trip."""
+    monkeypatch.setattr(search, "ROUND_BLOCK", 7)
+    t = edge_tables(rng)
+    assert t.distances.size % 7
+    _, dist = reference.jsonl_round_trip(t.indices, t.distances)
+    assert search.as_written(t).distances.tobytes() == dist.tobytes()
+
+
+def test_as_written_holds_one_block_of_text(rng):
+    """At m = 20 000, k = 50 the traced peak is the rounded array plus
+    about one block of formatted text, not a string of every distance."""
+    t = tables(rng.uniform(0, 100, (20_000, 50)), rng.integers(0, 10**6, (20_000, 50)))
+    peak = traced_peak(lambda: search.as_written(t))
+    assert peak < t.distances.nbytes + 2**20
+
+
 def test_write_match_jsonl_equals_the_per_pair_writer(rng):
     t = edge_tables(rng)
     buf = io.StringIO()
