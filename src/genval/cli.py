@@ -85,7 +85,8 @@ OPTIONS = (
     Option("kmeans_iters", int, 25, ("build-index",), "Lloyd iterations"),
     Option("temperature", float, 1.0, ("value",), "softmax sharpness"),
     Option("output", str, None, ("build-index", "match", "value"), "output file ('-' or unset: stdout)"),
-    Option("summary", str, None, ("value",), "write a JSON run summary here"),
+    Option("summary", str, None, ("value",),
+           "write a JSON run summary here ('-' for stdout, with --output a file)"),
     Option("values_a", str, None, ("compare",), "value CSV of group a"),
     Option("values_b", str, None, ("compare",), "value CSV of group b"),
     Option("values", str, None, ("compare",), "value CSV split by --partition"),
@@ -247,14 +248,18 @@ def cmd_match(args) -> int:
 
 
 def cmd_value(args) -> int:
+    values_to_stdout = args.output in (None, "-")
+    if args.summary == "-":
+        if values_to_stdout:
+            raise ConfigError("--summary - and the values CSV would both go to stdout; give --output a file")
     # a summary renamed to the values' path would be renamed over by them
-    if args.summary is not None and args.output not in (None, "-") \
+    elif args.summary is not None and not values_to_stdout \
             and os.path.realpath(args.output) == os.path.realpath(args.summary):
         raise ConfigError(f"--summary {args.summary} and --output {args.output} name the same file")
 
     import numpy as np
 
-    from . import embeddings, search, valuation
+    from . import search, valuation
 
     if args.inline:
         tables, n = _match_tables(args)
@@ -287,7 +292,7 @@ def cmd_value(args) -> int:
                 "sum_values": float(result.values.sum()),
                 "top_indices": [int(i) for i in result.ranking[:10]],
             }
-            with embeddings.replacing(args.summary, text=True) as out:
+            with _out_stream(args.summary) as out:
                 out.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 

@@ -6,10 +6,14 @@ random draw comes from a Philox counter-based generator keyed by
 ``(seed, subspace_index)``, so each codebook is a pure function of its
 own column block and the config, down to the bit: the subspaces are
 independent, and ``train_codebooks`` trains up to one per CPU at once
-with the same bytes as one after another. The draws are numpy's
-Philox4x64-10 stream seeded by ``SeedSequence([seed, subspace_index])``,
-computed by ``philox.Philox`` so that training never loads
-``numpy.random``; tests pin it against ``numpy.random`` itself.
+with the same bytes as one after another: on Linux each further worker
+is a forked process (``workers.map_processes``), as training is many
+short numpy calls that threads of one interpreter would take turns at.
+The draws are numpy's Philox4x64-10 stream seeded by
+``SeedSequence([seed, subspace_index])``, computed by ``philox.Philox``
+so that training never loads ``numpy.random``; tests pin it against
+``numpy.random`` itself. k-means++ re-scores, for each new centre, only
+the rows the triangle inequality lets it take (``_kmeans_pp_init``).
 
 The trained index persists as a "GMVI v1" file: magic ``GMVI``, u32 LE
 version=1, u32 LE num_subspaces, u32 LE subspace_dim, u32 LE
@@ -19,6 +23,7 @@ written by the container functions it shares with EMBX (``embeddings``).
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +35,7 @@ from . import embeddings
 from .embeddings import (EmbeddingMatrix, all_finite, block_rows, exact_sq_dists, frozen, nearest_rows,
                          read_container, row_blocks, write_container)
 from .errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
-from .workers import map_items, worker_count
+from .workers import map_processes, worker_count
 
 if TYPE_CHECKING:
     from .philox import Philox
@@ -138,11 +143,56 @@ def _subspace_rng(seed: int, subspace: int) -> Philox:
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: Philox) -> np.ndarray:
-    """k-means++ seeding; returns initial centroids (k, dim) float64."""
-    n = points.shape[0]
-    chosen = [rng.integers(n)]
-    d2 = exact_sq_dists(points, points[chosen[0]])
-    for _ in range(1, k):
+    """k-means++ seeding; returns initial centroids (k, dim) float64.
+
+    ``points`` hold float32 values, as ``train_codebooks`` passes them.
+    Each draw weighs row x by d2[x], the least ``exact_sq_dists`` D(x, y)
+    from x to a centre y chosen so far, and ``owner[x]`` is a centre o
+    with D(x, o) = d2[x].
+
+    Pruning. A new centre c re-scores only the rows x with
+
+        d2[x] > fl(q·C),   C = D(o, c),   q = 1/4 - 2^⌈log2(4(d+2))⌉·u,
+
+    u = 2^-53 and q exact. Every skipped row has D(x, c) >= d2[x], so
+    min(d2[x], D(x, c)) is d2[x], as if it were re-scored; and the
+    re-scored rows, gathered two or more at a time, get the distances a
+    scan of every row gets (see ``embeddings.row_blocks``). So d2, every
+    draw and the centres are bitwise those of re-scoring every row.
+
+    Proof. Write ρ = (1+u)^(d+2) - 1 <= 2(d+2)u, so q <= (1 - 8ρ)/4.
+    A difference of two float32 values is 0 or of magnitude in
+    [2^-149, 2^129), so each of D's terms is 0 or a normal float64 in
+    [2^-298, 2^258], as is every partial sum for d < 2^700: nothing
+    underflows or overflows. In the rounding model of Higham (*Accuracy
+    and Stability of Numerical Algorithms*, §2.1 and §3.1) each term
+    carries its difference's rounding twice, as it is squared, and its
+    square's once, and passes through at most d - 1 roundings of the
+    sum, in whatever order einsum adds (a fused multiply-add only drops
+    a rounding), so with e = |x - y|² exactly
+
+        (1 - ρ)·e <= D(x, y) <= (1 + ρ)·e.
+
+    Let a = |x - o| and b = |o - c|. A skipped row has
+
+        (1 - ρ)·a² <= d2[x] <= fl(q·C) <= (1 - 8ρ)(1 + u)(1 + ρ)·b²/4,
+
+    so a <= t·b/2 with t² = (1 - 8ρ)(1 + u)(1 + ρ)/(1 - ρ) <= (1 - ρ)²:
+    (1 + u)(1 + ρ) <= (1 + ρ)² <= 1 + 3ρ as u <= ρ <= 1, and
+    (1 - 8ρ)(1 + 3ρ) <= 1 - 3ρ <= (1 - ρ)³. By the triangle inequality
+    |x - c| >= b - a >= (2/t - 1)·a >= a·(1 + ρ)/(1 - ρ), so
+
+        D(x, c) >= (1 - ρ)·|x - c|² >= a²·(1 + ρ)²/(1 - ρ) >= (1 + ρ)·a² >= d2[x].
+    """
+    n, d = points.shape
+    q = 0.25 - math.ldexp(1.0, (4 * (d + 2) - 1).bit_length() - 53)
+    centres = np.empty((k, d))
+    first = rng.integers(n)
+    centres[0] = points[first]
+    d2 = exact_sq_dists(points, centres[0])
+    owner = np.zeros(n, dtype=np.intp)
+    taken = {first}
+    for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
             r = rng.random() * total
@@ -151,11 +201,21 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: Philox) -> np.ndarray:
         else:
             # all remaining mass is on already-chosen points; take the
             # lowest-index point not chosen yet to keep output deterministic
-            taken = set(chosen)
-            idx = next((i for i in range(n) if i not in taken), chosen[0])
-        chosen.append(idx)
-        d2 = np.minimum(d2, exact_sq_dists(points, points[idx]))
-    return points[np.array(chosen)].copy()
+            idx = next((i for i in range(n) if i not in taken), first)
+        taken.add(idx)
+        centres[j] = c = points[idx]
+        reach = exact_sq_dists(centres[:j], c) * q
+        rows = np.flatnonzero(d2 > reach[owner])
+        if rows.size:
+            # a lone row is gathered twice, so that einsum sums it as a
+            # row of a taller matrix; take gathers rows faster than indexing
+            new = exact_sq_dists(np.take(points, np.repeat(rows, 2) if rows.size == 1 else rows, axis=0),
+                                 c)[: rows.size]
+            nearer = new < d2[rows]
+            rows = rows[nearer]
+            d2[rows] = new[nearer]
+            owner[rows] = j
+    return centres
 
 
 # _assign's blocks and GEMM pieces come from row_blocks with a step that
@@ -184,27 +244,36 @@ def _gemm_rows(k: int, d: int) -> int:
     return max(_ASSIGN_ALIGN, _GEMM_ONE_THREAD // (k * d) // _ASSIGN_ALIGN * _ASSIGN_ALIGN)
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, float]:
+def _assign_plan(n: int, k: int, d: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """_assign's row blocks, each with its GEMM pieces (rows of the block)."""
+    rows = _gemm_rows(k, d)
+    return [(lo, hi, row_blocks(hi - lo, rows)) for lo, hi in _assign_blocks(n, k)]
+
+
+def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray, plan, buf: np.ndarray,
+            at: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest-centroid assignment (ties to lowest index) and objective.
 
-    ``x2`` holds the squared norms of ``points``; ``buf`` is scratch of
-    at least (largest block's rows, k) float64 entries.
+    ``x2`` holds the squared norms of ``points`` and ``plan`` is
+    ``_assign_plan`` of their shape and k; ``buf`` is scratch of at least
+    (largest block's rows, k) float64 entries and ``at`` the row indices
+    ``np.arange`` of at least that many rows.
     """
-    (n, d), k = points.shape, centroids.shape[0]
+    n = points.shape[0]
     # |x-c|^2 = |x|^2 - 2 x.c + |c|^2; the |x|^2 term does not affect argmin
     c2 = np.einsum("ij,ij->i", centroids, centroids)
-    # scaling by -2 is exact, so x.(-2c) is bitwise -2 (x.c)
+    # scaling by -2 is exact, so x.(-2c) is bitwise -2 (x.c); matmul takes
+    # the transposed view, as a contiguous copy changes GEMM's bits
     neg2c = -2.0 * centroids
-    rows = _gemm_rows(k, d)
     assign = np.empty(n, dtype=np.int64)
     best = np.empty(n)
-    for lo, hi in _assign_blocks(n, k):
+    for lo, hi, pieces in plan:
         scores = buf[: hi - lo]
-        for plo, phi in row_blocks(hi - lo, rows):
+        for plo, phi in pieces:
             np.matmul(points[lo + plo : lo + phi], neg2c.T, out=scores[plo:phi])
         scores += c2
         assign[lo:hi] = np.argmin(scores, axis=1)
-        best[lo:hi] = scores[np.arange(hi - lo), assign[lo:hi]]
+        best[lo:hi] = scores[at[: hi - lo], assign[lo:hi]]
     obj = float(np.maximum(best + x2, 0.0).sum())
     return assign, obj
 
@@ -214,13 +283,16 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: Philox) -> tuple[np.ndar
     n, d = points.shape
     centroids = _kmeans_pp_init(points, k, rng)
     x2 = np.einsum("ij,ij->i", points, points)
+    plan = _assign_plan(n, k, d)
+    rows = max(hi - lo for lo, hi, _ in plan)
     # one score buffer for all iterations: one freed and allocated again
     # per iteration can fragment the heap and raise peak RSS by a buffer
-    buf = np.empty((max(hi - lo for lo, hi in _assign_blocks(n, k)), k))
+    buf = np.empty((rows, k))
+    at = np.arange(rows)
     prev_assign = None
     objectives: list[float] = []
     for _ in range(iters):
-        assign, obj = _assign(points, centroids, x2, buf)
+        assign, obj = _assign(points, centroids, x2, plan, buf, at)
         if objectives and obj > objectives[-1] * (1.0 + _OBJECTIVE_SLACK) + 1e-12:
             raise InternalError(
                 f"k-means objective increased: {objectives[-1]} -> {obj}"
@@ -249,22 +321,21 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: Philox) -> tuple[np.ndar
 def train_codebooks(data: EmbeddingMatrix, cfg: PQConfig) -> Codebook:
     """Train one k-means codebook per subspace; deterministic in (data, cfg).
 
-    Subspaces are trained side by side, up to one per CPU; each depends on
-    its own columns and random stream only, so the count changes no bit.
+    Subspaces are trained side by side, up to one per CPU, each further
+    worker a forked process where forking is safe (``map_processes``);
+    each depends on its own columns and random stream only, so the count
+    changes no bit.
     """
     cfg.validate(data.dim, data.count)
-    m = cfg.num_subspaces
-    sub_dim = data.dim // m
-    tables = np.empty((m, cfg.codebook_size, sub_dim), dtype=np.float32)
+    sub_dim = data.dim // cfg.num_subspaces
 
-    def train(s: int) -> None:
+    def train(s: int) -> np.ndarray:
         sub = data.data[:, s * sub_dim : (s + 1) * sub_dim].astype(np.float64)
         rng = _subspace_rng(cfg.seed, s)
-        centroids, _ = _lloyd(sub, cfg.codebook_size, cfg.kmeans_iters, rng)
-        tables[s] = centroids
+        return _lloyd(sub, cfg.codebook_size, cfg.kmeans_iters, rng)[0].astype(np.float32)
 
-    map_items(train, range(m), worker_count(m))
-    return Codebook(tables)
+    m = cfg.num_subspaces
+    return Codebook(np.stack(map_processes(train, range(m), worker_count(m))))
 
 
 def _code_dtype(codebook_size: int) -> np.dtype:

@@ -3,9 +3,10 @@
 Everything here is deliberately written the slow, obvious way — plain
 Python loops, ``math``/``fractions``/``mpmath`` arithmetic, factorial
 enumeration — and imports nothing from ``genval``.  If a fast path and
-one of these oracles disagree, the fast path is wrong.  The one
-exception is ``hungarian``: a frozen copy of an earlier solver, kept to
-pin which of several optimal assignments the package picks.
+one of these oracles disagree, the fast path is wrong.  Two exceptions
+are frozen copies of earlier code: ``hungarian``, kept to pin which of
+several optimal assignments the package picks, and
+``kmeans_pp_full_rescan``, kept to pin k-means++ seeding to the bit.
 """
 import itertools
 import json
@@ -244,6 +245,32 @@ def kmeans_objective(points, centroids):
     for pt in points:
         total += min(sq_dist(pt, c) for c in centroids)
     return total
+
+
+def kmeans_pp_full_rescan(points, k, rng):
+    """k-means++ seeding that re-scores every row against each new
+    centre, with the package's float64 subtraction and einsum distances
+    and its random stream ``rng``: the seeding before pruning."""
+
+    def sq_dists(rows, point):
+        diff = np.subtract(rows, point, dtype=np.float64)
+        return np.einsum("ij,ij->i", diff, diff)
+
+    n = points.shape[0]
+    chosen = [rng.integers(n)]
+    d2 = sq_dists(points, points[chosen[0]])
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            r = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            idx = min(idx, n - 1)
+        else:
+            taken = set(chosen)
+            idx = next((i for i in range(n) if i not in taken), chosen[0])
+        chosen.append(idx)
+        d2 = np.minimum(d2, sq_dists(points, points[idx]))
+    return points[np.array(chosen)].copy()
 
 
 def best_two_centroids_1d(values):

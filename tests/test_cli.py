@@ -276,6 +276,33 @@ def test_value_summary_file(exp_dir, tmp_path):
     assert len(s["top_indices"]) == 10
 
 
+def test_value_summary_dash_is_stdout(exp_dir, tmp_path, monkeypatch):
+    """``--summary -`` names stdout, as every other ``-`` names a
+    standard stream; the values go to their file."""
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    inputs = ("value", "--inline", "--train", exp_dir / "x_train.embx", "--gen", exp_dir / "x_hat.embx",
+              "--k", 3)
+    r = run_cli(*inputs, "--output", "v.csv", "--summary", "-")
+    assert (r.code, r.stderr) == (0, "")
+    assert sorted(os.listdir()) == ["v.csv"]
+    assert run_cli(*inputs, "--output", "v2.csv", "--summary", "s.json").code == 0
+    assert r.stdout == Path("s.json").read_text(encoding="utf-8")
+    assert Path("v.csv").read_bytes() == Path("v2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("output", [None, "-"])
+def test_value_refuses_summary_and_values_both_on_stdout(exp_dir, tmp_path, monkeypatch, output):
+    """Refused before any input is read: the training file is missing."""
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    r = run_cli("value", "--inline", "--train", "missing.embx", "--gen", exp_dir / "x_hat.embx", "--k", 3,
+                "--summary", "-", *(() if output is None else ("--output", output)))
+    assert_one_error_line(r, "--summary -", "stdout")
+    assert r.stdout == ""
+    assert os.listdir() == []
+
+
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.parametrize("summary", ["./o2.csv", "o2.csv", "link.csv"])
 def test_value_refuses_a_summary_at_the_output_path(exp_dir, tmp_path, monkeypatch, summary, existing):

@@ -1,12 +1,16 @@
 import os
 import re
+import signal
+import subprocess
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference
-from conftest import run_cli, traced_peak, write_embx
+from conftest import child_env, run_cli, traced_peak, write_embx
 from genval import embeddings, pq
 from genval import (
     Codebook,
@@ -77,6 +81,92 @@ def test_zero_mass_pick_and_empty_cluster_reseed():
     centroids, objectives = pq._lloyd(points, 5, 25, pq._subspace_rng(0, 0))
     assert centroids[:, 0].tolist() == [0, 2, 1, 2, 0]
     assert objectives == [0.0, 0.0]
+
+
+SEEDING_ROWS = {
+    "gaussian": lambda rng: rng.standard_normal((600, 8)),
+    "duplicates": lambda rng: rng.standard_normal((40, 8))[rng.integers(0, 40, 600)],
+    "all-equal": lambda rng: np.full((600, 8), 0.75),  # the total == 0 branch
+    # steps of a tenth, which float32 rounds: midpoints and near-ties
+    "lattice": lambda rng: rng.integers(-3, 4, (600, 8)) * 0.1,
+    "1e4-offset": lambda rng: rng.standard_normal((600, 8)) + 1e4,
+    "1e30-scaled": lambda rng: rng.standard_normal((600, 8)) * 1e30,
+    "1e-30-scaled": lambda rng: rng.standard_normal((600, 8)) * 1e-30,
+    "1-dim": lambda rng: rng.standard_normal((600, 1)),
+}
+
+
+def seeding_trace(monkeypatch, seeding, points, k, stream):
+    """Centres of ``seeding`` and every weight vector its draws read;
+    ``stream()`` makes its random stream."""
+    weights, cumsum = [], np.cumsum
+
+    def recording(a, *args, **kwargs):
+        weights.append(a.tobytes())
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", recording)
+    try:
+        centres = seeding(points, k, stream())
+    finally:
+        monkeypatch.setattr(np, "cumsum", cumsum)
+    return centres.tobytes(), weights
+
+
+def assert_seeding_is_the_full_rescan(monkeypatch, points, k, stream):
+    """Every weight and centre of ``_kmeans_pp_init`` bitwise those of
+    re-scoring all rows; returns its centres' bytes."""
+    ours = seeding_trace(monkeypatch, pq._kmeans_pp_init, points, k, stream)
+    assert ours == seeding_trace(monkeypatch, reference.kmeans_pp_full_rescan, points, k, stream)
+    return ours[0]
+
+
+@pytest.mark.parametrize("kind", SEEDING_ROWS)
+@pytest.mark.parametrize("k", [1, 2, 16, 64, 256])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pruned_seeding_equals_the_full_rescan(monkeypatch, kind, k, seed):
+    points = SEEDING_ROWS[kind](np.random.default_rng([seed, k])).astype(np.float32).astype(np.float64)
+    assert_seeding_is_the_full_rescan(monkeypatch, points, k, lambda: pq._subspace_rng(seed, 0))
+
+
+class FixedDraws:
+    """A stand-in for the seeding's random stream: the first centre is
+    the last row, then the given uniform draws."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def integers(self, n):
+        return n - 1
+
+    def random(self):
+        return next(self.draws)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pruned_seeding_sums_a_lone_long_row_as_the_full_rescan_does(monkeypatch, seed):
+    """einsum sums a lone row of more than 8192 entries in pieces. Rows
+    P, Q, S, R of dim 9 000, Q nearer R and S near P: R is drawn, then P,
+    then a draw of 1.0 lands past the last weight and takes the last row,
+    R, again. Only Q, which R owns, is then re-scored, alone."""
+    rng = np.random.default_rng(seed)
+    p, r = rng.standard_normal((2, 9000))
+    rows = [p, r + 0.5 * rng.standard_normal(9000), p + 0.01 * rng.standard_normal(9000), r]
+    points = np.array(rows).astype(np.float32).astype(np.float64)
+    assert_seeding_is_the_full_rescan(monkeypatch, points, 4, lambda: FixedDraws([0.0, 1.0, 0.5]))
+
+
+def test_pruned_seeding_re_scores_a_row_past_the_midpoint(monkeypatch):
+    """Row x lies a hair nearer to centre c than to its owner o, yet
+    D(x, o) = fl(D(o, c) / 4) (found by search): only the rounding
+    margin has the seeding re-score it once c is drawn after o."""
+    o, c, x = [-1.0, 2.0**-26], [1 + 2.0**-22, -(2.0**-27)], [2.0**-23, 0.0]
+    points = np.array([o, c, x])
+    assert exact_sq_dists(points[2:], points[1]) < exact_sq_dists(points[2:], points[0])
+    assert exact_sq_dists(points[2:], points[0]) == exact_sq_dists(points[:1], points[1]) / 4
+    centres = [assert_seeding_is_the_full_rescan(monkeypatch, points, 3, lambda: pq._subspace_rng(seed, 0))
+               for seed in range(16)]
+    assert points[:2].tobytes() in [drawn[:32] for drawn in centres]  # some seed draws o, then c
 
 
 def numpy_philox(entropy):
@@ -310,14 +400,23 @@ def unblocked_assign(points, centroids):
     return assign, obj
 
 
+def blocked_assign(points, centroids):
+    """``_assign`` with the plan, score buffer and row index ``_lloyd``
+    makes for the shape."""
+    (n, d), k = points.shape, centroids.shape[0]
+    plan = pq._assign_plan(n, k, d)
+    rows = max(hi - lo for lo, hi, _ in plan)
+    x2 = np.einsum("ij,ij->i", points, points)
+    return pq._assign(points, centroids, x2, plan, np.empty((rows, k)), np.arange(rows))
+
+
 def test_blocked_assign_equals_one_gemm(rng, monkeypatch):
     # 64 rows of 40 scores fill a sixteenth of this budget: 5 blocks, the
     # last 101 rows (a step sized from the whole budget gives one block)
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 16 * 64 * 8 * 40)
     points = rng.standard_normal((357, 8)) * 3
     centroids = rng.standard_normal((40, 8))
-    x2 = np.einsum("ij,ij->i", points, points)
-    assign, obj = pq._assign(points, centroids, x2, np.empty((101, 40)))
+    assign, obj = blocked_assign(points, centroids)
     want_assign, want_obj = unblocked_assign(points, centroids)
     np.testing.assert_array_equal(assign, want_assign)
     assert obj == want_obj
@@ -367,7 +466,6 @@ def test_gemm_pieces_equal_one_gemm(rng, monkeypatch):
     monkeypatch.setattr(pq, "_GEMM_ONE_THREAD", 64 * 40 * 8)
     points = rng.standard_normal((357, 8)) * 3
     centroids = rng.standard_normal((40, 8))
-    x2 = np.einsum("ij,ij->i", points, points)
     pieces, matmul = [], np.matmul
 
     def recording_matmul(a, b, **kwargs):
@@ -375,7 +473,7 @@ def test_gemm_pieces_equal_one_gemm(rng, monkeypatch):
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recording_matmul)
-    assign, obj = pq._assign(points, centroids, x2, np.empty((229, 40)))
+    assign, obj = blocked_assign(points, centroids)
     monkeypatch.setattr(np, "matmul", matmul)
     assert pieces == [64, 64, 64, 64, 101]
     want_assign, want_obj = unblocked_assign(points, centroids)
@@ -404,13 +502,32 @@ def test_training_converts_one_subspace_at_a_time(rng):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_training_scratch_is_a_subspace_and_a_score_block(rng, monkeypatch, cpus):
     """Guards peak memory: at build-index's 8 x 256 on 10 000 x 64, each
-    training worker holds a float64 subspace, temporaries of its size and
-    per-row vectors (3 subspaces in all), and one score block of under
-    two sixteenths of BLOCK_BYTES; tracemalloc counts every thread."""
+    training process holds, one subspace at a time, a float64 subspace,
+    temporaries of its size and per-row vectors (3 subspaces in all), and
+    one score block of under two sixteenths of BLOCK_BYTES; tracemalloc
+    counts each process's own allocations."""
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     data = mat(rng.standard_normal((10_000, 64)))
+    peaks: dict[int, int] = {}
+    map_processes = pq.map_processes
+
+    def traced_per_process(fn, items, workers):
+        def traced(item):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(item)
+            return result, os.getpid(), tracemalloc.get_traced_memory()[1] - base
+
+        out = map_processes(traced, items, workers)
+        for _, pid, peak in out:
+            peaks[pid] = max(peaks.get(pid, 0), peak)
+        return [result for result, _, _ in out]
+
+    monkeypatch.setattr(pq, "map_processes", traced_per_process)
+    bound = 3 * 10_000 * 8 * 8 + embeddings.BLOCK_BYTES // 8
     peak = traced_peak(lambda: train_codebooks(data, PQConfig(8, 256, 2, seed=0)))
-    bound = cpus * (3 * 10_000 * 8 * 8 + embeddings.BLOCK_BYTES // 8)
+    assert len(peaks) == cpus
+    assert max(peaks.values()) < bound, f"peaks {[p / 2**20 for p in peaks.values()]} MiB"
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
 
 
@@ -478,6 +595,70 @@ def test_build_index_reports_a_failing_subspace(rng, tmp_path, monkeypatch, exc,
     assert (r.code, r.stderr.splitlines(), r.stdout) == (code, [line], "")
     assert threading.active_count() == threads
     assert not list(tmp_path.glob("*.gmvi")) and not list(tmp_path.glob(".*"))
+
+
+def test_build_index_reports_a_killed_worker_process(rng, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    data = rng.standard_normal((300, 16)).astype(np.float32)
+    train = write_embx(tmp_path / "train.embx", data)
+    caller, lloyd = os.getpid(), pq._lloyd
+
+    def killed_off_the_caller(points, *args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return lloyd(points, *args)
+
+    monkeypatch.setattr(pq, "_lloyd", killed_off_the_caller)
+    r = run_cli("build-index", "--train", train, "--output", tmp_path / "index.gmvi",
+                "--num-subspaces", 8, "--codebook-size", 8, "--kmeans-iters", 3)
+    assert (r.code, r.stderr.splitlines(), r.stdout) == (3, [
+        "genval: internal error: the worker process running items 1, 3, 5, 7 "
+        "ended without a result (killed by SIGKILL)"], "")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(tmp_path.glob("*.gmvi")) and not list(tmp_path.glob(".*"))
+
+
+# The CLI with the CPU count, so the worker count, set by argv[1]. It
+# leaves a line in stdout's buffer, which a forked child that flushed
+# the buffers it inherited would print again, and exits 9 if the command
+# leaves a child process behind.
+BUILD_INDEX_CHILD = """
+import os, sys
+workers = int(sys.argv[1])
+os.cpu_count = lambda: workers
+from genval.cli import main
+sys.stdout.write("start\\n")
+code = main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(9)
+"""
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+@pytest.mark.parametrize("blas_threads", [None, 1])
+def test_build_index_in_a_child_process_is_the_same_on_one_and_two_workers(rng, tmp_path, blas_threads):
+    """The real CLI, with BLAS at its default thread count or pinned to 1:
+    one worker and two write the same index and print each line once."""
+    train = write_embx(tmp_path / "train.embx", rng.standard_normal((2000, 32)))
+    # stdout is block-buffered without PYTHONUNBUFFERED
+    env = {name: value for name, value in child_env().items() if name not in BLAS_ENV + ("PYTHONUNBUFFERED",)}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(BLAS_ENV, str(blas_threads)))
+    runs = []
+    for workers in (1, 2):
+        index = tmp_path / f"index{workers}.gmvi"
+        done = subprocess.run(
+            [sys.executable, "-c", BUILD_INDEX_CHILD, str(workers), "build-index", "--train", str(train),
+             "--output", str(index), "--num-subspaces", "4", "--codebook-size", "64", "--kmeans-iters", "5"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert re.fullmatch(r"start\nquantization_error=\S+\n", done.stdout), done.stdout
+        runs.append((done.stdout, index.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def random_index(rng, n, d, m, ks):

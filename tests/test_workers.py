@@ -1,11 +1,13 @@
 import os
+import signal
 import sys
 import threading
 import time
 
 import pytest
 
-from genval.workers import map_items, worker_count
+from genval.errors import InternalError
+from genval.workers import map_items, map_processes, worker_count
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -101,3 +103,143 @@ def test_every_item_runs_once_under_forced_switching():
     finally:
         sys.setswitchinterval(interval)
     assert runs == [1] * len(runs)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_processes_return_results_in_item_order(workers):
+    # later items finish first; each further worker is its own process
+    def square(i):
+        time.sleep((6 - i) * 0.002)
+        return i * i, os.getpid()
+
+    got = map_processes(square, range(7), workers)
+    assert [r for r, _ in got] == [i * i for i in range(7)]
+    assert got[0][1] == os.getpid()
+    assert len({pid for _, pid in got}) == workers
+    assert all(pid == got[i % workers][1] for i, (_, pid) in enumerate(got))
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ((2, 5), 2),  # the caller's item is the lower
+    ((3, 4), 3),  # the child's item is the lower
+])
+def test_the_lowest_failing_item_wins_across_processes(failing, raised):
+    def fail(i):
+        if i == max(failing):
+            time.sleep(0.05)
+        if i in failing:
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError, match=f"^{raised}$"):
+        map_processes(fail, range(8), 2)
+    assert_no_child()
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_killed_child_is_an_internal_error():
+    caller = os.getpid()
+
+    def die_off_the_caller(i):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(InternalError, match="^the worker process running items 1, 3, 5 ended "
+                                            "without a result [(]killed by SIGKILL[)]$"):
+        map_processes(die_off_the_caller, range(6), 2)
+    assert_no_child()
+
+
+def test_an_exception_that_cannot_be_pickled_arrives_as_its_repr():
+    class Local(Exception):  # pickle finds no class by this name
+        pass
+
+    def fail(i):
+        if i == 1:
+            raise Local("spilled")
+        return i
+
+    with pytest.raises(InternalError, match=r"^item 1 raised .*Local\('spilled'\)"):
+        map_processes(fail, range(4), 2)
+    assert_no_child()
+
+
+@pytest.mark.parametrize("raised", [None, ValueError, KeyboardInterrupt])
+def test_every_child_is_reaped(raised):
+    """After a success, a failure and an interrupt of the caller's own
+    item, the caller has no child left, running or exited, and no pipe."""
+    def work(i):
+        if i == 0 and raised is not None:
+            raise raised
+        time.sleep(0.01)
+        return i
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    if raised is None:
+        assert map_processes(work, range(6), 3) == list(range(6))
+    else:
+        with pytest.raises(raised):
+            map_processes(work, range(6), 3)
+    assert_no_child()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_an_interrupt_of_the_callers_item_stops_the_children():
+    def work(i):
+        if i == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        map_processes(work, range(2), 2)
+    assert time.monotonic() - start < 30
+    assert_no_child()
+
+
+def test_without_fork_the_threads_run(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    both_running = threading.Barrier(2, timeout=10)
+
+    def work(i):
+        if i < 2:
+            both_running.wait()  # items 0 and 1 run on two threads at once
+        return i, os.getpid()
+
+    assert map_processes(work, range(4), 2) == [(i, os.getpid()) for i in range(4)]
+
+
+def test_another_python_thread_keeps_the_work_in_process():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        got = map_processes(lambda i: os.getpid(), range(4), 2)
+    finally:
+        release.set()
+        other.join()
+    assert got == [os.getpid()] * 4
+
+
+def test_one_worker_forks_no_child(monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert map_processes(lambda i: os.getpid(), range(3), 1) == [os.getpid()] * 3
+
+
+def test_from_python_3_12_another_os_thread_keeps_the_work_in_process(monkeypatch):
+    """There os.fork warns whenever the process has another OS thread,
+    such as a BLAS pool, which /proc/self/task lists."""
+    listdir = os.listdir
+    monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"] if path == "/proc/self/task" else listdir(path))
+    assert map_processes(lambda i: os.getpid(), range(4), 2) == [os.getpid()] * 4
+    monkeypatch.setattr(os, "listdir", lambda path: ["1"] if path == "/proc/self/task" else listdir(path))
+    assert os.getpid() not in map_processes(lambda i: os.getpid(), range(4), 2)[1::2]
