@@ -170,12 +170,11 @@ def _load_matrix(args, name):
 
 def _checked_count(args) -> int:
     """The row count of ``--train``, once every value is found finite,
-    read a tile at a time as the scan reads it."""
+    read a small block at a time."""
     from . import embeddings
 
     with embeddings.open_rows(_required(args, "train"), args.format, args.header) as train:
-        for _ in embeddings.filled_tiles(train.count, train.dim, train.fill):
-            pass
+        embeddings.check_rows(train)
         return train.count
 
 
@@ -207,19 +206,25 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_index(args) -> int:
-    from . import pq
+    from . import embeddings, pq
 
-    train = _load_matrix(args, "train")
-    cfg = pq.PQConfig(
-        num_subspaces=args.num_subspaces,
-        codebook_size=args.codebook_size,
-        kmeans_iters=args.kmeans_iters,
-        seed=args.seed,
-    )
-    codebook = pq.train_codebooks(train, cfg)
-    codes = pq.encode(train, codebook)
-    pq.save_index(codebook, codes, _required(args, "output"))
-    qe = pq.quantization_error(train, codebook, codes)
+    # every stage reads --train through its fill, a block at a time; the
+    # input is checked whole, then the config, then --output, before
+    # training starts
+    with embeddings.open_rows(_required(args, "train"), args.format, args.header) as train:
+        embeddings.check_rows(train)
+        cfg = pq.PQConfig(
+            num_subspaces=args.num_subspaces,
+            codebook_size=args.codebook_size,
+            kmeans_iters=args.kmeans_iters,
+            seed=args.seed,
+        )
+        cfg.validate(train.dim, train.count)
+        output = _required(args, "output")
+        codebook = pq.train_codebooks(train, cfg)
+        codes = pq.encode(train, codebook)
+        pq.save_index(codebook, codes, output)
+        qe = pq.quantization_error(train, codebook, codes)
     print("quantization_error=" + VALUE_FORMAT % qe)
     return 0
 

@@ -261,6 +261,23 @@ def _embx_layout(path):
     return layout
 
 
+_SEEK_LOCK = threading.Lock()
+
+
+def _read_at(fh, view: memoryview, offset: int) -> int:
+    """Read into ``view`` from byte ``offset`` of the open file ``fh``;
+    returns the bytes read (0 at its end). Forked processes share the
+    offset of a file they inherit, so a seek in one moves it under a
+    read in another: this reads by position, leaving the offset alone.
+    Without ``os.preadv`` it seeks and reads under a lock, which serves
+    threads; ``workers.map_processes`` forks only on Linux, which has it."""
+    if hasattr(os, "preadv"):
+        return os.preadv(fh.fileno(), [view], offset)
+    with _SEEK_LOCK:
+        fh.seek(offset)
+        return fh.readinto(view)
+
+
 class EmbxRows(EmbeddingMatrix):
     """The matrix of an EMBX file, left in the file for the scan to read
     a tile at a time with ``fill``. Its header is checked against the
@@ -281,8 +298,7 @@ class EmbxRows(EmbeddingMatrix):
         except BaseException:
             fh.close()
             raise
-        for name, value in (("path", path), ("_fh", fh), ("_lock", threading.Lock()),
-                            ("_shape", (count, dim)), ("_data", None)):
+        for name, value in (("path", path), ("_fh", fh), ("_shape", (count, dim)), ("_data", None)):
             object.__setattr__(self, name, value)
 
     @property
@@ -302,19 +318,18 @@ class EmbxRows(EmbeddingMatrix):
         return self._shape[1]
 
     def fill(self, block: np.ndarray, lo: int, hi: int) -> None:
-        """Read rows lo..hi-1 into the float32 rows ``block``, by seeking
-        and reading under a lock, so that threads may share the file. A
+        """Read rows lo..hi-1 into the float32 rows ``block`` by position,
+        leaving the file's offset alone, so that threads and forked
+        processes may share the open file (see ``_read_at``). A
         non-finite value is a ``ValidationError`` naming its row and
         column, as ``EmbeddingMatrix`` names them."""
         view = memoryview(block).cast("B")
         offset = _HEADER.size + lo * self.dim * 4
-        with self._lock:
-            self._fh.seek(offset)
-            while view:
-                got = self._fh.readinto(view)
-                if not got:
-                    raise FormatError(f"{self.path}: file ends at byte {offset} while rows are read")
-                view, offset = view[got:], offset + got
+        while view:
+            got = _read_at(self._fh, view, offset)
+            if not got:
+                raise FormatError(f"{self.path}: file ends at byte {offset} while rows are read")
+            view, offset = view[got:], offset + got
         if sys.byteorder == "big":
             block.byteswap(inplace=True)
         _check_finite(block, lo)
@@ -365,6 +380,11 @@ def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
 # not a setting: block buffers come on top of the float32 corpus, and
 # larger blocks raise peak memory without making the GEMM much faster.
 BLOCK_BYTES = 8 << 20
+# Bytes of a block that a pass re-reads or re-ranks often and keeps
+# small: under glibc's 128 KiB threshold for serving an allocation by
+# mmap, so freeing it does not raise that threshold, which would leave
+# later large buffers in the heap and raise peak RSS.
+SMALL_BYTES = 64 << 10
 
 
 def block_rows(row_bytes: int, budget: int) -> int:
@@ -436,19 +456,28 @@ def _running_bound(dk: np.ndarray, q2: np.ndarray, s: float, beta: float, d: int
     return np.nextafter(up, np.float32(np.inf), out=up, where=up < tau)
 
 
-def filled_tiles(n: int, d: int, fill):
+def filled_tiles(n: int, d: int, fill, budget: int | None = None):
     """Yield ``(lo, tile)`` for each tile of n training rows of dim d, in
     index order: ``fill(tile, lo, hi)`` writes rows lo..hi-1 into one
-    float32 block of at most an eighth of ``BLOCK_BYTES``, reused for
-    every tile. The tiles are as few as that allows and all of one size
-    but the last. A ``fill`` that raises ends the iteration."""
-    nt = min(n, block_rows(4 * d, BLOCK_BYTES // 8))
+    float32 block of at most ``budget`` bytes (an eighth of
+    ``BLOCK_BYTES`` if None) or one row, reused for every tile. The
+    tiles are as few as that allows and all of one size but the last. A
+    ``fill`` that raises ends the iteration."""
+    nt = min(n, block_rows(4 * d, BLOCK_BYTES // 8 if budget is None else budget))
     nt = -(-n // -(-n // nt)) if n else 1
     block = np.empty((nt, d), dtype=np.float32)
     for lo in range(0, n, nt):
         tile = block[: n - lo]
         fill(tile, lo, lo + tile.shape[0])
         yield lo, tile
+
+
+def check_rows(rows: EmbeddingMatrix) -> None:
+    """Read every row of ``rows`` once through its ``fill``, a block of
+    ``SMALL_BYTES`` at a time, so that a non-finite value is refused
+    before any work on the rows starts."""
+    for _ in filled_tiles(rows.count, rows.dim, rows.fill, SMALL_BYTES):
+        pass
 
 
 def nearest_rows(n: int, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -466,14 +495,17 @@ def nearest_rows(n: int, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray,
     Tiles. The scan takes the training rows a tile at a time, in index
     order, and each tile against blocks of query rows. Scratch stays
     within ``BLOCK_BYTES`` at 4 bytes an entry: a tile of float32 rows
-    takes an eighth, the GEMM's two float32 tables, its bool mask and
-    the scaled query rows a quarter (9 bytes a pair and 4 an entry of a
+    takes an eighth, the GEMM's float32 table, its bool mask and the
+    scaled query rows under a quarter (a block is sized at 9 bytes a
+    pair, of which the table and the mask take 5, and 4 an entry of a
     query row), and the recheck's temporaries a quarter. At d = 128 that
     is 2 048 rows a tile and 110 query rows a block, so each SGEMM packs
     its tile once for a hundred query rows; at d = 64 tiles of 2 048 to
     4 096 rows measured alike.
-    Only the first tile ranks its rows to find a threshold; every later
-    tile takes it from the running top k.
+    Only the first tile ranks its rows to find a threshold, a few query
+    rows at a time in one buffer of ``SMALL_BYTES`` (τ of a query row
+    depends on that row alone); every later tile takes it from the
+    running top k.
 
     Shortlist. Per tile of training rows x and block of query rows q,
     with s = 2^-2e, one SGEMM and one float32 subtraction give
@@ -572,13 +604,16 @@ def nearest_rows(n: int, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray,
         if lo == 0:
             kb = min(k, t)
             bq = (q2 * (2 * c * s) + 4 * beta).astype(np.float32)
-            # the first tile is the largest; two float32 and one bool
-            # entry per pair, and the scaled query row
+            # the first tile is the largest; a float32 and a bool entry
+            # per pair, and the scaled query row (see Tiles for the 9)
             b = max(1, min(m, block_rows(9 * t + 4 * d, budget)))
             w_block = np.empty((b, d), dtype=np.float32)
             approx = np.empty(b * t, dtype=np.float32)
-            upper = np.empty(b * t, dtype=np.float32)
             keep = np.empty(b * t, dtype=bool)
+            # a + E of a few query rows at a time, ranked in place
+            rank_rows = min(b, block_rows(4 * t, SMALL_BYTES))
+            ranked = np.empty(rank_rows * t, dtype=np.float32)
+            first_tau = np.empty(b, dtype=np.float32)
         for qlo in range(0, m, b):
             r = min(b, m - qlo)
             q = queries[qlo : qlo + r]
@@ -587,8 +622,12 @@ def nearest_rows(n: int, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray,
             np.matmul(w, train.T, out=a)
             np.subtract(x2s, a, out=a)
             if lo == 0:
-                up = np.add(a, ex, out=upper[: r * t].reshape(r, t))
-                tau = _kth_smallest(up, kb) + bq[qlo : qlo + r]
+                tau = first_tau[:r]
+                for i in range(0, r, rank_rows):
+                    j = min(i + rank_rows, r)
+                    up = np.add(a[i:j], ex, out=ranked[: (j - i) * t].reshape(j - i, t))
+                    tau[i:j] = _kth_smallest(up, kb)
+                tau += bq[qlo : qlo + r]
             else:
                 tau = _running_bound(sq_dists[qlo : qlo + r, k - 1], q2[qlo : qlo + r], s, beta, d)
             a -= ex

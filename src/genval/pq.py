@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import embeddings
-from .embeddings import (EmbeddingMatrix, all_finite, block_rows, exact_sq_dists, frozen, nearest_rows,
-                         read_container, row_blocks, write_container)
+from .embeddings import (EmbeddingMatrix, all_finite, block_rows, exact_sq_dists, filled_tiles, frozen,
+                         nearest_rows, read_container, row_blocks, write_container)
 from .errors import ConfigError, CorruptionError, FormatError, InternalError, ValidationError
 from .workers import map_processes, worker_count
 
@@ -324,13 +324,17 @@ def train_codebooks(data: EmbeddingMatrix, cfg: PQConfig) -> Codebook:
     Subspaces are trained side by side, up to one per CPU, each further
     worker a forked process where forking is safe (``map_processes``);
     each depends on its own columns and random stream only, so the count
-    changes no bit.
+    changes no bit. Each worker reads a subspace's columns through
+    ``data.fill``, a small block of rows at a time, into a float64
+    subspace; it never holds the corpus.
     """
     cfg.validate(data.dim, data.count)
     sub_dim = data.dim // cfg.num_subspaces
 
     def train(s: int) -> np.ndarray:
-        sub = data.data[:, s * sub_dim : (s + 1) * sub_dim].astype(np.float64)
+        sub = np.empty((data.count, sub_dim))
+        for lo, tile in filled_tiles(data.count, data.dim, data.fill, embeddings.SMALL_BYTES):
+            sub[lo : lo + tile.shape[0]] = tile[:, s * sub_dim : (s + 1) * sub_dim]
         rng = _subspace_rng(cfg.seed, s)
         return _lloyd(sub, cfg.codebook_size, cfg.kmeans_iters, rng)[0].astype(np.float32)
 
@@ -350,18 +354,21 @@ def encode(data: EmbeddingMatrix, codebook: Codebook) -> PQCodes:
     equidistant centroids really compare equal; ``nearest_rows`` finds
     the nearest one with a float32 GEMM shortlist over the subspace's
     centroid table, an ``EmbeddingMatrix`` filled a tile at a time, and an
-    exact recheck.
+    exact recheck. The rows are read through ``data.fill`` a tile at a
+    time, as the scan reads training rows, and each subvector's code
+    depends on that subvector alone.
     """
     if data.dim != codebook.dim:
         raise ConfigError(
             f"data dim {data.dim} does not match codebook dim {codebook.dim}"
         )
     m, sd = codebook.num_subspaces, codebook.subspace_dim
+    tables = [EmbeddingMatrix(codebook.centroids[s]) for s in range(m)]
     codes = np.empty((data.count, m), dtype=_code_dtype(codebook.codebook_size))
-    for s in range(m):
-        sub = data.data[:, s * sd : (s + 1) * sd]
-        table = EmbeddingMatrix(codebook.centroids[s])
-        codes[:, s] = nearest_rows(table.count, table.fill, sub, 1)[0][:, 0]
+    for lo, rows in filled_tiles(data.count, data.dim, data.fill):
+        for s, table in enumerate(tables):
+            sub = rows[:, s * sd : (s + 1) * sd]
+            codes[lo : lo + rows.shape[0], s] = nearest_rows(table.count, table.fill, sub, 1)[0][:, 0]
     return PQCodes(codes)
 
 
@@ -398,26 +405,30 @@ def quantization_error(data: EmbeddingMatrix, codebook: Codebook, codes: PQCodes
     """Mean squared Euclidean distance between vectors and reconstructions.
 
     ``codes`` are ``encode(data, codebook)``; they are computed here
-    unless the caller has them already. Rows are decoded and subtracted
+    unless the caller has them already. Rows are read through
+    ``data.fill``, decoded and subtracted
     a block at a time, in scratch of a sixteenth of ``BLOCK_BYTES``; each
     row's distance is bitwise the one of a whole-corpus subtraction.
     """
     if codes is None:
         codes = encode(data, codebook)
     check_codes(codes, codebook)
-    if (codes.count, codebook.dim) != data.data.shape:
+    n, d = data.count, data.dim
+    if (codes.count, codebook.dim) != (n, d):
         raise ValidationError(
-            f"shape mismatch: codes decode to {(codes.count, codebook.dim)}, data is {data.data.shape}"
+            f"shape mismatch: codes decode to {(codes.count, codebook.dim)}, data is {(n, d)}"
         )
-    n, d = data.data.shape
-    # a block of fewer than 2 * step rows, each a float32 decoded row and
-    # its float64 difference, fills at most a sixteenth of BLOCK_BYTES
-    blocks = row_blocks(n, max(2, block_rows(24 * d, embeddings.BLOCK_BYTES // 16)))
-    decoded = np.empty((max(hi - lo for lo, hi in blocks), d), dtype=np.float32)
+    # a block of fewer than 2 * step rows, each a float32 row read through
+    # data.fill, its float32 decoded row and their float64 difference,
+    # fills at most a sixteenth of BLOCK_BYTES
+    blocks = row_blocks(n, max(2, block_rows(32 * d, embeddings.BLOCK_BYTES // 16)))
+    rows = max(hi - lo for lo, hi in blocks)
+    read, decoded = (np.empty((rows, d), dtype=np.float32) for _ in range(2))
     sq = np.empty(n)
     for lo, hi in blocks:
+        data.fill(read[: hi - lo], lo, hi)
         decode_into(codebook, codes.codes, decoded[: hi - lo], lo, hi)
-        sq[lo:hi] = exact_sq_dists(data.data[lo:hi], decoded[: hi - lo])
+        sq[lo:hi] = exact_sq_dists(read[: hi - lo], decoded[: hi - lo])
     return float(sq.mean())
 
 

@@ -97,6 +97,27 @@ def test_build_index_rejects_oversized_codebook(exp_dir, tmp_path):
     assert "codebook_size" in r.stderr
 
 
+def test_build_index_checks_every_input_before_it_trains(tmp_path, rng, monkeypatch):
+    """A missing --output is reported before training, which takes
+    minutes at scale, but after --train is read whole and the config is
+    checked, so each earlier message keeps its precedence."""
+    def no_training(*args):
+        raise AssertionError("train_codebooks ran")
+
+    monkeypatch.setattr(pq, "train_codebooks", no_training)
+    rows = rng.standard_normal((40, 8)).astype(np.float32)
+    train = write_embx(tmp_path / "t.embx", rows)
+    rows[39, 1] = np.nan
+    bad = tmp_path / "bad.embx"
+    bad.write_bytes(train.read_bytes()[:24] + rows.tobytes())
+    for path, flags, message in [
+        (bad, ["--codebook-size", 100], "non-finite value at row 39, column 1"),
+        (train, ["--codebook-size", 100], "codebook_size 100 exceeds training count 40"),
+        (train, ["--codebook-size", 4], "missing required input: --output"),
+    ]:
+        assert_one_error_line(run_cli("build-index", "--train", path, *flags), message)
+
+
 def test_build_index_is_deterministic(exp_dir, tmp_path):
     outs = []
     for name in ("1.gmvi", "2.gmvi"):

@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import traced_peak, write_embx
 from genval import (
     EmbeddingMatrix,
     load_embeddings,
     save_embeddings,
     validate_pair,
 )
-from genval import embeddings
+from genval import embeddings, workers
 from genval.embeddings import exact_sq_dists, open_rows, open_text, read_lines, row_blocks
 from genval.errors import FormatError, ValidationError
 
@@ -176,6 +177,45 @@ def test_embx_rows_data_reads_the_file_it_opened(tmp_path, rng):
         assert block.tobytes() == first.data.tobytes()
         assert rows.data.shape == (4, 3) and rows.data.tobytes() == first.data.tobytes()
         assert not rows.data.flags.writeable
+
+
+def reader(train, rows, passes):
+    """A work item w that fills ``train``'s rows 16 at a time, ``passes``
+    times over, ascending for w = 0 and descending otherwise; it returns
+    the count of fills that differ from ``rows`` and its process id."""
+    def read(w):
+        block, wrong = np.empty((16, rows.shape[1]), dtype=np.float32), 0
+        for lo in list(range(0, len(rows), 16))[:: 1 if w == 0 else -1] * passes:
+            train.fill(block, lo, lo + 16)
+            wrong += block.tobytes() != rows[lo : lo + 16].tobytes()
+        return wrong, os.getpid()
+
+    return read
+
+
+def test_forked_readers_of_one_embx_rows_each_get_their_own_rows(tmp_path, rng):
+    """``fill`` reads by position: the caller and a forked worker, which
+    share the open file's offset, fill from one ``EmbxRows`` at once,
+    in opposite orders, and each gets the rows it asked for; the file's
+    offset stays where opening left it."""
+    rows = rng.standard_normal((4096, 16)).astype(np.float32)
+    with open_rows(write_embx(tmp_path / "x.embx", rows)) as train:
+        start = os.lseek(train._fh.fileno(), 0, os.SEEK_CUR)
+        got = workers.map_processes(reader(train, rows, 20), [0, 1], 2)
+        assert len({pid for _, pid in got}) == 2
+        assert [wrong for wrong, _ in got] == [0, 0]
+        assert os.lseek(train._fh.fileno(), 0, os.SEEK_CUR) == start
+
+
+def test_threads_get_their_own_rows_without_positional_reads(tmp_path, rng, monkeypatch):
+    """Where ``os.preadv`` is missing, ``fill`` seeks and reads under a
+    lock, so threads filling from one ``EmbxRows`` at once still each
+    get the rows they asked for."""
+    monkeypatch.delattr(os, "preadv")
+    rows = rng.standard_normal((4096, 16)).astype(np.float32)
+    with open_rows(write_embx(tmp_path / "x.embx", rows)) as train:
+        got = workers.map_items(reader(train, rows, 5), [0, 1], 2)
+        assert [wrong for wrong, _ in got] == [0, 0]
 
 
 # --------------------------------------------------------------- csv format

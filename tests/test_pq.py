@@ -499,15 +499,11 @@ def test_training_converts_one_subspace_at_a_time(rng):
     assert peak < data.data.size * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_training_scratch_is_a_subspace_and_a_score_block(rng, monkeypatch, cpus):
-    """Guards peak memory: at build-index's 8 x 256 on 10 000 x 64, each
-    training process holds, one subspace at a time, a float64 subspace,
-    temporaries of its size and per-row vectors (3 subspaces in all), and
-    one score block of under two sixteenths of BLOCK_BYTES; tracemalloc
-    counts each process's own allocations."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    data = mat(rng.standard_normal((10_000, 64)))
+def trace_each_process(monkeypatch) -> dict[int, int]:
+    """Make ``pq.map_processes`` record, for each process that runs an
+    item, the largest traced peak of an item above what the process
+    held when the item began; returns the pid -> peak dict it fills.
+    tracemalloc counts each process's own allocations."""
     peaks: dict[int, int] = {}
     map_processes = pq.map_processes
 
@@ -524,11 +520,46 @@ def test_training_scratch_is_a_subspace_and_a_score_block(rng, monkeypatch, cpus
         return [result for result, _, _ in out]
 
     monkeypatch.setattr(pq, "map_processes", traced_per_process)
+    return peaks
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_training_scratch_is_a_subspace_and_a_score_block(rng, monkeypatch, cpus):
+    """Guards peak memory: at build-index's 8 x 256 on 10 000 x 64, each
+    training process holds, one subspace at a time, a float64 subspace,
+    temporaries of its size and per-row vectors (3 subspaces in all), and
+    one score block of under two sixteenths of BLOCK_BYTES; tracemalloc
+    counts each process's own allocations."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    data = mat(rng.standard_normal((10_000, 64)))
+    peaks = trace_each_process(monkeypatch)
     bound = 3 * 10_000 * 8 * 8 + embeddings.BLOCK_BYTES // 8
     peak = traced_peak(lambda: train_codebooks(data, PQConfig(8, 256, 2, seed=0)))
     assert len(peaks) == cpus
     assert max(peaks.values()) < bound, f"peaks {[p / 2**20 for p in peaks.values()]} MiB"
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_build_index_stages_hold_less_than_the_corpus(tmp_path, rng, monkeypatch):
+    """Guards peak memory: training, encode and quantization_error read
+    an EMBX corpus through its fill, a block of rows at a time, so no
+    process of theirs holds the corpus, here 60 000 x 64, 14.6 MiB of
+    float32."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    n, d = 60_000, 64
+    path = write_embx(tmp_path / "x.embx", rng.standard_normal((n, d)))
+    peaks = trace_each_process(monkeypatch)
+    out = {}
+    with embeddings.open_rows(path) as data:
+        stages = {
+            "train": traced_peak(lambda: out.update(codebook=train_codebooks(data, PQConfig(8, 16, 2, seed=0)))),
+            "encode": traced_peak(lambda: out.update(codes=encode(data, out["codebook"]))),
+            "error": traced_peak(lambda: quantization_error(data, out["codebook"], out["codes"])),
+        }
+    corpus = n * d * 4
+    assert len(peaks) == 2
+    assert max(peaks.values()) < corpus, f"peaks {[p / 2**20 for p in peaks.values()]} MiB"
+    assert max(stages.values()) < corpus, {stage: f"{p / 2**20:.2f} MiB" for stage, p in stages.items()}
 
 
 def train_one_by_one(data, cfg):

@@ -767,6 +767,25 @@ def test_an_embx_file_scan_holds_no_corpus(rng, tmp_path):
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_an_exact_scan_holds_one_gemm_table(rng, tmp_path):
+    """Guards peak memory: at value-exact's shape (an EMBX corpus of
+    20 000 x 128, 500 queries, k = 10) the scan holds one float32 table
+    of GEMM results, 0.86 MiB at 110 query rows by 2 048 training rows,
+    and ranks the first tile's thresholds a few query rows at a time in
+    a buffer of SMALL_BYTES; a second table of that size would take the
+    traced peak above 4.3 MiB."""
+    n, dim = 20_000, 128
+    path = write_embx(tmp_path / "train.embx", rng.standard_normal((n, dim)))
+    gen = mat(rng.standard_normal((500, dim)))
+
+    def scan():
+        with embeddings.open_rows(path) as train:
+            batch_match(train, gen, k=10)
+
+    peak = traced_peak(scan)
+    assert peak < 4.3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 # ------------------------------------------------------------------- recall
 
 
