@@ -79,7 +79,7 @@ OPTIONS = (
     Option("index", str, None, _MATCHING, "GMVI index file (pq mode)"),
     Option("gen", str, None, _MATCHING, "generated embeddings"),
     Option("k", int, 10, _MATCHING, "matches per generated row"),
-    Option("threads", int, 1, _MATCHING, "worker threads over generated rows"),
+    Option("threads", int, 1, _MATCHING, "workers over generated rows"),
     Option("num_subspaces", int, 8, ("build-index",), "PQ subspaces"),
     Option("codebook_size", int, 256, ("build-index",), "centroids per subspace"),
     Option("kmeans_iters", int, 25, ("build-index",), "Lloyd iterations"),

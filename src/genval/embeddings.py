@@ -28,7 +28,6 @@ import math
 import os
 import struct
 import sys
-import threading
 from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -261,21 +260,17 @@ def _embx_layout(path):
     return layout
 
 
-_SEEK_LOCK = threading.Lock()
-
-
 def _read_at(fh, view: memoryview, offset: int) -> int:
     """Read into ``view`` from byte ``offset`` of the open file ``fh``;
     returns the bytes read (0 at its end). Forked processes share the
     offset of a file they inherit, so a seek in one moves it under a
     read in another: this reads by position, leaving the offset alone.
-    Without ``os.preadv`` it seeks and reads under a lock, which serves
-    threads; ``workers.map_processes`` forks only on Linux, which has it."""
+    Without ``os.preadv`` it seeks and reads: ``workers.map_processes``
+    forks only on Linux, which has it."""
     if hasattr(os, "preadv"):
         return os.preadv(fh.fileno(), [view], offset)
-    with _SEEK_LOCK:
-        fh.seek(offset)
-        return fh.readinto(view)
+    fh.seek(offset)
+    return fh.readinto(view)
 
 
 class EmbxRows(EmbeddingMatrix):
@@ -319,10 +314,10 @@ class EmbxRows(EmbeddingMatrix):
 
     def fill(self, block: np.ndarray, lo: int, hi: int) -> None:
         """Read rows lo..hi-1 into the float32 rows ``block`` by position,
-        leaving the file's offset alone, so that threads and forked
-        processes may share the open file (see ``_read_at``). A
-        non-finite value is a ``ValidationError`` naming its row and
-        column, as ``EmbeddingMatrix`` names them."""
+        leaving the file's offset alone, so that forked worker processes
+        may share the open file (see ``_read_at``). A non-finite value is
+        a ``ValidationError`` naming its row and column, as
+        ``EmbeddingMatrix`` names them."""
         view = memoryview(block).cast("B")
         offset = _HEADER.size + lo * self.dim * 4
         while view:

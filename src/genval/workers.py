@@ -1,26 +1,16 @@
-"""Independent work items spread over workers: the caller plus started
-threads (``map_items``) or, on Linux, forked child processes
-(``map_processes``).
+"""Independent work items spread over workers: the caller plus, on
+Linux, child processes forked for the call (``map_processes``).
 
-The calling thread takes items too, rather than waiting on a pool: glibc
-gives every thread that allocates its own malloc arena, so a waiting
-caller would cost one arena more than the work needs. One worker starts
-no thread or process at all.
-
-Threads share one interpreter lock, so work made of many short numpy
-calls, each holding the lock for most of its time, gains little from a
-second thread. ``map_processes`` runs each further worker in a child
-process forked for the call, and takes the same arguments and keeps the
-same contract as ``map_items``: results in item order, the exception of
-the lowest-index failed item raised, every child reaped before it
-returns or raises. It forks only where forking is safe: on Linux, from
-the process's only Python thread, and on Python >= 3.12 only while the
-process has no other OS thread either, as ``os.fork`` then warns (a
+The caller takes items too, rather than waiting on its children, so one
+worker forks no process at all. ``map_processes`` forks only where
+forking is safe: on Linux, from the process's only Python thread, and
+on Python >= 3.12 only while the process has no other OS thread either
+(``lone_os_thread``), as ``os.fork`` then warns (a
 ``DeprecationWarning``) that the child may deadlock on a lock another
-thread held; a BLAS thread pool counts. Elsewhere it runs ``map_items``.
-A child's memory is a copy-on-write image of the caller's, so the
-peak RSS that ``getrusage`` reports for the run (``ru_maxrss``) is that
-of the larger process, not the sum of both.
+thread held; a BLAS thread pool counts. Elsewhere the items run in turn
+on the caller. A child's memory is a copy-on-write image of the
+caller's, so the peak RSS that ``getrusage`` reports for the run
+(``ru_maxrss``) is that of the larger process, not the sum of both.
 """
 from __future__ import annotations
 
@@ -39,56 +29,17 @@ def worker_count(items: int, limit: int | None = None) -> int:
     return max(1, min(items, os.cpu_count() or 1, items if limit is None else limit))
 
 
-def map_items(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, run on the calling thread plus up
-    to ``workers - 1`` started threads, each taking the next item in turn.
-
-    Every started thread is joined before this returns. If items raise,
-    no further item starts, and the exception of the lowest-index failed
-    item is raised here: items start in index order, so that is the
-    lowest-index item that fails at all.
-    """
-    items = list(items)
-    results = [None] * len(items)
-    failed: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    todo = iter(range(len(items)))
-
-    def work():
-        while True:
-            with lock:
-                i = None if failed else next(todo, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                with lock:
-                    failed[i] = exc
-
-    started = []
-    try:
-        for _ in range(min(workers, len(items)) - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            started.append(thread)
-        work()
-    finally:
-        with lock:
-            for _ in todo:  # a caller that stops early starts no further item
-                pass
-        for thread in started:
-            thread.join()
-    if failed:
-        raise failed[min(failed)]
-    return results
+def lone_os_thread() -> bool:
+    """Whether the process runs no OS thread but the caller's, as
+    ``/proc/self/task`` lists them; False off Linux, which reads nothing."""
+    return sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
 
 
 def _fork_is_safe() -> bool:
     """Whether ``map_processes`` may fork (see the module docstring)."""
     if sys.platform != "linux" or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
-    return sys.version_info < (3, 12) or len(os.listdir("/proc/self/task")) == 1
+    return sys.version_info < (3, 12) or lone_os_thread()
 
 
 def _share(fn, items: list, w: int, workers: int, catch) -> tuple[list, tuple | None]:
@@ -137,8 +88,11 @@ def _ended(status: int) -> str:
 
 
 def map_processes(fn, items, workers: int) -> list:
-    """``map_items(fn, items, workers)``, with each of the ``workers - 1``
-    further workers a forked child process, where forking is safe.
+    """``[fn(item) for item in items]``, spread over the caller and
+    ``workers - 1`` forked child processes where forking is safe, and run
+    in turn on the caller otherwise: either way, results come in item
+    order, the exception of the lowest-index failed item is raised, and
+    no item starts after a failure on its worker.
 
     Worker w runs items i ≡ w (mod workers) in index order, stopping at
     its first failure, and the caller is worker 0; so the lowest-index
@@ -154,7 +108,7 @@ def map_processes(fn, items, workers: int) -> list:
     items = list(items)
     workers = min(workers, len(items))
     if workers < 2 or not _fork_is_safe():
-        return map_items(fn, items, workers)
+        return [fn(item) for item in items]
     children: list[tuple[int, int, int]] = []  # (worker, pid, read end)
     shares = {}
     statuses = {}

@@ -58,6 +58,10 @@ def run_cli(*argv, stdin=""):
     return CliRun(code, out.getvalue(), err.getvalue())
 
 
+# the variables that set the thread count of the common BLAS builds
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
 def child_env() -> dict:
     """The environment of a child Python that imports this checkout's genval."""
     src = str(Path(genval.__file__).parents[1])

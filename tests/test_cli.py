@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import genval.cli as cli
 import reference
-from conftest import (assert_one_error_line, child_env, make_value_csv, run_cli, run_cli_process,
+from conftest import (BLAS_ENV, assert_one_error_line, child_env, make_value_csv, run_cli, run_cli_process,
                       traced_peak, write_embx)
 from genval import embeddings, load_embeddings, pq, save_embeddings, search, stats, valuation
 from genval.errors import GenvalError, InternalError
@@ -197,6 +197,120 @@ def test_threads_split_rows_across_scan_blocks(exp_dir, monkeypatch, eight_cpus)
                 for ext, fmt in (("embx", "binary"), ("csv", "csv")) for threads in (1, 3)]
         assert [r.code for r in runs] == [0] * 4
         assert len({r.stdout for r in runs}) == 1
+
+
+# The CLI on two CPUs, with os.fork counted. argv[1] is "plain", "fork"
+# (/proc/self/task faked to list one OS thread, so that the scan forks
+# whatever threads BLAS runs) or "kill" (that, and each forked scan
+# worker kills itself). It leaves a line in stdout's buffer, which a
+# forked child that flushed the buffers it inherited would print again;
+# it writes to stderr whether the process ran no other OS thread after
+# the command and how often it forked, and exits 9 if the command leaves
+# a child process behind.
+SCAN_CHILD = """
+import os, signal, sys
+from genval import search, workers
+from genval.cli import main
+caller, fork, listdir, scan = os.getpid(), os.fork, os.listdir, search.nearest_rows
+forks = []
+
+def counted_fork():
+    forks.append(1)
+    return fork()
+
+def killed_off_the_caller(*args, **kwargs):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return scan(*args, **kwargs)
+
+os.cpu_count, os.fork = lambda: 2, counted_fork
+if sys.argv[1] != "plain":
+    os.listdir = lambda path: ["1"] if path == "/proc/self/task" else listdir(path)
+if sys.argv[1] == "kill":
+    search.nearest_rows = killed_off_the_caller
+sys.stdout.write("start\\n")
+code = main(sys.argv[2:])
+sys.stderr.write(f"lone={int(workers.lone_os_thread())} forks={len(forks)}\\n")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(9)
+"""
+
+
+def run_scan_child(mode, *argv, blas_threads=None):
+    """SCAN_CHILD in a child process, with BLAS at its default thread
+    count or pinned to ``blas_threads``, and stdout block-buffered."""
+    env = {name: value for name, value in child_env().items() if name not in BLAS_ENV + ("PYTHONUNBUFFERED",)}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(BLAS_ENV, str(blas_threads)))
+    return subprocess.run([sys.executable, "-c", SCAN_CHILD, mode, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.fixture
+def scan_inputs(tmp_path, rng):
+    """Training rows as EMBX, generated rows and a PQ index of them."""
+    train = write_embx(tmp_path / "train.embx", rng.standard_normal((3000, 16)))
+    gen = write_embx(tmp_path / "gen.embx", rng.standard_normal((60, 16)))
+    index = tmp_path / "index.gmvi"
+    assert run_cli("build-index", "--train", train, "--output", index, "--num-subspaces", 4,
+                   "--codebook-size", 16, "--kmeans-iters", 2).code == 0
+    return train, gen, index
+
+
+@pytest.mark.parametrize("blas_threads", [None, 1])
+@pytest.mark.parametrize("command, scans", [("match", 1), ("value", 1), ("eval-recall", 2)])
+def test_the_scan_in_a_child_process_is_the_same_on_one_and_two_workers(scan_inputs, tmp_path, blas_threads,
+                                                                        command, scans):
+    """The real CLI, with BLAS at its default thread count or pinned to 1:
+    --threads 2 forks one worker a scan only where no other OS thread
+    runs, which pinned BLAS leaves so, and writes --threads 1's bytes,
+    printing each line once."""
+    train, gen, index = scan_inputs
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        argv = {"match": ["match", "--output", out],
+                "value": ["value", "--inline", "--output", out],
+                "eval-recall": ["eval-recall", "--index", index]}[command]
+        done = run_scan_child("plain", *argv, "--train", train, "--gen", gen, "--k", 5, "--threads", threads,
+                              blas_threads=blas_threads)
+        lone = re.fullmatch(r"lone=([01]) forks=\d+\n", done.stderr)
+        assert done.returncode == 0 and lone, done.stderr
+        forks = scans * (threads - 1) * int(lone[1])
+        assert done.stderr == f"lone={lone[1]} forks={forks}\n"
+        assert done.stdout.count("start\n") == 1
+        runs.append((done.stdout, out.read_bytes() if out.exists() else None))
+        if blas_threads == 1:
+            assert lone[1] == "1"
+    assert runs[0] == runs[1]
+
+
+def test_a_non_finite_row_through_a_forked_scan_worker_is_one_workers_error(tmp_path, rng):
+    train = write_embx(tmp_path / "train.embx", rng.standard_normal((20000, 8)))
+    with open(train, "r+b") as fh:  # the header is 24 bytes, a value 4
+        fh.seek(24 + (12345 * 8 + 7) * 4)
+        fh.write(np.float32(np.nan).tobytes())
+    gen = write_embx(tmp_path / "gen.embx", rng.standard_normal((8, 8)))
+    one, two = (run_scan_child(mode, "match", "--train", train, "--gen", gen, "--k", 3, "--threads", threads)
+                for mode, threads in (("plain", 1), ("fork", 2)))
+    assert (one.returncode, two.returncode) == (2, 2)
+    one, two = one.stderr.splitlines(), two.stderr.splitlines()
+    assert one[0] == two[0] == "genval: error: non-finite value at row 12345, column 7"
+    assert one[1].endswith(" forks=0") and two[1] == "lone=1 forks=1"
+
+
+def test_a_killed_scan_worker_is_an_internal_error(scan_inputs, tmp_path):
+    train, gen, _ = scan_inputs
+    out = tmp_path / "values.csv"
+    done = run_scan_child("kill", "value", "--inline", "--train", train, "--gen", gen, "--k", 5,
+                          "--threads", 2, "--output", out)
+    assert (done.returncode, done.stdout, done.stderr.splitlines()) == (3, "start\n", [
+        "genval: internal error: the worker process running items 1 ended without a result (killed by SIGKILL)",
+        "lone=1 forks=1"])
+    assert not out.exists() and not list(tmp_path.glob(".*"))
 
 
 def test_match_output_flag_matches_stdout(exp_dir, tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import child_env, run_cli, traced_peak, write_embx
+from conftest import BLAS_ENV, child_env, run_cli, traced_peak, write_embx
 from genval import embeddings, pq
 from genval import (
     Codebook,
@@ -667,7 +667,6 @@ except ChildProcessError:
     sys.exit(code)
 sys.exit(9)
 """
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
 @pytest.mark.parametrize("blas_threads", [None, 1])

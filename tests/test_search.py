@@ -3,7 +3,6 @@ import io
 import math
 import os
 import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +27,7 @@ from genval import (
     write_match_jsonl,
 )
 from genval.errors import ConfigError, CorruptionError, FormatError, ValidationError
-from genval.workers import map_items
+from genval.workers import map_processes
 
 
 def mat(rows):
@@ -265,13 +264,14 @@ def test_batch_match_rejects_fewer_than_one_thread(threads):
 )
 def test_workers_are_capped_at_rows_and_cpus(rng, monkeypatch, cpus, threads, m, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    fake_os_threads(monkeypatch, 1)
     counts = []
 
     def recording_map(fn, items, n):
         counts.append(n)
-        return map_items(fn, items, n)
+        return map_processes(fn, items, n)
 
-    monkeypatch.setattr(search, "map_items", recording_map)
+    monkeypatch.setattr(search, "map_processes", recording_map)
     train = mat(rng.standard_normal((20, 4)))
     gen = mat(rng.standard_normal((m, 4)))
     t = batch_match(train, gen, k=3, threads=threads)
@@ -282,13 +282,89 @@ def test_workers_are_capped_at_rows_and_cpus(rng, monkeypatch, cpus, threads, m,
 
 
 def test_one_worker_scans_on_the_calling_thread(rng, monkeypatch):
-    """--threads 1 starts no thread, so no second malloc arena is paid for."""
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
+    """--threads 1 forks no child, even where it could."""
+    fake_os_threads(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
     train = mat(rng.standard_normal((20, 4)))
     batch_match(train, mat(rng.standard_normal((9, 4))), k=3, threads=1)
+
+
+def fake_os_threads(monkeypatch, count):
+    """Make ``/proc/self/task`` list ``count`` OS threads of this process."""
+    listdir = os.listdir
+    tasks = [str(t) for t in range(count)]
+    monkeypatch.setattr(os, "listdir", lambda path: tasks if path == "/proc/self/task" else listdir(path))
+
+
+def forbidden_fork():
+    raise AssertionError("a process was forked")
+
+
+def counted_forks(monkeypatch):
+    """A list that gets one entry for each ``os.fork`` of this process."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@contextlib.contextmanager
+def route_case(route, rng, tmp_path, n, m):
+    """Yield (training, queries) of ``route``: "exact" rows in memory, the
+    same rows left in an "embx" file, or an "adc" PQ index; n training
+    rows tie closely, and so make the scan's tie-breaks count."""
+    if route == "adc":
+        codebook, codes, gen = adc_case("lattice", rng, n, m)
+        yield (codebook, codes), gen
+        return
+    train, gen = shortlist_case("near_ties", rng, n, m)
+    with (embeddings.open_rows(write_embx(tmp_path / "train.embx", train.data)) if route == "embx"
+          else contextlib.nullcontext(train)) as train:
+        yield train, gen
+
+
+@pytest.mark.parametrize("route", ["exact", "embx", "adc"])
+def test_a_lone_os_thread_lets_the_scan_fork_once(rng, tmp_path, monkeypatch, eight_cpus, route):
+    """With no OS thread but the caller's, threads=2 forks one worker,
+    and gets threads=1's tables bit for bit."""
+    with route_case(route, rng, tmp_path, 30, 23) as (train, gen):
+        one = batch_match(train, gen, k=6, threads=1)
+        fake_os_threads(monkeypatch, 1)
+        forks = counted_forks(monkeypatch)
+        two = batch_match(train, gen, k=6, threads=2)
+    assert len(forks) == 1
+    assert one.indices.tobytes() == two.indices.tobytes()
+    assert one.distances.tobytes() == two.distances.tobytes()
+
+
+def test_another_os_thread_keeps_the_scan_on_the_caller(rng, monkeypatch, eight_cpus):
+    """A BLAS pool in each forked worker would oversubscribe the cores,
+    so beside another OS thread the scan forks nothing."""
+    train, gen = shortlist_case("gaussian", rng, 30, 23)
+    one = batch_match(train, gen, k=6, threads=1)
+    fake_os_threads(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    two = batch_match(train, gen, k=6, threads=2)
+    assert one.indices.tobytes() == two.indices.tobytes()
+    assert one.distances.tobytes() == two.distances.tobytes()
+
+
+def test_off_linux_the_scan_reads_no_proc(rng, monkeypatch, eight_cpus):
+    def no_proc(path):
+        raise AssertionError(f"{path} was read")
+
+    train, gen = shortlist_case("gaussian", rng, 30, 23)
+    one = batch_match(train, gen, k=6, threads=1)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(os, "listdir", no_proc)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    two = batch_match(train, gen, k=6, threads=2)
+    assert one.indices.tobytes() == two.indices.tobytes()
+    assert one.distances.tobytes() == two.distances.tobytes()
 
 
 # ------------------------------------------------------------ gemm shortlist
@@ -451,39 +527,30 @@ def test_a_last_block_of_one_long_row_keeps_the_corpus_arithmetic(rng, monkeypat
 
 @pytest.mark.parametrize("route", ["exact", "embx", "adc"])
 def test_threads_split_across_blocks(rng, tmp_path, monkeypatch, eight_cpus, route):
-    if route in ("exact", "embx"):
-        train, gen = shortlist_case("near_ties", rng, 30, 23)
-    else:
-        codebook, codes, gen = adc_case("lattice", rng, 30, 23)
-        train = (codebook, codes)
-    training_blocks_of(4, gen.dim, monkeypatch)
-    if route == "embx":
-        train = embeddings.open_rows(write_embx(tmp_path / "train.embx", train.data))
-    with train if route == "embx" else contextlib.nullcontext():
+    with route_case(route, rng, tmp_path, 30, 23) as (train, gen):
+        training_blocks_of(4, gen.dim, monkeypatch)
         one = batch_match(train, gen, k=6, threads=1)
         three = batch_match(train, gen, k=6, threads=3)
     assert one.indices.tobytes() == three.indices.tobytes()
     assert one.distances.tobytes() == three.distances.tobytes()
 
 
-def test_threads_share_one_embx_file(rng, tmp_path, monkeypatch, eight_cpus):
+def test_forked_workers_share_one_embx_file(rng, tmp_path, monkeypatch, eight_cpus):
     """Eight workers, more than the CPUs, read one open EMBX file, each
-    its own 4-row tiles, with the interpreter switching threads every
-    microsecond: a read that lost its position to another thread would
-    give one worker another tile's rows, and change its tables."""
+    its own 4-row tiles, seven of them in forked processes that share the
+    file's offset: a read that lost its position to another worker's
+    would give one worker another tile's rows, and change its tables."""
     train, gen = shortlist_case("gaussian", rng, 60, 64)
     want = batch_match(train, gen, k=5)
     training_blocks_of(4, gen.dim, monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with embeddings.open_rows(write_embx(tmp_path / "train.embx", train.data)) as rows:
-            for _ in range(5):
-                got = batch_match(rows, gen, k=5, threads=8)
-                assert got.indices.tobytes() == want.indices.tobytes()
-                assert got.distances.tobytes() == want.distances.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    fake_os_threads(monkeypatch, 1)
+    forks = counted_forks(monkeypatch)
+    with embeddings.open_rows(write_embx(tmp_path / "train.embx", train.data)) as rows:
+        for _ in range(3):
+            got = batch_match(rows, gen, k=5, threads=8)
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.distances.tobytes() == want.distances.tobytes()
+    assert len(forks) == 3 * 7
 
 
 # ---------------------------------------------------- training-row blocks

@@ -7,49 +7,32 @@ import time
 import pytest
 
 from genval.errors import InternalError
-from genval.workers import map_items, map_processes, worker_count
+from genval.workers import lone_os_thread, map_processes, worker_count
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """``map_processes`` as it runs where it may not fork: each item in
+    turn on the caller."""
+    monkeypatch.delattr(os, "fork")
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_results_come_back_in_item_order(workers):
-    # later items finish first
-    def square(i):
-        time.sleep((6 - i) * 0.002)
-        return i * i
-
-    assert map_items(square, range(6), workers) == [i * i for i in range(6)]
+def test_results_come_back_in_item_order(no_fork, workers):
+    assert map_processes(lambda i: i * i, range(6), workers) == [i * i for i in range(6)]
 
 
-def test_the_lowest_failing_item_wins():
+def test_the_lowest_failing_item_wins(no_fork):
     def fail(i):
-        if i == 2:
-            time.sleep(0.1)  # item 4 fails first
         if i in (2, 4):
             raise ValueError(i)
         return i
 
-    threads = threading.active_count()
     with pytest.raises(ValueError, match="^2$"):
-        map_items(fail, range(6), 2)
-    assert threading.active_count() == threads
+        map_processes(fail, range(6), 2)
 
 
-def test_a_started_threads_failure_reaches_the_caller():
-    both_running = threading.Barrier(2, timeout=10)
-
-    def fail_off_the_calling_thread(i):
-        both_running.wait()
-        if threading.current_thread() is not threading.main_thread():
-            raise KeyError(i)
-        return i
-
-    threads = threading.active_count()
-    with pytest.raises(KeyError):
-        map_items(fail_off_the_calling_thread, range(2), 2)
-    assert threading.active_count() == threads
-
-
-def test_no_item_starts_after_a_failure():
+def test_no_item_starts_after_a_failure(no_fork):
     ran = []
 
     def fail_on_one(i):
@@ -58,21 +41,12 @@ def test_no_item_starts_after_a_failure():
             raise ValueError(i)
 
     with pytest.raises(ValueError):
-        map_items(fail_on_one, range(5), 1)
+        map_processes(fail_on_one, range(5), 2)
     assert ran == [0, 1]
 
 
-def test_one_worker_starts_no_thread(monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    ran_on = map_items(lambda i: threading.current_thread(), range(4), 1)
-    assert ran_on == [threading.main_thread()] * 4
-
-
-def test_no_items():
-    assert map_items(lambda i: i, [], 4) == []
+def test_no_items(no_fork):
+    assert map_processes(lambda i: i, [], 4) == []
 
 
 @pytest.mark.parametrize("items, limit, cpus, workers", [
@@ -85,24 +59,6 @@ def test_no_items():
 def test_worker_count(monkeypatch, items, limit, cpus, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert worker_count(items, limit) == workers
-
-
-def test_every_item_runs_once_under_forced_switching():
-    """More workers than cores, switching threads as often as the
-    interpreter allows: no item is lost or taken twice."""
-    runs = [0] * 2000
-
-    def count(i):
-        runs[i] += 1  # each item is one thread's alone
-        return i
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert map_items(count, range(len(runs)), 8) == list(range(len(runs)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert runs == [1] * len(runs)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -202,16 +158,15 @@ def test_an_interrupt_of_the_callers_item_stops_the_children():
     assert_no_child()
 
 
-def test_without_fork_the_threads_run(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    both_running = threading.Barrier(2, timeout=10)
+def test_without_fork_the_items_run_in_turn_on_the_caller(no_fork):
+    ran = []
 
     def work(i):
-        if i < 2:
-            both_running.wait()  # items 0 and 1 run on two threads at once
+        ran.append(i)
         return i, os.getpid()
 
     assert map_processes(work, range(4), 2) == [(i, os.getpid()) for i in range(4)]
+    assert ran == [0, 1, 2, 3]
 
 
 def test_another_python_thread_keeps_the_work_in_process():
@@ -243,3 +198,19 @@ def test_from_python_3_12_another_os_thread_keeps_the_work_in_process(monkeypatc
     assert map_processes(lambda i: os.getpid(), range(4), 2) == [os.getpid()] * 4
     monkeypatch.setattr(os, "listdir", lambda path: ["1"] if path == "/proc/self/task" else listdir(path))
     assert os.getpid() not in map_processes(lambda i: os.getpid(), range(4), 2)[1::2]
+
+
+def test_lone_os_thread_counts_the_tasks_of_the_process(monkeypatch):
+    listdir = os.listdir
+    for tasks, lone in ((["1"], True), (["1", "2"], False)):
+        monkeypatch.setattr(os, "listdir", lambda path: tasks if path == "/proc/self/task" else listdir(path))
+        assert lone_os_thread() is lone
+
+
+def test_off_linux_lone_os_thread_reads_nothing(monkeypatch):
+    def no_proc(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(os, "listdir", no_proc)
+    assert lone_os_thread() is False
