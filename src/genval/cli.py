@@ -79,7 +79,6 @@ OPTIONS = (
     Option("index", str, None, _MATCHING, "GMVI index file (pq mode)"),
     Option("gen", str, None, _MATCHING, "generated embeddings"),
     Option("k", int, 10, _MATCHING, "matches per generated row"),
-    Option("threads", int, 1, _MATCHING, "workers over generated rows"),
     Option("num_subspaces", int, 8, ("build-index",), "PQ subspaces"),
     Option("codebook_size", int, 256, ("build-index",), "centroids per subspace"),
     Option("kmeans_iters", int, 25, ("build-index",), "Lloyd iterations"),
@@ -236,11 +235,11 @@ def _match_tables(args) -> tuple[search.MatchTables, int]:
     gen = _load_matrix(args, "gen")
     if args.mode == "exact":
         with embeddings.open_rows(_required(args, "train"), args.format, args.header) as train:
-            return search.batch_match(train, gen, args.k, threads=args.threads), train.count
+            return search.batch_match(train, gen, args.k), train.count
     from . import pq
 
     codebook, codes = pq.load_index(_required(args, "index"))
-    return search.batch_match((codebook, codes), gen, args.k, threads=args.threads), codes.count
+    return search.batch_match((codebook, codes), gen, args.k), codes.count
 
 
 def cmd_match(args) -> int:
@@ -451,8 +450,8 @@ def cmd_eval_recall(args) -> int:
         # row is a prefix of its top max(ks): one scan of each kind serves
         # every k
         ks = sorted({1, 10, args.k})
-        exact = search.batch_match(train, gen, ks[-1], threads=args.threads)
-    approx = search.batch_match((codebook, codes), gen, ks[-1], threads=args.threads)
+        exact = search.batch_match(train, gen, ks[-1])
+    approx = search.batch_match((codebook, codes), gen, ks[-1])
     for k in ks:
         print(f"recall@{k}={search.recall_at_k(_prefix(approx, k), _prefix(exact, k)):.6f}")
     return 0

@@ -64,15 +64,16 @@ def frozen(arr, dtype=None) -> np.ndarray:
     return out
 
 
-def _check_finite(rows: np.ndarray, lo: int = 0, given: np.ndarray | None = None) -> None:
+def _check_finite(rows: np.ndarray, lo: int = 0, given: np.ndarray | None = None, where: str = "") -> None:
     """Refuse the first non-finite entry of ``rows``, its row counted from
-    ``lo``, as beyond float32 range where ``given``, the uncast rows, is finite."""
+    ``lo``, as beyond float32 range where ``given``, the uncast rows, is
+    finite; the message starts with ``where``."""
     if all_finite(rows):
         return
     r, c = np.argwhere(~np.isfinite(rows))[0]
     if given is not None and np.isfinite(given[r, c]):
-        raise ValidationError(f"value {given[r, c]:g} at row {r}, column {c} is beyond float32 range")
-    raise ValidationError(f"non-finite value at row {lo + r}, column {c}")
+        raise ValidationError(f"{where}value {given[r, c]:g} at row {r}, column {c} is beyond float32 range")
+    raise ValidationError(f"{where}non-finite value at row {lo + r}, column {c}")
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,19 @@ def load_embeddings(path, format: str = "binary", skip_header: bool = False) -> 
     """Load a matrix from an EMBX binary file or a CSV file.
 
     ``skip_header`` applies to CSV only and drops line 1 before parsing.
+    A value the matrix refuses is an error that starts with ``path``.
     """
     path = Path(path)
     if format == "binary":
         (data,) = read_container(path, _HEADER, EMBX_MAGIC, EMBX_VERSION, _embx_layout(path))
+    elif format == "csv":
+        data = _read_csv(path, skip_header=skip_header)
+    else:
+        raise ValidationError(f"unknown format {format!r}, expected 'binary' or 'csv'")
+    try:
         return EmbeddingMatrix(data)
-    if format == "csv":
-        return _load_csv(path, skip_header=skip_header)
-    raise ValidationError(f"unknown format {format!r}, expected 'binary' or 'csv'")
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path, format: str = "binary") -> None:
@@ -316,8 +322,8 @@ class EmbxRows(EmbeddingMatrix):
         """Read rows lo..hi-1 into the float32 rows ``block`` by position,
         leaving the file's offset alone, so that forked worker processes
         may share the open file (see ``_read_at``). A non-finite value is
-        a ``ValidationError`` naming its row and column, as
-        ``EmbeddingMatrix`` names them."""
+        a ``ValidationError`` naming the file, then its row and column, as
+        ``load_embeddings`` names them."""
         view = memoryview(block).cast("B")
         offset = _HEADER.size + lo * self.dim * 4
         while view:
@@ -327,7 +333,7 @@ class EmbxRows(EmbeddingMatrix):
             view, offset = view[got:], offset + got
         if sys.byteorder == "big":
             block.byteswap(inplace=True)
-        _check_finite(block, lo)
+        _check_finite(block, lo, where=f"{self.path}: ")
 
     def close(self) -> None:
         self._fh.close()
@@ -350,7 +356,7 @@ def open_rows(path, format: str = "binary", skip_header: bool = False):
     return nullcontext(load_embeddings(path, format, skip_header))
 
 
-def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
+def _read_csv(path: Path, skip_header: bool) -> np.ndarray:
     values, dim = array("d"), None
     with open_text(path) as fh:
         lines = enumerate(read_lines(fh, f"{path}:"), start=1)
@@ -368,7 +374,7 @@ def _load_csv(path: Path, skip_header: bool) -> EmbeddingMatrix:
                 raise FormatError(f"{path}: line {lineno}: unparseable numeric field") from None
     if not values:
         raise FormatError(f"{path}: no data rows")
-    return EmbeddingMatrix(np.frombuffer(values, dtype=np.float64).reshape(-1, dim))
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
 
 
 # Scratch bytes one block of a blocked kernel may hold. A fixed budget,

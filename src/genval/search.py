@@ -57,16 +57,16 @@ class MatchTables:
         return self.distances.shape[1]
 
 
-def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int = 1) -> MatchTables:
+def batch_match(training_repr, generated: EmbeddingMatrix, k: int) -> MatchTables:
     """Top-k match every generated row; rows are independent.
 
     ``training_repr`` is an :class:`EmbeddingMatrix`, held in memory or
     left in an EMBX file by ``embeddings.open_rows`` (exact mode), or a
     ``(Codebook, PQCodes)`` pair (PQ mode); the two exact forms of one
     matrix give the same tables. A single query is a one-row
-    ``generated`` matrix. ``threads`` splits the query rows across at
-    most that many workers (``workers.map_processes``), and never more
-    than there are rows or CPUs; each worker fills one tile of training
+    ``generated`` matrix. The query rows are split across one worker
+    per row or CPU, whichever is fewer (``workers.worker_count``,
+    ``workers.map_processes``); each worker fills one tile of training
     rows at a time, and the result is identical for any count. The scan
     takes more than one worker only while the process runs no other OS
     thread (``workers.lone_os_thread``): a BLAS thread pool in each
@@ -75,8 +75,6 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     if isinstance(training_repr, EmbeddingMatrix):
         n, fill, dim = training_repr.count, training_repr.fill, training_repr.dim
     else:
@@ -87,7 +85,7 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int, threads: int 
         check_codes(codes, codebook)
         n, fill, dim = codes.count, partial(decode_into, codebook, codes.codes), codebook.dim
     validate_pair((n, dim), generated)
-    workers = worker_count(generated.count, threads) if lone_os_thread() else 1
+    workers = worker_count(generated.count) if lone_os_thread() else 1
     parts = map_processes(partial(nearest_rows, n, fill, k=k),
                           np.array_split(generated.data, workers), workers)
     indices = np.concatenate([idx for idx, _ in parts])

@@ -23,10 +23,11 @@ import threading
 from .errors import InternalError
 
 
-def worker_count(items: int, limit: int | None = None) -> int:
-    """Workers for ``items`` independent items: never more than the items,
-    the CPUs (one when their count is unknown) or ``limit``."""
-    return max(1, min(items, os.cpu_count() or 1, items if limit is None else limit))
+def worker_count(items: int) -> int:
+    """Workers for ``items`` independent items: never more than the items
+    or the CPUs this process may run on (one when their count is unknown)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(items, cpus))
 
 
 def lone_os_thread() -> bool:

@@ -103,11 +103,55 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def fake_cpus(monkeypatch, count):
+    """Make ``workers.worker_count`` see ``count`` CPUs that this process
+    may run on, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 @pytest.fixture
 def eight_cpus(monkeypatch):
     """Workers are capped at the CPU count; let a test start up to 8
     whatever the machine has."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    fake_cpus(monkeypatch, 8)
+
+
+def fake_os_threads(monkeypatch, count):
+    """Make ``/proc/self/task`` list ``count`` OS threads of this process."""
+    listdir = os.listdir
+    tasks = [str(t) for t in range(count)]
+    monkeypatch.setattr(os, "listdir", lambda path=".": tasks if path == "/proc/self/task" else listdir(path))
+
+
+def forbidden_fork():
+    raise AssertionError("a process was forked")
+
+
+def counted_forks(monkeypatch):
+    """A list that gets one entry for each ``os.fork`` of this process."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def on_cpus(monkeypatch, run, *counts) -> list:
+    """``(run(), forks)`` for each CPU count of ``counts`` in turn, with
+    ``/proc/self/task`` faked to list one OS thread, so that a scan on
+    more than one CPU forks, and ``forks`` the ``os.fork`` calls of that
+    run."""
+    fake_os_threads(monkeypatch, 1)
+    forks = counted_forks(monkeypatch)
+    runs = []
+    for count in counts:
+        fake_cpus(monkeypatch, count)
+        before = len(forks)
+        runs.append((run(), len(forks) - before))
+    return runs
 
 
 def write_embx(path, array):

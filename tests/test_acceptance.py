@@ -13,7 +13,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 import reference
-from conftest import ACCEPTANCE_LINES, run_cli
+from conftest import ACCEPTANCE_LINES, on_cpus, run_cli
 from genval import (
     EmbeddingMatrix,
     ExperimentSpec,
@@ -430,28 +430,30 @@ def _run_pipeline(root):
     return captured
 
 
-def test_cli_determinism(tmp_path, eight_cpus):
+def test_cli_determinism(tmp_path, monkeypatch):
     first = _run_pipeline(tmp_path / "a")
     second = _run_pipeline(tmp_path / "b")
     assert first.keys() == second.keys()
     stable_files = sum(first[k] == second[k] for k in first)
 
+    # one OS thread faked, so that eight CPUs fork seven scan workers
     exp = tmp_path / "a" / "exp"
-    thread_pairs = 0
+    cpu_pairs, forked = 0, 0
     for argv in (
         ("match", "--train", exp / "x_train.embx", "--gen", exp / "x_hat.embx",
          "--k", 7),
         ("value", "--inline", "--train", exp / "x_train.embx",
          "--gen", exp / "x_hat.embx", "--k", 7),
     ):
-        one = run_cli(*argv, "--threads", 1)
-        eight = run_cli(*argv, "--threads", 8)
+        (one, _), (eight, forks) = on_cpus(monkeypatch, lambda: run_cli(*argv), 1, 8)
         assert one.code == eight.code == 0
-        thread_pairs += one.stdout == eight.stdout
+        cpu_pairs += one.stdout == eight.stdout
+        forked += forks > 0
 
     check(
         "CLI pipeline determinism",
-        stable_files == len(first) and thread_pairs == 2,
+        stable_files == len(first) and cpu_pairs == forked == 2,
         f"two fresh-directory runs: {stable_files}/{len(first)} artifacts "
-        f"byte-identical; threads 1 vs 8: {thread_pairs}/2 outputs identical",
+        f"byte-identical; 1 vs 8 CPUs: {cpu_pairs}/2 outputs identical, "
+        f"{forked}/2 eight-CPU runs forked",
     )

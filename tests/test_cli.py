@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import genval.cli as cli
 import reference
-from conftest import (BLAS_ENV, assert_one_error_line, child_env, make_value_csv, run_cli, run_cli_process,
-                      traced_peak, write_embx)
+from conftest import (BLAS_ENV, assert_one_error_line, child_env, make_value_csv, on_cpus, run_cli,
+                      run_cli_process, traced_peak, write_embx)
 from genval import embeddings, load_embeddings, pq, save_embeddings, search, stats, valuation
 from genval.errors import GenvalError, InternalError
 
@@ -111,7 +111,7 @@ def test_build_index_checks_every_input_before_it_trains(tmp_path, rng, monkeypa
     bad = tmp_path / "bad.embx"
     bad.write_bytes(train.read_bytes()[:24] + rows.tobytes())
     for path, flags, message in [
-        (bad, ["--codebook-size", 100], "non-finite value at row 39, column 1"),
+        (bad, ["--codebook-size", 100], f"{bad}: non-finite value at row 39, column 1"),
         (train, ["--codebook-size", 100], "codebook_size 100 exceeds training count 40"),
         (train, ["--codebook-size", 4], "missing required input: --output"),
     ]:
@@ -171,44 +171,53 @@ def test_match_malformed_embx_names_offset(tmp_path):
     assert "byte 3" in r.stderr
 
 
-def test_match_threads_do_not_change_bytes(exp_dir, eight_cpus):
+def test_match_cpus_do_not_change_bytes(exp_dir, monkeypatch):
+    """One CPU and eight, seven of them forked scan workers, print the
+    same bytes."""
     args = ("match", "--train", exp_dir / "x_train.embx",
             "--gen", exp_dir / "x_hat.embx", "--k", 5)
-    one = run_cli(*args, "--threads", 1)
-    eight = run_cli(*args, "--threads", 8)
-    assert one.code == eight.code == 0
+    (one, _), (eight, forks) = on_cpus(monkeypatch, lambda: run_cli(*args), 1, 8)
+    assert one.code == eight.code == 0 and forks == 7
     assert one.stdout == eight.stdout
 
 
-def test_threads_split_rows_across_scan_blocks(exp_dir, monkeypatch, eight_cpus):
+def test_workers_split_rows_across_scan_blocks(exp_dir, monkeypatch):
     """60 training rows of dim 8 and 40 queries: 8 tiles of at most 8
     training rows (an eighth of the budget, float32), each against
     blocks of 4 query rows (a quarter: 9 bytes a pair and 4 bytes an
-    entry of the query row), put every thread boundary somewhere inside
-    or between blocks. The EMBX files, read a tile at a time, and the
-    same rows as CSV, parsed whole, give the same bytes."""
+    entry of the query row), put every worker boundary of three CPUs
+    somewhere inside or between blocks. The EMBX files, read a tile at a
+    time, and the same rows as CSV, parsed whole, give the same bytes."""
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 8 * 8 * 4 * 8)
     assert embeddings.block_rows(9 * 8 + 4 * 8, embeddings.BLOCK_BYTES // 4) == 4
     for name in ("x_train", "x_hat"):
         save_embeddings(load_embeddings(exp_dir / f"{name}.embx"), exp_dir / f"{name}.csv", format="csv")
     for command in (["match"], ["value", "--inline"]):
-        runs = [run_cli(*command, "--train", exp_dir / f"x_train.{ext}", "--gen", exp_dir / f"x_hat.{ext}",
-                        "--format", fmt, "--k", 5, "--threads", threads)
-                for ext, fmt in (("embx", "binary"), ("csv", "csv")) for threads in (1, 3)]
-        assert [r.code for r in runs] == [0] * 4
-        assert len({r.stdout for r in runs}) == 1
+        runs = [run for ext, fmt in (("embx", "binary"), ("csv", "csv"))
+                for run in on_cpus(monkeypatch, lambda: run_cli(
+                    *command, "--train", exp_dir / f"x_train.{ext}", "--gen", exp_dir / f"x_hat.{ext}",
+                    "--format", fmt, "--k", 5), 1, 3)]
+        assert [(r.code, forks) for r, forks in runs] == [(0, 0), (0, 2)] * 2
+        assert len({r.stdout for r, _ in runs}) == 1
 
 
-# The CLI on two CPUs, with os.fork counted. argv[1] is "plain", "fork"
-# (/proc/self/task faked to list one OS thread, so that the scan forks
-# whatever threads BLAS runs) or "kill" (that, and each forked scan
-# worker kills itself). It leaves a line in stdout's buffer, which a
-# forked child that flushed the buffers it inherited would print again;
-# it writes to stderr whether the process ran no other OS thread after
-# the command and how often it forked, and exits 9 if the command leaves
-# a child process behind.
+# The CLI with os.fork counted. argv[1] is "plain" (nothing faked: the
+# CPUs the process may run on are cut to the first argv[2] of them by
+# its affinity, before numpy starts BLAS), "fork" (worker_count sees
+# argv[2] CPUs and /proc/self/task lists one OS thread, so that the scan
+# forks whatever threads BLAS runs) or "kill" (that, and each forked
+# scan worker kills itself). It leaves a line in stdout's buffer, which
+# a forked child that flushed the buffers it inherited would print
+# again; it writes to stderr the CPUs it ran on, whether the process ran
+# no other OS thread after the command and how often it forked, and
+# exits 9 if the command leaves a child process behind.
 SCAN_CHILD = """
 import os, signal, sys
+mode, cpus = sys.argv[1], int(sys.argv[2])
+if mode == "plain":
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus])
+else:
+    os.sched_getaffinity = lambda pid: set(range(cpus))
 from genval import search, workers
 from genval.cli import main
 caller, fork, listdir, scan = os.getpid(), os.fork, os.listdir, search.nearest_rows
@@ -223,14 +232,14 @@ def killed_off_the_caller(*args, **kwargs):
         os.kill(os.getpid(), signal.SIGKILL)
     return scan(*args, **kwargs)
 
-os.cpu_count, os.fork = lambda: 2, counted_fork
-if sys.argv[1] != "plain":
+os.fork = counted_fork
+if mode != "plain":
     os.listdir = lambda path: ["1"] if path == "/proc/self/task" else listdir(path)
-if sys.argv[1] == "kill":
+if mode == "kill":
     search.nearest_rows = killed_off_the_caller
 sys.stdout.write("start\\n")
-code = main(sys.argv[2:])
-sys.stderr.write(f"lone={int(workers.lone_os_thread())} forks={len(forks)}\\n")
+code = main(sys.argv[3:])
+sys.stderr.write(f"cpus={len(os.sched_getaffinity(0))} lone={int(workers.lone_os_thread())} forks={len(forks)}\\n")
 try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
@@ -239,13 +248,14 @@ sys.exit(9)
 """
 
 
-def run_scan_child(mode, *argv, blas_threads=None):
-    """SCAN_CHILD in a child process, with BLAS at its default thread
-    count or pinned to ``blas_threads``, and stdout block-buffered."""
+def run_scan_child(mode, cpus, *argv, blas_threads=None):
+    """SCAN_CHILD in a child process on ``cpus`` CPUs, with BLAS at its
+    default thread count or pinned to ``blas_threads``, and stdout
+    block-buffered."""
     env = {name: value for name, value in child_env().items() if name not in BLAS_ENV + ("PYTHONUNBUFFERED",)}
     if blas_threads is not None:
         env.update(dict.fromkeys(BLAS_ENV, str(blas_threads)))
-    return subprocess.run([sys.executable, "-c", SCAN_CHILD, mode, *map(str, argv)],
+    return subprocess.run([sys.executable, "-c", SCAN_CHILD, mode, str(cpus), *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -264,27 +274,28 @@ def scan_inputs(tmp_path, rng):
 @pytest.mark.parametrize("command, scans", [("match", 1), ("value", 1), ("eval-recall", 2)])
 def test_the_scan_in_a_child_process_is_the_same_on_one_and_two_workers(scan_inputs, tmp_path, blas_threads,
                                                                         command, scans):
-    """The real CLI, with BLAS at its default thread count or pinned to 1:
-    --threads 2 forks one worker a scan only where no other OS thread
-    runs, which pinned BLAS leaves so, and writes --threads 1's bytes,
-    printing each line once."""
+    """The real CLI, with BLAS at its default thread count or pinned to 1,
+    on one CPU and on two, set by its affinity: on two, it forks one
+    worker a scan only where no other OS thread runs, which pinned BLAS
+    leaves so, and writes one CPU's bytes, printing each line once."""
     train, gen, index = scan_inputs
     runs = []
-    for threads in (1, 2):
-        out = tmp_path / f"out{threads}"
+    for cpus in (1, 2):
+        out = tmp_path / f"out{cpus}"
         argv = {"match": ["match", "--output", out],
                 "value": ["value", "--inline", "--output", out],
                 "eval-recall": ["eval-recall", "--index", index]}[command]
-        done = run_scan_child("plain", *argv, "--train", train, "--gen", gen, "--k", 5, "--threads", threads,
+        done = run_scan_child("plain", cpus, *argv, "--train", train, "--gen", gen, "--k", 5,
                               blas_threads=blas_threads)
-        lone = re.fullmatch(r"lone=([01]) forks=\d+\n", done.stderr)
-        assert done.returncode == 0 and lone, done.stderr
-        forks = scans * (threads - 1) * int(lone[1])
-        assert done.stderr == f"lone={lone[1]} forks={forks}\n"
+        got = re.fullmatch(r"cpus=(\d+) lone=([01]) forks=\d+\n", done.stderr)
+        assert done.returncode == 0 and got, done.stderr
+        assert int(got[1]) == min(cpus, len(os.sched_getaffinity(0)))
+        forks = scans * (int(got[1]) - 1) * int(got[2])
+        assert done.stderr == f"cpus={got[1]} lone={got[2]} forks={forks}\n"
         assert done.stdout.count("start\n") == 1
         runs.append((done.stdout, out.read_bytes() if out.exists() else None))
         if blas_threads == 1:
-            assert lone[1] == "1"
+            assert got[2] == "1"
     assert runs[0] == runs[1]
 
 
@@ -294,22 +305,22 @@ def test_a_non_finite_row_through_a_forked_scan_worker_is_one_workers_error(tmp_
         fh.seek(24 + (12345 * 8 + 7) * 4)
         fh.write(np.float32(np.nan).tobytes())
     gen = write_embx(tmp_path / "gen.embx", rng.standard_normal((8, 8)))
-    one, two = (run_scan_child(mode, "match", "--train", train, "--gen", gen, "--k", 3, "--threads", threads)
-                for mode, threads in (("plain", 1), ("fork", 2)))
+    one, two = (run_scan_child(mode, cpus, "match", "--train", train, "--gen", gen, "--k", 3)
+                for mode, cpus in (("plain", 1), ("fork", 2)))
     assert (one.returncode, two.returncode) == (2, 2)
     one, two = one.stderr.splitlines(), two.stderr.splitlines()
-    assert one[0] == two[0] == "genval: error: non-finite value at row 12345, column 7"
-    assert one[1].endswith(" forks=0") and two[1] == "lone=1 forks=1"
+    assert one[0] == two[0] == f"genval: error: {train}: non-finite value at row 12345, column 7"
+    assert one[1].endswith(" forks=0") and two[1] == "cpus=2 lone=1 forks=1"
 
 
 def test_a_killed_scan_worker_is_an_internal_error(scan_inputs, tmp_path):
     train, gen, _ = scan_inputs
     out = tmp_path / "values.csv"
-    done = run_scan_child("kill", "value", "--inline", "--train", train, "--gen", gen, "--k", 5,
-                          "--threads", 2, "--output", out)
+    done = run_scan_child("kill", 2, "value", "--inline", "--train", train, "--gen", gen, "--k", 5,
+                          "--output", out)
     assert (done.returncode, done.stdout, done.stderr.splitlines()) == (3, "start\n", [
         "genval: internal error: the worker process running items 1 ended without a result (killed by SIGKILL)",
-        "lone=1 forks=1"])
+        "cpus=2 lone=1 forks=1"])
     assert not out.exists() and not list(tmp_path.glob(".*"))
 
 
@@ -494,7 +505,7 @@ def test_value_sized_by_a_csv_train_refuses_a_nan_field(tmp_path, rng, header):
     flags = ["--header"] if header else []
     r = run_cli("value", "--matches", "-", "--train", train, "--format", "csv", *flags, stdin=HAND_MATCHES)
     assert_one_error_line(r)
-    assert r.stderr == "genval: error: non-finite value at row 3, column 1\n"
+    assert r.stderr == f"genval: error: {train}: non-finite value at row 3, column 1\n"
 
 
 def test_value_sized_by_an_empty_train_exits_2(tmp_path):
@@ -531,7 +542,7 @@ def test_value_sized_by_train_refuses_a_nan_in_the_last_tile(tmp_path, rng):
         write(rows)
     r = run_cli("value", "--matches", "-", "--train", train, stdin=HAND_MATCHES)
     assert_one_error_line(r)
-    assert r.stderr == f"genval: error: non-finite value at row {3 * 2_048 + 3}, column 7\n"
+    assert r.stderr == f"genval: error: {train}: non-finite value at row {3 * 2_048 + 3}, column 7\n"
 
 
 def test_value_needs_a_size():
@@ -789,7 +800,7 @@ def test_eval_recall_reads_every_k_off_one_scan_per_route(exp_dir, tmp_path, mon
     scans = []
     batch_match = search.batch_match
     monkeypatch.setattr(
-        search, "batch_match", lambda t, g, k, threads: scans.append(k) or batch_match(t, g, k, threads)
+        search, "batch_match", lambda t, g, k: scans.append(k) or batch_match(t, g, k)
     )
     r = run_cli("eval-recall", "--train", train, "--gen", gen, "--index", idx, "--k", 5)
     assert r.code == 0
@@ -997,10 +1008,10 @@ def option_scenarios(exp_dir, tmp_path):
         ("build-index", {"train": csv["x_train"], **embedded_csv, "output": "i.gmvi",
                          "num_subspaces": 4, "codebook_size": 5, "kmeans_iters": 3, "seed": 4}),
         ("match", {"mode": "pq", "index": idx, "gen": csv["x_hat"], **embedded_csv, "k": 3,
-                   "threads": 2, "output": "m.jsonl"}),
+                   "output": "m.jsonl"}),
         ("match", {"train": train, "gen": gen, "k": 4}),
         ("value", {"inline": True, "mode": "exact", "train": csv["x_train"], "gen": csv["x_hat"],
-                   **embedded_csv, "k": 3, "threads": 3, "temperature": 0.5, "output": "v.csv",
+                   **embedded_csv, "k": 3, "temperature": 0.5, "output": "v.csv",
                    "summary": "s.json"}),
         ("value", {"inline": True, "mode": "pq", "index": idx, "gen": gen, "k": 2}),
         ("value", {"matches": matches, "n": 61, "temperature": 2}),
@@ -1008,7 +1019,7 @@ def option_scenarios(exp_dir, tmp_path):
                      "group_a": "v2", "group_b": "v1", "alpha": 0.2}),
         ("compare", {"values_a": values, "values_b": values_b}),
         ("eval-recall", {"train": csv["x_train"], "gen": csv["x_hat"], **embedded_csv,
-                         "index": idx, "k": 4, "threads": 2}),
+                         "index": idx, "k": 4}),
         ("wasserstein", {"source": csv["x_v1"], "target": csv["x_v2"], **embedded_csv, "p": 1,
                          "assignment": "a.json"}),
     ]
@@ -1074,16 +1085,10 @@ def test_pq_runs_need_an_index(exp_dir, argv):
     assert_one_error_line(run_cli(*argv), "missing required input: --index")
 
 
-def test_match_rejects_zero_threads(exp_dir):
-    r = run_cli("match", "--train", exp_dir / "x_train.embx", "--gen", exp_dir / "x_hat.embx",
-                "--threads", 0)
-    assert_one_error_line(r, "threads must be >= 1")
-
-
 @pytest.mark.parametrize("mode", ["exact", "pq"])
-def test_huge_thread_count_gives_one_threads_bytes(exp_dir, tmp_path, monkeypatch, mode):
-    # workers are capped at the CPU count, here 2, and at the row count
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_more_cpus_than_rows_give_one_cpus_bytes(exp_dir, tmp_path, monkeypatch, mode):
+    """Workers are capped at the row count: 64 CPUs scan the 40
+    generated rows on 40 workers."""
     idx = tmp_path / "i.gmvi"
     assert run_cli(
         "build-index", "--train", exp_dir / "x_train.embx", "--output", idx,
@@ -1091,10 +1096,23 @@ def test_huge_thread_count_gives_one_threads_bytes(exp_dir, tmp_path, monkeypatc
     ).code == 0
     args = ("match", "--mode", mode, "--train", exp_dir / "x_train.embx", "--index", idx,
             "--gen", exp_dir / "x_hat.embx", "--k", 5)
-    one = run_cli(*args, "--threads", 1)
-    huge = run_cli(*args, "--threads", 10**30)
-    assert one.code == huge.code == 0
-    assert one.stdout == huge.stdout
+    (one, _), (many, forks) = on_cpus(monkeypatch, lambda: run_cli(*args), 1, 64)
+    assert one.code == many.code == 0 and forks == 39
+    assert one.stdout == many.stdout
+
+
+@pytest.mark.parametrize("command", ["match", "value", "eval-recall"])
+def test_threads_is_no_option(exp_dir, tmp_path, command):
+    """The scan sizes its own workers: a "threads" config key is unknown
+    and --threads is an argparse usage error, both exit 2."""
+    argv = (command, "--train", exp_dir / "x_train.embx", "--gen", exp_dir / "x_hat.embx")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    r = run_cli(*argv, "--config", cfg)
+    assert (r.code, r.stdout, r.stderr) == (2, "", "genval: error: unknown config key 'threads'\n")
+    r = run_cli(*argv, "--threads", 2)
+    assert (r.code, r.stdout) == (2, "")
+    assert r.stderr.splitlines()[-1] == "genval: error: unrecognized arguments: --threads 2"
 
 
 @pytest.mark.parametrize("bad", ["code", "empty_gen"])
@@ -1221,7 +1239,7 @@ def test_csv_value_beyond_float32_is_one_error_line(tmp_path):
     r = run_cli_process("match", "--train", big, "--gen", big, "--format", "csv", "--k", 1)
     assert r.code == 2
     assert r.stderr.splitlines() == [
-        "genval: error: value 1e+39 at row 1, column 0 is beyond float32 range"
+        f"genval: error: {big}: value 1e+39 at row 1, column 0 is beyond float32 range"
     ]
 
 
@@ -1231,7 +1249,7 @@ def test_csv_non_finite_value_is_one_error_line(tmp_path, cell):
     bad.write_text(f"1.0,2.0\n3.0,{cell}\n")
     r = run_cli_process("match", "--train", bad, "--gen", bad, "--format", "csv", "--k", 1)
     assert r.code == 2
-    assert r.stderr.splitlines() == ["genval: error: non-finite value at row 1, column 1"]
+    assert r.stderr.splitlines() == [f"genval: error: {bad}: non-finite value at row 1, column 1"]
 
 
 # runs each argv of sys.argv[1] through main and names the first command

@@ -132,8 +132,7 @@ def test_a_damaged_training_file_fails_each_exact_scan_with_one_line(tmp_path, m
     4 rows, so a non-finite value in row 38 is found only in the last
     tile; every damage exits 2 with the line ``load_embeddings`` gives
     for the file, and writes no output and leaves no temporary file.
-    A non-finite value's line names its row and column, not the file,
-    as ``EmbeddingMatrix`` words it."""
+    A non-finite value's line names the file, then its row and column."""
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((40, 4)).astype(np.float32)
@@ -150,7 +149,7 @@ def test_a_damaged_training_file_fails_each_exact_scan_with_one_line(tmp_path, m
         bad = rows.copy()
         bad[38, 2] = np.nan
         path.write_bytes(path.read_bytes()[:24] + bad.tobytes())
-        message = "non-finite value at row 38, column 2"
+        message = "train.embx: non-finite value at row 38, column 2"
     else:
         mutate, text = TRAIN_DAMAGE[damage]
         blob = path.read_bytes()

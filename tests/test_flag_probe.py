@@ -5,11 +5,10 @@ leading ``-`` to genval. Each run, on a tiny seeded experiment, exits 0
 with nothing on stderr or 2 with one ``genval: error:`` line.
 
 Bounded by construction: a value is refused before anything is
-allocated, capped (``--k`` by the row count, ``--threads`` by the row and
-CPU counts) or quick on these inputs. Sizes between 2**31 and the limit
-a check refuses would allocate their size, and ``synth --components``
-near such a size places each mean against every earlier one, so none is
-probed. ``synth`` draws two components, so every ``--spread`` reaches
+allocated, capped (``--k`` by the row count) or quick on these inputs.
+Sizes between 2**31 and the limit a check refuses would allocate their
+size, and ``synth --components`` near such a size places each mean
+against every earlier one, so none is probed. ``synth`` draws two components, so every ``--spread`` reaches
 the placement of a second mean: ``--spread=1e-320``, whose square
 underflows, is refused before any is placed.
 """
@@ -31,16 +30,16 @@ PROBES = {
                      "--num-subspaces", 2, "--codebook-size", 4, "--kmeans-iters", 3],
                     ["--num-subspaces", "--codebook-size", "--kmeans-iters", "--seed"], []),
     "match": (["match", "--train", "{exp}/x_train.embx", "--gen", "{exp}/x_hat.embx",
-               "--output", "{d}/m.jsonl"], ["--k", "--threads"], []),
+               "--output", "{d}/m.jsonl"], ["--k"], []),
     "match-pq": (["match", "--mode", "pq", "--index", "{d}/index.gmvi", "--gen", "{exp}/x_hat.embx",
-                  "--output", "{d}/m.jsonl"], ["--k", "--threads"], []),
+                  "--output", "{d}/m.jsonl"], ["--k"], []),
     "value-inline": (["value", "--inline", "--train", "{exp}/x_train.embx",
                       "--gen", "{exp}/x_hat.embx", "--output", "{d}/v.csv"],
-                     ["--k", "--threads"], ["--temperature"]),
+                     ["--k"], ["--temperature"]),
     "value": (["value", "--matches", "{d}/matches.jsonl", "--n", 6, "--output", "{d}/v.csv"],
               ["--n"], ["--temperature"]),
     "eval-recall": (["eval-recall", "--train", "{exp}/x_train.embx", "--gen", "{exp}/x_hat.embx",
-                     "--index", "{d}/index.gmvi"], ["--k", "--threads"], []),
+                     "--index", "{d}/index.gmvi"], ["--k"], []),
     "compare": (["compare", "--values", "{d}/values.csv", "--partition", "{exp}/partition.json"],
                 [], ["--alpha"]),
 }

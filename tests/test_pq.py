@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import BLAS_ENV, child_env, run_cli, traced_peak, write_embx
+from conftest import BLAS_ENV, child_env, fake_cpus, run_cli, traced_peak, write_embx
 from genval import embeddings, pq
 from genval import (
     Codebook,
@@ -530,7 +530,7 @@ def test_training_scratch_is_a_subspace_and_a_score_block(rng, monkeypatch, cpus
     temporaries of its size and per-row vectors (3 subspaces in all), and
     one score block of under two sixteenths of BLOCK_BYTES; tracemalloc
     counts each process's own allocations."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    fake_cpus(monkeypatch, cpus)
     data = mat(rng.standard_normal((10_000, 64)))
     peaks = trace_each_process(monkeypatch)
     bound = 3 * 10_000 * 8 * 8 + embeddings.BLOCK_BYTES // 8
@@ -545,7 +545,7 @@ def test_build_index_stages_hold_less_than_the_corpus(tmp_path, rng, monkeypatch
     an EMBX corpus through its fill, a block of rows at a time, so no
     process of theirs holds the corpus, here 60 000 x 64, 14.6 MiB of
     float32."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fake_cpus(monkeypatch, 2)
     n, d = 60_000, 64
     path = write_embx(tmp_path / "x.embx", rng.standard_normal((n, d)))
     peaks = trace_each_process(monkeypatch)
@@ -582,7 +582,7 @@ def test_training_does_not_depend_on_the_worker_count(rng, monkeypatch, shape, c
     data = mat(rng.standard_normal(shape))
     tables = []
     for cpus in (1, 8):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        fake_cpus(monkeypatch, cpus)
         tables.append(train_codebooks(data, cfg).centroids.tobytes())
     assert tables[0] == tables[1] == train_one_by_one(data, cfg).tobytes()
 
@@ -601,7 +601,7 @@ def failing_lloyd(data, sub_dim, subspace, exc):
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_a_failing_subspace_fails_training(rng, monkeypatch, cpus):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    fake_cpus(monkeypatch, cpus)
     data = mat(rng.standard_normal((300, 16)))
     threads = threading.active_count()
     monkeypatch.setattr(pq, "_lloyd", failing_lloyd(data, 2, 3, InternalError("objective rose")))
@@ -616,7 +616,7 @@ def test_a_failing_subspace_fails_training(rng, monkeypatch, cpus):
     (MemoryError("subspace 3"), 2, "genval: error: out of memory: subspace 3"),
 ])
 def test_build_index_reports_a_failing_subspace(rng, tmp_path, monkeypatch, exc, code, line):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fake_cpus(monkeypatch, 2)
     data = rng.standard_normal((300, 16)).astype(np.float32)
     train = write_embx(tmp_path / "train.embx", data)
     threads = threading.active_count()
@@ -629,7 +629,7 @@ def test_build_index_reports_a_failing_subspace(rng, tmp_path, monkeypatch, exc,
 
 
 def test_build_index_reports_a_killed_worker_process(rng, tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fake_cpus(monkeypatch, 2)
     data = rng.standard_normal((300, 16)).astype(np.float32)
     train = write_embx(tmp_path / "train.embx", data)
     caller, lloyd = os.getpid(), pq._lloyd
@@ -650,14 +650,14 @@ def test_build_index_reports_a_killed_worker_process(rng, tmp_path, monkeypatch)
     assert not list(tmp_path.glob("*.gmvi")) and not list(tmp_path.glob(".*"))
 
 
-# The CLI with the CPU count, so the worker count, set by argv[1]. It
-# leaves a line in stdout's buffer, which a forked child that flushed
-# the buffers it inherited would print again, and exits 9 if the command
-# leaves a child process behind.
+# The CLI with the CPUs it may run on, so the worker count, set by
+# argv[1]. It leaves a line in stdout's buffer, which a forked child
+# that flushed the buffers it inherited would print again, and exits 9
+# if the command leaves a child process behind.
 BUILD_INDEX_CHILD = """
 import os, sys
 workers = int(sys.argv[1])
-os.cpu_count = lambda: workers
+os.sched_getaffinity = lambda pid: set(range(workers))
 from genval.cli import main
 sys.stdout.write("start\\n")
 code = main(sys.argv[2:])

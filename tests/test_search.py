@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import traced_peak, write_embx
+from conftest import counted_forks, fake_cpus, fake_os_threads, forbidden_fork, on_cpus, traced_peak, write_embx
 from genval import embeddings, search, synth
 from genval import (
     Codebook,
@@ -232,11 +232,12 @@ def test_k_larger_than_n_covers_every_index(rng):
         assert sorted(t.indices[j].tolist()) == [0, 1, 2, 3, 4]
 
 
-def test_threads_do_not_change_output(rng, eight_cpus):
+def test_the_cpu_count_does_not_change_output(rng, monkeypatch):
+    """One CPU and eight, seven of them forked workers, give the same tables."""
     train = mat(rng.standard_normal((101, 8)))
     gen = mat(rng.standard_normal((37, 8)))
-    one = batch_match(train, gen, k=7, threads=1)
-    eight = batch_match(train, gen, k=7, threads=8)
+    (one, _), (eight, forks) = on_cpus(monkeypatch, lambda: batch_match(train, gen, k=7), 1, 8)
+    assert forks == 7
     assert one.distances.tobytes() == eight.distances.tobytes()
     assert one.indices.tobytes() == eight.indices.tobytes()
 
@@ -246,25 +247,16 @@ def test_batch_match_validates_pair():
         batch_match(mat([[1.0, 2.0]]), mat([[1.0, 2.0, 3.0]]), k=1)
 
 
-@pytest.mark.parametrize("threads", [0, -3])
-def test_batch_match_rejects_fewer_than_one_thread(threads):
-    with pytest.raises(ConfigError, match="threads"):
-        batch_match(mat([[1.0, 2.0]]), mat([[1.0, 2.0]]), k=1, threads=threads)
-
-
 @pytest.mark.parametrize(
-    "cpus, threads, m, workers",
+    "cpus, m, workers",
     [
-        (2, 10**30, 37, 2),  # capped at the CPU count
-        (64, 8, 3, 3),  # capped at the row count
-        (4, 3, 37, 3),  # as asked
-        (None, 8, 37, 1),  # CPU count unknown: one worker
-        (64, 8, 1, 1),  # one row: one worker
+        (2, 37, 2),  # capped at the CPU count
+        (64, 3, 3),  # capped at the row count
+        (4, 37, 4),  # one a CPU
+        (64, 1, 1),  # one row: one worker
     ],
 )
-def test_workers_are_capped_at_rows_and_cpus(rng, monkeypatch, cpus, threads, m, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    fake_os_threads(monkeypatch, 1)
+def test_workers_are_capped_at_rows_and_cpus(rng, monkeypatch, cpus, m, workers):
     counts = []
 
     def recording_map(fn, items, n):
@@ -274,42 +266,21 @@ def test_workers_are_capped_at_rows_and_cpus(rng, monkeypatch, cpus, threads, m,
     monkeypatch.setattr(search, "map_processes", recording_map)
     train = mat(rng.standard_normal((20, 4)))
     gen = mat(rng.standard_normal((m, 4)))
-    t = batch_match(train, gen, k=3, threads=threads)
-    assert counts == [workers]
-    one = batch_match(train, gen, k=3, threads=1)
+    (one, _), (t, forks) = on_cpus(monkeypatch, lambda: batch_match(train, gen, k=3), 1, cpus)
+    assert counts == [1, workers] and forks == workers - 1
     assert t.indices.tobytes() == one.indices.tobytes()
     assert t.distances.tobytes() == one.distances.tobytes()
 
 
-def test_one_worker_scans_on_the_calling_thread(rng, monkeypatch):
-    """--threads 1 forks no child, even where it could."""
+def test_an_affinity_of_one_cpu_forks_no_scan_worker(rng, monkeypatch):
+    """A process that may run on one CPU scans on the caller, even where
+    it could fork and the machine has more CPUs."""
     fake_os_threads(monkeypatch, 1)
+    fake_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "fork", forbidden_fork)
     train = mat(rng.standard_normal((20, 4)))
-    batch_match(train, mat(rng.standard_normal((9, 4))), k=3, threads=1)
-
-
-def fake_os_threads(monkeypatch, count):
-    """Make ``/proc/self/task`` list ``count`` OS threads of this process."""
-    listdir = os.listdir
-    tasks = [str(t) for t in range(count)]
-    monkeypatch.setattr(os, "listdir", lambda path: tasks if path == "/proc/self/task" else listdir(path))
-
-
-def forbidden_fork():
-    raise AssertionError("a process was forked")
-
-
-def counted_forks(monkeypatch):
-    """A list that gets one entry for each ``os.fork`` of this process."""
-    forks, fork = [], os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
+    batch_match(train, mat(rng.standard_normal((9, 4))), k=3)
 
 
 @contextlib.contextmanager
@@ -328,15 +299,12 @@ def route_case(route, rng, tmp_path, n, m):
 
 
 @pytest.mark.parametrize("route", ["exact", "embx", "adc"])
-def test_a_lone_os_thread_lets_the_scan_fork_once(rng, tmp_path, monkeypatch, eight_cpus, route):
-    """With no OS thread but the caller's, threads=2 forks one worker,
-    and gets threads=1's tables bit for bit."""
+def test_a_lone_os_thread_lets_the_scan_fork_once(rng, tmp_path, monkeypatch, route):
+    """With no OS thread but the caller's, two CPUs fork one worker, and
+    get one CPU's tables bit for bit."""
     with route_case(route, rng, tmp_path, 30, 23) as (train, gen):
-        one = batch_match(train, gen, k=6, threads=1)
-        fake_os_threads(monkeypatch, 1)
-        forks = counted_forks(monkeypatch)
-        two = batch_match(train, gen, k=6, threads=2)
-    assert len(forks) == 1
+        (one, _), (two, forks) = on_cpus(monkeypatch, lambda: batch_match(train, gen, k=6), 1, 2)
+    assert forks == 1
     assert one.indices.tobytes() == two.indices.tobytes()
     assert one.distances.tobytes() == two.distances.tobytes()
 
@@ -345,10 +313,10 @@ def test_another_os_thread_keeps_the_scan_on_the_caller(rng, monkeypatch, eight_
     """A BLAS pool in each forked worker would oversubscribe the cores,
     so beside another OS thread the scan forks nothing."""
     train, gen = shortlist_case("gaussian", rng, 30, 23)
-    one = batch_match(train, gen, k=6, threads=1)
+    one = batch_match(train, gen, k=6)
     fake_os_threads(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", forbidden_fork)
-    two = batch_match(train, gen, k=6, threads=2)
+    two = batch_match(train, gen, k=6)
     assert one.indices.tobytes() == two.indices.tobytes()
     assert one.distances.tobytes() == two.distances.tobytes()
 
@@ -358,11 +326,11 @@ def test_off_linux_the_scan_reads_no_proc(rng, monkeypatch, eight_cpus):
         raise AssertionError(f"{path} was read")
 
     train, gen = shortlist_case("gaussian", rng, 30, 23)
-    one = batch_match(train, gen, k=6, threads=1)
+    one = batch_match(train, gen, k=6)
     monkeypatch.setattr(sys, "platform", "darwin")
     monkeypatch.setattr(os, "listdir", no_proc)
     monkeypatch.setattr(os, "fork", forbidden_fork)
-    two = batch_match(train, gen, k=6, threads=2)
+    two = batch_match(train, gen, k=6)
     assert one.indices.tobytes() == two.indices.tobytes()
     assert one.distances.tobytes() == two.distances.tobytes()
 
@@ -458,6 +426,7 @@ def test_shortlist_survives_a_rounding_bound_as_wide_as_the_corpus(rng, monkeypa
         return pair_sq_dists(train, queries, rows, cols, budget, corpus_rows)
 
     monkeypatch.setattr(embeddings, "_pair_sq_dists", counting)
+    fake_cpus(monkeypatch, 1)  # the count sees only this process's calls
     train, gen = shortlist_case("large_offset", rng, 200, 30, d=128)
     t = batch_match(train, gen, k=5)
     idx, dist = subtraction_scan(train, gen, 5)
@@ -484,6 +453,7 @@ def test_shortlist_rechecks_few_pairs_on_a_synthetic_corpus(monkeypatch):
         return pair_sq_dists(train, queries, rows, cols, budget, corpus_rows)
 
     monkeypatch.setattr(embeddings, "_pair_sq_dists", counting)
+    fake_cpus(monkeypatch, 1)  # the count sees only this process's calls
     spec = synth.ExperimentSpec(dim=128, n_per_split=10_000, m_generated=500, seed=1)
     train = np.concatenate([synth.sample_mixture(spec, 10_000, stream=s).data for s in (0, 1)])
     gen = synth.simulate_generated(mat(train[:10_000]), spec)
@@ -526,11 +496,11 @@ def test_a_last_block_of_one_long_row_keeps_the_corpus_arithmetic(rng, monkeypat
 
 
 @pytest.mark.parametrize("route", ["exact", "embx", "adc"])
-def test_threads_split_across_blocks(rng, tmp_path, monkeypatch, eight_cpus, route):
+def test_workers_split_across_blocks(rng, tmp_path, monkeypatch, route):
     with route_case(route, rng, tmp_path, 30, 23) as (train, gen):
         training_blocks_of(4, gen.dim, monkeypatch)
-        one = batch_match(train, gen, k=6, threads=1)
-        three = batch_match(train, gen, k=6, threads=3)
+        (one, _), (three, forks) = on_cpus(monkeypatch, lambda: batch_match(train, gen, k=6), 1, 3)
+    assert forks == 2
     assert one.indices.tobytes() == three.indices.tobytes()
     assert one.distances.tobytes() == three.distances.tobytes()
 
@@ -547,7 +517,7 @@ def test_forked_workers_share_one_embx_file(rng, tmp_path, monkeypatch, eight_cp
     forks = counted_forks(monkeypatch)
     with embeddings.open_rows(write_embx(tmp_path / "train.embx", train.data)) as rows:
         for _ in range(3):
-            got = batch_match(rows, gen, k=5, threads=8)
+            got = batch_match(rows, gen, k=5)
             assert got.indices.tobytes() == want.indices.tobytes()
             assert got.distances.tobytes() == want.distances.tobytes()
     assert len(forks) == 3 * 7
@@ -683,6 +653,7 @@ def test_only_the_first_tile_ranks_its_rows(rng, monkeypatch):
         return kth_smallest(up, kb)
 
     monkeypatch.setattr(embeddings, "_kth_smallest", counting)
+    fake_cpus(monkeypatch, 1)  # the counts see only this process's calls
     for k in (1, 3, 6):
         blocks.clear()
         ranked.clear()

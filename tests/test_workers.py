@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import fake_cpus
 from genval.errors import InternalError
 from genval.workers import lone_os_thread, map_processes, worker_count
 
@@ -49,16 +50,21 @@ def test_no_items(no_fork):
     assert map_processes(lambda i: i, [], 4) == []
 
 
-@pytest.mark.parametrize("items, limit, cpus, workers", [
-    (8, None, 2, 2),  # capped at the CPU count
-    (1, None, 2, 1),  # capped at the items
-    (8, None, None, 1),  # CPU count unknown: one worker
-    (8, 3, 64, 3),  # capped at the limit
-    (0, None, 4, 1),  # no items still take one worker
+@pytest.mark.parametrize("items, affinity, cpus, workers", [
+    (8, 2, 2, 2),  # capped at the CPUs
+    (1, 2, 2, 1),  # capped at the items
+    (8, 1, 2, 1),  # capped at the CPUs this process may run on
+    (8, None, 2, 2),  # no affinity to read: the CPU count
+    (8, None, None, 1),  # neither known: one worker
+    (0, 4, 4, 1),  # no items still take one worker
 ])
-def test_worker_count(monkeypatch, items, limit, cpus, workers):
+def test_worker_count(monkeypatch, items, affinity, cpus, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert worker_count(items, limit) == workers
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        fake_cpus(monkeypatch, affinity)
+    assert worker_count(items) == workers
 
 
 @pytest.mark.parametrize("workers", [2, 3])
