@@ -1101,6 +1101,33 @@ def test_more_cpus_than_rows_give_one_cpus_bytes(exp_dir, tmp_path, monkeypatch,
     assert one.stdout == many.stdout
 
 
+@pytest.mark.parametrize("command", ["build-index", "match", "match-pq", "value-inline", "eval-recall"])
+def test_an_affinity_of_one_cpu_forks_nothing(exp_dir, tmp_path, monkeypatch, command):
+    """The CPUs this process may run on, as taskset sets them, cap every
+    command's workers: on a machine of 8 CPUs, an affinity of one forks
+    nothing and eight fork, and both write the same bytes."""
+    idx = tmp_path / "i.gmvi"
+    assert run_cli("build-index", "--train", exp_dir / "x_train.embx", "--output", idx,
+                   "--num-subspaces", 4, "--codebook-size", 8, "--kmeans-iters", 3).code == 0
+    train, gen = ("--train", exp_dir / "x_train.embx"), ("--gen", exp_dir / "x_hat.embx", "--k", 5)
+    argv = {"build-index": ("build-index", *train, "--num-subspaces", 4, "--codebook-size", 8,
+                            "--kmeans-iters", 3, "--output", tmp_path / "out"),
+            "match": ("match", *train, *gen),
+            "match-pq": ("match", "--mode", "pq", "--index", idx, *gen),
+            "value-inline": ("value", "--inline", *train, *gen),
+            "eval-recall": ("eval-recall", *train, "--index", idx, *gen)}[command]
+
+    def run():
+        r = run_cli(*argv)
+        assert r.code == 0, r.stderr
+        return r.stdout, (tmp_path / "out").read_bytes() if command == "build-index" else None
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    (one, one_forks), (eight, eight_forks) = on_cpus(monkeypatch, run, 1, 8)
+    assert one_forks == 0 and eight_forks > 0
+    assert one == eight
+
+
 @pytest.mark.parametrize("command", ["match", "value", "eval-recall"])
 def test_threads_is_no_option(exp_dir, tmp_path, command):
     """The scan sizes its own workers: a "threads" config key is unknown

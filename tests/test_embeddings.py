@@ -61,6 +61,43 @@ def test_matrix_names_its_first_bad_entry(at, value, message):
     assert str(err.value) == f"{message} at row {at[0]}, column {at[1]}{tail}"
 
 
+def read_whole_rows(path):
+    """Every row of the EMBX file at ``path``, read through ``open_rows``'s
+    ``fill`` as the scan reads a tile."""
+    with open_rows(path) as rows:
+        rows.fill(np.empty((rows.count, rows.dim), dtype=np.float32), 0, rows.count)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("reader", ["embx", "csv", "embx-rows"])
+def test_a_non_finite_value_names_its_file(tmp_path, value, reader):
+    rows = np.arange(15, dtype=np.float32).reshape(5, 3)
+    if reader == "csv":
+        path = tmp_path / "x.csv"
+        cells = rows.astype(object)
+        cells[3, 2] = value
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in cells))
+    else:
+        path = write_embx(tmp_path / "x.embx", rows)
+        bad = rows.copy()
+        bad[3, 2] = value
+        path.write_bytes(path.read_bytes()[:24] + bad.astype("<f4").tobytes())
+    read = {"embx": load_embeddings, "csv": lambda p: load_embeddings(p, "csv"),
+            "embx-rows": read_whole_rows}[reader]
+    with pytest.raises(ValidationError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: non-finite value at row 3, column 2"
+
+
+@pytest.mark.parametrize("cell", ["1e39", "-1e39"])
+def test_a_csv_value_beyond_float32_names_its_file(tmp_path, cell):
+    path = tmp_path / "x.csv"
+    path.write_text(f"1,2\n3,{cell}\n")
+    with pytest.raises(ValidationError) as err:
+        load_embeddings(path, "csv")
+    assert str(err.value) == f"{path}: value {float(cell):g} at row 1, column 1 is beyond float32 range"
+
+
 def test_empty_matrix_is_finite():
     assert EmbeddingMatrix(np.zeros((0, 3), dtype=np.float32)).count == 0
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import BLAS_ENV, child_env, fake_cpus, run_cli, traced_peak, write_embx
+from conftest import (BLAS_ENV, child_env, fake_cpus, fake_os_threads, forbidden_fork, run_cli, traced_peak,
+                      write_embx)
 from genval import embeddings, pq
 from genval import (
     Codebook,
@@ -585,6 +586,18 @@ def test_training_does_not_depend_on_the_worker_count(rng, monkeypatch, shape, c
         fake_cpus(monkeypatch, cpus)
         tables.append(train_codebooks(data, cfg).centroids.tobytes())
     assert tables[0] == tables[1] == train_one_by_one(data, cfg).tobytes()
+
+
+def test_an_affinity_of_one_cpu_forks_no_training_worker(rng, monkeypatch):
+    """A process that may run on one CPU trains every subspace on the
+    caller, even where it could fork and the machine has more CPUs."""
+    fake_os_threads(monkeypatch, 1)
+    fake_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    data = mat(rng.standard_normal((300, 16)))
+    cfg = PQConfig(num_subspaces=4, codebook_size=8, kmeans_iters=4, seed=2)
+    assert train_codebooks(data, cfg).centroids.tobytes() == train_one_by_one(data, cfg).tobytes()
 
 
 def failing_lloyd(data, sub_dim, subspace, exc):

@@ -283,6 +283,17 @@ def test_an_affinity_of_one_cpu_forks_no_scan_worker(rng, monkeypatch):
     batch_match(train, mat(rng.standard_normal((9, 4))), k=3)
 
 
+def test_unknown_cpus_scan_on_the_caller(rng, monkeypatch):
+    """Where neither the CPUs this process may run on nor the machine's
+    are known, the scan takes one worker and forks nothing."""
+    fake_os_threads(monkeypatch, 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    train = mat(rng.standard_normal((20, 4)))
+    batch_match(train, mat(rng.standard_normal((9, 4))), k=3)
+
+
 @contextlib.contextmanager
 def route_case(route, rng, tmp_path, n, m):
     """Yield (training, queries) of ``route``: "exact" rows in memory, the

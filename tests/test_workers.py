@@ -54,6 +54,7 @@ def test_no_items(no_fork):
     (8, 2, 2, 2),  # capped at the CPUs
     (1, 2, 2, 1),  # capped at the items
     (8, 1, 2, 1),  # capped at the CPUs this process may run on
+    (8, 3, 64, 3),  # so, on a machine of many more
     (8, None, 2, 2),  # no affinity to read: the CPU count
     (8, None, None, 1),  # neither known: one worker
     (0, 4, 4, 1),  # no items still take one worker
