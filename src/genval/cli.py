@@ -10,9 +10,9 @@ true/false) and pass its choices, as a flag value must. Explicit flags
 win over the config file, which wins over built-in defaults. A config
 key that names no option exits 2; keys of other subcommands are ignored,
 so one file can drive a whole pipeline. Exit codes: 0 success, 2
-usage/config/data error or an input too large for memory, 3 violated
-internal invariant. Data goes to stdout (or ``--output``), diagnostics
-to stderr.
+usage/config/data error, an input too large for memory or a failed
+write to stdout, however late, 3 violated internal invariant. Data goes
+to stdout (or ``--output``), diagnostics to stderr.
 
 Each command imports the modules it runs when it runs, and calls them
 as ``module.function``, looked up at the call: ``compare`` runs on the
@@ -27,7 +27,7 @@ import os
 import sys
 from array import array
 from bisect import bisect_left
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
@@ -516,9 +516,13 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
-            return int(exc.code or 0)
-        _resolve_options(args)
-        return args.func(args)
+            code = int(exc.code or 0)
+        else:
+            _resolve_options(args)
+            code = args.func(args)
+        if sys.stdout is not None:  # None if fd 1 was closed at start
+            sys.stdout.flush()  # so a write failing this late is exit 2
+        return code
     except (GenvalError, OSError) as exc:
         print(f"genval: error: {exc}", file=sys.stderr)
         return 2
@@ -531,7 +535,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """``main()``, then flush both streams and leave by ``os._exit``, as a
+    forked worker does: no teardown, no exit handler. A failed flush is
+    ignored, as ``main`` flushed stdout unless it reported an error."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            with suppress(OSError):
+                stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

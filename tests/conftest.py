@@ -63,19 +63,24 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_
 
 
 def child_env() -> dict:
-    """The environment of a child Python that imports this checkout's genval."""
+    """The environment of a child Python that imports this checkout's genval,
+    with stdout block-buffered, as a user's is, whatever PYTHONUNBUFFERED
+    says here."""
     src = str(Path(genval.__file__).parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
-def run_cli_process(*argv, cwd=None, stdin=b""):
+def run_cli_process(*argv, cwd=None, stdin=b"", stdout=subprocess.PIPE):
     """Run the CLI in a child process, so that its stderr holds whatever
-    the process prints there, warnings included; ``stdin`` is bytes."""
+    the process prints there, warnings included; ``stdin`` is bytes, and
+    ``stdout`` a file to write to in place of the captured pipe."""
     done = subprocess.run(
         [sys.executable, "-m", "genval.cli", *map(str, argv)],
-        capture_output=True, input=stdin, env=child_env(), cwd=cwd, timeout=120,
+        input=stdin, stdout=stdout, stderr=subprocess.PIPE, env=child_env(), cwd=cwd, timeout=120,
     )
-    return CliRun(done.returncode, done.stdout.decode(errors="replace"),
+    return CliRun(done.returncode, (done.stdout or b"").decode(errors="replace"),
                   done.stderr.decode(errors="replace"))
 
 

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import re
@@ -252,7 +254,7 @@ def run_scan_child(mode, cpus, *argv, blas_threads=None):
     """SCAN_CHILD in a child process on ``cpus`` CPUs, with BLAS at its
     default thread count or pinned to ``blas_threads``, and stdout
     block-buffered."""
-    env = {name: value for name, value in child_env().items() if name not in BLAS_ENV + ("PYTHONUNBUFFERED",)}
+    env = {name: value for name, value in child_env().items() if name not in BLAS_ENV}
     if blas_threads is not None:
         env.update(dict.fromkeys(BLAS_ENV, str(blas_threads)))
     return subprocess.run([sys.executable, "-c", SCAN_CHILD, mode, str(cpus), *map(str, argv)],
@@ -1308,3 +1310,131 @@ def test_pq_pipeline_never_loads_numpy_random(exp_dir, tmp_path):
     done = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM_CHILD, argv_json],
                           capture_output=True, text=True, env=child_env(), timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------- exit path
+# Child processes run with stdout block-buffered (see child_env), so a
+# write can fail as late as the last flush, after the command returned.
+
+
+@pytest.fixture
+def exit_inputs(exp_dir, tmp_path):
+    """The argv of each subcommand whose stdout fits one buffer."""
+    train, gen = exp_dir / "x_train.embx", exp_dir / "x_hat.embx"
+    index, values = tmp_path / "i.gmvi", tmp_path / "v.csv"
+    assert run_cli("build-index", "--train", train, "--output", index, "--num-subspaces", 2,
+                   "--codebook-size", 8, "--kmeans-iters", 2).code == 0
+    assert run_cli("value", "--inline", "--train", train, "--gen", gen, "--output", values).code == 0
+    return {
+        "synth": ["synth", "--out-dir", tmp_path / "exp2", "--dim", 4, "--n-per-split", 10, "--m", 5],
+        "build-index": ["build-index", "--train", train, "--output", tmp_path / "j.gmvi", "--num-subspaces", 2,
+                        "--codebook-size", 8, "--kmeans-iters", 2],
+        "compare": ["compare", "--values", values, "--partition", exp_dir / "partition.json"],
+        "eval-recall": ["eval-recall", "--train", train, "--gen", gen, "--index", index],
+        "wasserstein": ["wasserstein", "--source", exp_dir / "x_v1.embx", "--target", exp_dir / "x_v2.embx"],
+        "value --summary -": ["value", "--inline", "--train", train, "--gen", gen, "--output", tmp_path / "w.csv",
+                              "--summary", "-"],
+    }
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["synth", "build-index", "compare", "eval-recall", "wasserstein",
+                                     "value --summary -"])
+def test_a_write_that_fails_at_the_last_flush_is_one_error_line(exit_inputs, command):
+    """stdout on /dev/full takes the whole output into its buffer, and
+    fails only at the flush once the command is done: exit 2 with one
+    line, not Python's exit 120 and its two lines."""
+    with open("/dev/full", "wb") as full:
+        r = run_cli_process(*exit_inputs[command], stdout=full)
+    assert_one_error_line(r, f"[Errno {errno.ENOSPC}]")
+
+
+@pytest.fixture
+def big_match(tmp_path, rng):
+    """A match argv whose JSONL is several stdout buffers long, and the
+    bytes its ``--output`` file holds."""
+    train = write_embx(tmp_path / "train.embx", rng.standard_normal((300, 8)))
+    gen = write_embx(tmp_path / "gen.embx", rng.standard_normal((400, 8)))
+    argv = ["match", "--train", train, "--gen", gen, "--k", 10]
+    assert run_cli_process(*argv, "--output", tmp_path / "m.jsonl").code == 0
+    data = (tmp_path / "m.jsonl").read_bytes()
+    assert len(data) > 16 * io.DEFAULT_BUFFER_SIZE
+    return argv, data
+
+
+def test_match_jsonl_on_stdout_is_its_output_file(big_match):
+    argv, data = big_match
+    r = run_cli_process(*argv)
+    assert (r.code, r.stderr) == (0, "")
+    assert r.stdout.encode() == data
+
+
+# runs cli.entrypoint, as the genval script does, with an exit handler registered
+ENTRYPOINT_CHILD = """
+import atexit, os, sys
+from genval import cli
+atexit.register(os.write, 2, b"an exit handler ran\\n")
+cli.entrypoint()
+"""
+
+
+def test_entrypoint_leaves_without_exit_handlers_and_with_all_of_stdout(big_match):
+    """entrypoint flushes the streams and leaves by os._exit, so Python's
+    teardown and exit handlers never run; a sys.exit would run them."""
+    argv, data = big_match
+    done = subprocess.run([sys.executable, "-c", ENTRYPOINT_CHILD, *map(str, argv)],
+                          capture_output=True, env=child_env(), timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == data
+
+
+def test_help_in_a_child_process_is_its_full_text(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to it, here and in the child
+    r = run_cli_process("--help")
+    assert (r.code, r.stderr) == (0, "")
+    assert r.stdout == cli.build_parser().format_help()
+
+
+def test_usage_error_in_a_child_process_is_the_usage_block(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    r = run_cli_process("match", "--k", "ten")
+    assert (r.code, r.stdout) == (2, "")
+    assert r.stderr.startswith("usage: genval match ")
+    assert r.stderr.endswith("\ngenval match: error: argument --k: invalid int value: 'ten'\n")
+    assert r.stderr == run_cli("match", "--k", "ten").stderr
+
+
+# cli.entrypoint with a transport solver that prints a line, then breaks an invariant
+INTERNAL_ERROR_CHILD = """
+from genval import cli, stats
+from genval.errors import InternalError
+
+def broken(*args, **kwargs):
+    print("partial")
+    raise InternalError("invariant violated")
+
+stats.exact_wasserstein = broken
+cli.entrypoint()
+"""
+
+
+def test_internal_error_in_a_child_process_is_one_line(exp_dir):
+    """Exit 3 with one line, and what went to stdout before it still comes out."""
+    done = subprocess.run([sys.executable, "-c", INTERNAL_ERROR_CHILD, "wasserstein",
+                           "--source", exp_dir / "x_v1.embx", "--target", exp_dir / "x_v2.embx"],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert (done.returncode, done.stdout) == (3, "partial\n")
+    assert done.stderr.splitlines() == ["genval: internal error: invariant violated"]
+
+
+@pytest.mark.parametrize("closed", [1, 2])
+@pytest.mark.parametrize("partition, code", [("partition.json", 0), ("missing.json", 2)])
+def test_a_stream_closed_at_start_changes_no_exit_code(exit_inputs, exp_dir, closed, partition, code):
+    """With fd 1 or 2 closed before Python starts, its sys.stdout or
+    sys.stderr is None; the exit code is what it is with both open, and
+    no traceback comes out on the open one."""
+    argv = [*exit_inputs["compare"][:3], "--partition", exp_dir / partition]
+    done = subprocess.run(["sh", "-c", f'exec "$@" {closed}>&-', "sh", sys.executable, "-m", "genval.cli",
+                           *map(str, argv)], capture_output=True, text=True, env=child_env(), timeout=120)
+    assert done.returncode == code
+    assert "Traceback" not in done.stdout + done.stderr

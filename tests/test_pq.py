@@ -687,8 +687,8 @@ def test_build_index_in_a_child_process_is_the_same_on_one_and_two_workers(rng, 
     """The real CLI, with BLAS at its default thread count or pinned to 1:
     one worker and two write the same index and print each line once."""
     train = write_embx(tmp_path / "train.embx", rng.standard_normal((2000, 32)))
-    # stdout is block-buffered without PYTHONUNBUFFERED
-    env = {name: value for name, value in child_env().items() if name not in BLAS_ENV + ("PYTHONUNBUFFERED",)}
+    # child_env leaves stdout block-buffered
+    env = {name: value for name, value in child_env().items() if name not in BLAS_ENV}
     if blas_threads is not None:
         env.update(dict.fromkeys(BLAS_ENV, str(blas_threads)))
     runs = []
