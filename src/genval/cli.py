@@ -12,7 +12,9 @@ key that names no option exits 2; keys of other subcommands are ignored,
 so one file can drive a whole pipeline. Exit codes: 0 success, 2
 usage/config/data error, an input too large for memory or a failed
 write to stdout, however late, 3 violated internal invariant. Data goes
-to stdout (or ``--output``), diagnostics to stderr.
+to stdout (or ``--output``), diagnostics to stderr. A standard stream
+closed at start reads as empty or drops what is written to it, and a
+broken stderr drops the error line: neither changes the exit code.
 
 Each command imports the modules it runs when it runs, and calls them
 as ``module.function``, looked up at the call: ``compare`` runs on the
@@ -129,16 +131,11 @@ def _config_value(opt: Option, value):
     return opt.type(value)
 
 
-def _load_config(path) -> dict:
-    raw = textio.read_json(path, "config file")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config file must hold a flat JSON object")
-    return raw
-
-
 def _resolve_options(args) -> None:
     """Set every option of the subcommand on ``args``: flag > config > default."""
-    config = _load_config(args.config) if args.config else {}
+    config = textio.read_json(args.config, "config file") if args.config else {}
+    if not isinstance(config, dict):
+        raise ConfigError(f"{args.config}: config file must hold a flat JSON object")
     names = {opt.name for opt in OPTIONS}
     for key in config:
         if key not in names:
@@ -165,16 +162,6 @@ def _load_matrix(args, name):
     from . import embeddings
 
     return embeddings.load_embeddings(_required(args, name), format=args.format, skip_header=args.header)
-
-
-def _checked_count(args) -> int:
-    """The row count of ``--train``, once every value is found finite,
-    read a small block at a time."""
-    from . import embeddings
-
-    with embeddings.open_rows(_required(args, "train"), args.format, args.header) as train:
-        embeddings.check_rows(train)
-        return train.count
 
 
 def _out_stream(path):
@@ -277,7 +264,11 @@ def cmd_value(args) -> int:
         if args.n is not None:
             n = args.n
         elif args.train is not None:
-            n = _checked_count(args)
+            from . import embeddings
+
+            with embeddings.open_rows(_required(args, "train"), args.format, args.header) as train:
+                embeddings.check_rows(train)
+                n = train.count
         else:
             raise ConfigError("need --n or --train to size the value vector")
     result = valuation.aggregate_values(tables, n, args.temperature)
@@ -464,13 +455,15 @@ def _prefix(tables: search.MatchTables, k: int) -> search.MatchTables:
 
 
 def cmd_wasserstein(args) -> int:
-    from . import embeddings, stats
+    if args.assignment == "-":
+        raise ConfigError("--assignment - and the cost would both go to stdout; give --assignment a file")
+    from . import stats
 
     source = _load_matrix(args, "source")
     target = _load_matrix(args, "target")
     res = stats.exact_wasserstein(source, target, p=args.p)
     if args.assignment is not None:
-        with embeddings.replacing(args.assignment, text=True) as fh:
+        with _out_stream(args.assignment) as fh:
             fh.write(json.dumps({"p": args.p, "assignment": [int(j) for j in res.assignment]}) + "\n")
     print("cost=" + VALUE_FORMAT % res.cost)
     return 0
@@ -511,6 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # a stream closed at start is None: a stand-in on os.devnull takes its
+    # place and its descriptor, which no file opened later can then get
+    for name, mode in (("stdin", "r"), ("stdout", "w"), ("stderr", "w")):
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, mode, encoding="utf-8"))
     try:
         parser = build_parser()
         try:
@@ -520,30 +518,30 @@ def main(argv=None) -> int:
         else:
             _resolve_options(args)
             code = args.func(args)
-        if sys.stdout is not None:  # None if fd 1 was closed at start
-            sys.stdout.flush()  # so a write failing this late is exit 2
+        sys.stdout.flush()  # so a write failing this late is exit 2
         return code
     except (GenvalError, OSError) as exc:
-        print(f"genval: error: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"genval: error: {exc}", 2)
     except MemoryError as exc:
-        print(f"genval: error: out of memory: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"genval: error: out of memory: {exc}", 2)
     except InternalError as exc:
-        print(f"genval: internal error: {exc}", file=sys.stderr)
-        return 3
+        return _error(f"genval: internal error: {exc}", 3)
+
+
+def _error(line: str, code: int) -> int:
+    """Flush stdout, write ``line`` to stderr and return ``code``; a stream
+    that fails here is ignored, as there is nowhere left to report it."""
+    with suppress(OSError):
+        sys.stdout.flush()
+    with suppress(OSError):
+        print(line, file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:
-    """``main()``, then flush both streams and leave by ``os._exit``, as a
-    forked worker does: no teardown, no exit handler. A failed flush is
-    ignored, as ``main`` flushed stdout unless it reported an error."""
-    code = main()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            with suppress(OSError):
-                stream.flush()
-    os._exit(code)
+    """``main()``, then ``os._exit``, as a forked worker leaves: no teardown
+    and no exit handler (``main`` flushed stdout; stderr is line-buffered)."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -872,7 +872,18 @@ def test_wasserstein_assignment_file(tmp_path):
     out = tmp_path / "a.json"
     r = run_cli("wasserstein", "--source", src, "--target", tgt, "--assignment", out)
     assert r.code == 0
-    assert json.loads(out.read_text()) == {"p": 2, "assignment": [1, 0]}
+    assert out.read_bytes() == b'{"p": 2, "assignment": [1, 0]}\n'
+
+
+def test_wasserstein_refuses_assignment_on_stdout(tmp_path, monkeypatch):
+    """``--assignment -`` would share stdout with the cost line: refused
+    before any input is read (--source is missing), and no file named
+    ``-`` is written."""
+    monkeypatch.chdir(tmp_path)
+    r = run_cli("wasserstein", "--target", "missing.embx", "--assignment", "-")
+    assert_one_error_line(r, "--assignment -", "stdout")
+    assert r.stdout == ""
+    assert os.listdir() == []
 
 
 def test_wasserstein_unbalanced(tmp_path, rng):
@@ -1379,7 +1390,7 @@ cli.entrypoint()
 
 
 def test_entrypoint_leaves_without_exit_handlers_and_with_all_of_stdout(big_match):
-    """entrypoint flushes the streams and leaves by os._exit, so Python's
+    """main flushes stdout and entrypoint leaves by os._exit, so Python's
     teardown and exit handlers never run; a sys.exit would run them."""
     argv, data = big_match
     done = subprocess.run([sys.executable, "-c", ENTRYPOINT_CHILD, *map(str, argv)],
@@ -1427,14 +1438,70 @@ def test_internal_error_in_a_child_process_is_one_line(exp_dir):
     assert done.stderr.splitlines() == ["genval: internal error: invariant violated"]
 
 
-@pytest.mark.parametrize("closed", [1, 2])
-@pytest.mark.parametrize("partition, code", [("partition.json", 0), ("missing.json", 2)])
-def test_a_stream_closed_at_start_changes_no_exit_code(exit_inputs, exp_dir, closed, partition, code):
-    """With fd 1 or 2 closed before Python starts, its sys.stdout or
-    sys.stderr is None; the exit code is what it is with both open, and
-    no traceback comes out on the open one."""
-    argv = [*exit_inputs["compare"][:3], "--partition", exp_dir / partition]
-    done = subprocess.run(["sh", "-c", f'exec "$@" {closed}>&-', "sh", sys.executable, "-m", "genval.cli",
-                           *map(str, argv)], capture_output=True, text=True, env=child_env(), timeout=120)
-    assert done.returncode == code
-    assert "Traceback" not in done.stdout + done.stderr
+@pytest.mark.parametrize("stream, command", [
+    ("0", "value --matches -"),
+    *(("1", command) for command in ["synth", "build-index", "compare", "eval-recall", "wasserstein",
+                                     "value --summary -", "match", "value --inline", "compare missing"]),
+    ("2", "compare missing"),
+    ("broken 2", "compare missing"),
+])
+def test_a_stream_closed_at_start_changes_no_exit_code(exit_inputs, exp_dir, stream, command):
+    """With fd 0, 1 or 2 closed before Python starts, its sys.stdin,
+    sys.stdout or sys.stderr is None, and a broken stderr (a pipe with no
+    reader) fails every write. Either way the run is the one with every
+    stream open, less what the closed or broken stream would carry: the
+    same exit code, no traceback, and no error text on stdout."""
+    train, gen = exp_dir / "x_train.embx", exp_dir / "x_hat.embx"
+    argv = {**exit_inputs,
+            "value --matches -": ["value", "--matches", "-", "--n", 5],
+            "match": ["match", "--train", train, "--gen", gen],
+            "value --inline": ["value", "--inline", "--train", train, "--gen", gen],
+            "compare missing": [*exit_inputs["compare"][:3], "--partition", exp_dir / "missing.json"]}[command]
+    want = run_cli(*argv)
+    child = [sys.executable, "-m", "genval.cli", *map(str, argv)]
+    if stream == "broken 2":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(child, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=write_end,
+                                  text=True, env=child_env(), timeout=120)
+        finally:
+            os.close(write_end)
+    else:
+        done = subprocess.run(["sh", "-c", f'exec "$@" {stream}>&-', "sh", *child], stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+    assert done.returncode == want.code
+    assert "Traceback" not in done.stdout + (done.stderr or "")
+    if stream != "1":
+        assert done.stdout == want.stdout
+    if stream in ("0", "1"):
+        assert done.stderr == want.stderr
+
+
+# cli.entrypoint with compare stubbed to open a file, then report where fd 2
+# leads and the file's descriptor
+STAND_IN_CHILD = """
+import json, os, sys
+from genval import cli
+
+def opens_a_file(args):
+    with open(sys.executable, "rb") as fh:
+        print(json.dumps([os.readlink("/proc/self/fd/2"), fh.fileno()]))
+    return 0
+
+cli.COMMANDS["compare"] = (opens_a_file, "")
+cli.entrypoint()
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+def test_the_stand_in_for_a_closed_stream_keeps_its_descriptor():
+    """With fd 2 closed at start, the first file the process opened would
+    get descriptor 2, and a C-level write to stderr would land in it; the
+    stand-in on os.devnull holds it first."""
+    done = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-c", STAND_IN_CHILD, "compare"],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, env=child_env(), timeout=120)
+    assert done.returncode == 0
+    fd2, opened = json.loads(done.stdout)
+    assert fd2 == os.devnull
+    assert opened >= 3

@@ -31,6 +31,42 @@ def top_level_imports(path: Path) -> set[str]:
     return names
 
 
+STREAMS = {"stdin", "stdout", "stderr", "__stdin__", "__stdout__", "__stderr__"}
+
+
+def stream_uses(path: Path) -> set[tuple[str, str]]:
+    """Each (function, use) pair where ``path`` calls ``print`` or names a
+    standard stream of ``sys`` (``sys.stdout``, ``from sys import stdin``);
+    the function is the innermost def around it, "" at module level."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "print":
+                found.add((function, "print"))
+            elif isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name) \
+                    and child.value.id == "sys" and child.attr in STREAMS:
+                found.add((function, "sys." + child.attr))
+            elif isinstance(child, ast.ImportFrom) and child.module == "sys":
+                found.update((function, "sys." + alias.name) for alias in child.names if alias.name in STREAMS)
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    return found
+
+
+def test_only_the_cli_touches_the_standard_streams():
+    """``cli.main`` holds the one rule for a closed or broken standard
+    stream, so no other module writes to one, and only
+    ``textio.open_text`` reads stdin (for ``-``)."""
+    found = {path.name: stream_uses(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {("cmd_compare", "print"), ("_error", "print"), ("_out_stream", "sys.stdout")} <= found.pop("cli.py")
+    assert {name: uses for name, uses in found.items() if uses} == {"textio.py": {("open_text", "sys.stdin")}}
+
+
 def test_the_package_imports_only_the_standard_library_and_numpy():
     found = {path.name: top_level_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert "numpy" in set().union(*found.values())
