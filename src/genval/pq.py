@@ -7,8 +7,8 @@ random draw comes from a Philox counter-based generator keyed by
 own column block and the config, down to the bit: the subspaces are
 independent, and ``train_codebooks`` trains up to one per CPU at once
 with the same bytes as one after another: on Linux each further worker
-is a forked process (``workers.map_processes``), as training is many
-short numpy calls that threads of one interpreter would take turns at.
+is a forked process running BLAS on one thread (``workers.map_processes``),
+as training is many short numpy calls that threads would take turns at.
 The draws are numpy's Philox4x64-10 stream seeded by
 ``SeedSequence([seed, subspace_index])``, computed by ``philox.Philox``
 so that training never loads ``numpy.random``; tests pin it against
@@ -218,44 +218,21 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: Philox) -> np.ndarray:
     return centres
 
 
-# _assign's blocks and GEMM pieces come from row_blocks with a step that
-# is a multiple of 64 rows, a multiple of every BLAS kernel's row unroll,
-# so each row's product is bitwise the one of a single full GEMM
-_ASSIGN_ALIGN = 64
-
-
 def _assign_blocks(n: int, k: int) -> list[tuple[int, int]]:
-    """_assign's row blocks: 8-byte scores of a block fill a sixteenth of
-    BLOCK_BYTES (256 rows at k = 256, in cache), step a multiple of 64."""
-    step = block_rows(8 * k, embeddings.BLOCK_BYTES // 16) // _ASSIGN_ALIGN * _ASSIGN_ALIGN
-    return row_blocks(n, max(_ASSIGN_ALIGN, step))
+    """_assign's row blocks, one GEMM each: 8-byte scores of a block fill a
+    sixteenth of BLOCK_BYTES (256 rows at k = 256, in cache), and the step
+    is a multiple of 64 rows, so of every BLAS kernel's row unroll: each
+    row's product is bitwise the one of a single full GEMM."""
+    step = block_rows(8 * k, embeddings.BLOCK_BYTES // 16) // 64 * 64
+    return row_blocks(n, max(64, step))
 
 
-# OpenBLAS runs a GEMM of at most 65536 * GEMM_MULTITHREAD_THRESHOLD
-# (4 by default) multiply-adds on the calling thread (interface/gemm.c),
-# so training workers running side by side start no BLAS threads
-_GEMM_ONE_THREAD = 65536 * 4
-
-
-def _gemm_rows(k: int, d: int) -> int:
-    """Rows of one of _assign's GEMMs against k centroids of dim d: the
-    most, in multiples of 64 and at least 64, that OpenBLAS keeps on one
-    thread (128 rows at k = 256, d = 8)."""
-    return max(_ASSIGN_ALIGN, _GEMM_ONE_THREAD // (k * d) // _ASSIGN_ALIGN * _ASSIGN_ALIGN)
-
-
-def _assign_plan(n: int, k: int, d: int) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """_assign's row blocks, each with its GEMM pieces (rows of the block)."""
-    rows = _gemm_rows(k, d)
-    return [(lo, hi, row_blocks(hi - lo, rows)) for lo, hi in _assign_blocks(n, k)]
-
-
-def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray, plan, buf: np.ndarray,
+def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray, blocks, buf: np.ndarray,
             at: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest-centroid assignment (ties to lowest index) and objective.
 
-    ``x2`` holds the squared norms of ``points`` and ``plan`` is
-    ``_assign_plan`` of their shape and k; ``buf`` is scratch of at least
+    ``x2`` holds the squared norms of ``points`` and ``blocks`` are
+    ``_assign_blocks`` of their count and k; ``buf`` is scratch of at least
     (largest block's rows, k) float64 entries and ``at`` the row indices
     ``np.arange`` of at least that many rows.
     """
@@ -267,10 +244,9 @@ def _assign(points: np.ndarray, centroids: np.ndarray, x2: np.ndarray, plan, buf
     neg2c = -2.0 * centroids
     assign = np.empty(n, dtype=np.int64)
     best = np.empty(n)
-    for lo, hi, pieces in plan:
+    for lo, hi in blocks:
         scores = buf[: hi - lo]
-        for plo, phi in pieces:
-            np.matmul(points[lo + plo : lo + phi], neg2c.T, out=scores[plo:phi])
+        np.matmul(points[lo:hi], neg2c.T, out=scores)
         scores += c2
         assign[lo:hi] = np.argmin(scores, axis=1)
         best[lo:hi] = scores[at[: hi - lo], assign[lo:hi]]
@@ -283,8 +259,8 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: Philox) -> tuple[np.ndar
     n, d = points.shape
     centroids = _kmeans_pp_init(points, k, rng)
     x2 = np.einsum("ij,ij->i", points, points)
-    plan = _assign_plan(n, k, d)
-    rows = max(hi - lo for lo, hi, _ in plan)
+    blocks = _assign_blocks(n, k)
+    rows = max(hi - lo for lo, hi in blocks)
     # one score buffer for all iterations: one freed and allocated again
     # per iteration can fragment the heap and raise peak RSS by a buffer
     buf = np.empty((rows, k))
@@ -292,7 +268,7 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: Philox) -> tuple[np.ndar
     prev_assign = None
     objectives: list[float] = []
     for _ in range(iters):
-        assign, obj = _assign(points, centroids, x2, plan, buf, at)
+        assign, obj = _assign(points, centroids, x2, blocks, buf, at)
         if objectives and obj > objectives[-1] * (1.0 + _OBJECTIVE_SLACK) + 1e-12:
             raise InternalError(
                 f"k-means objective increased: {objectives[-1]} -> {obj}"
@@ -322,7 +298,7 @@ def train_codebooks(data: EmbeddingMatrix, cfg: PQConfig) -> Codebook:
     """Train one k-means codebook per subspace; deterministic in (data, cfg).
 
     Subspaces are trained side by side, up to one per CPU, each further
-    worker a forked process where forking is safe (``map_processes``);
+    worker a forked process where ``map_processes`` forks;
     each depends on its own columns and random stream only, so the count
     changes no bit. Each worker reads a subspace's columns through
     ``data.fill``, a small block of rows at a time, into a float64

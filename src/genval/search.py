@@ -25,7 +25,7 @@ import numpy as np
 from .embeddings import EmbeddingMatrix, frozen, nearest_rows, validate_pair
 from .errors import ConfigError, FormatError, ValidationError
 from .textio import read_lines
-from .workers import lone_os_thread, map_processes, worker_count
+from .workers import map_processes, worker_count
 
 # distances in JSON-lines output carry 9 significant digits
 DISTANCE_FORMAT = "%.9g"
@@ -65,13 +65,10 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int) -> MatchTable
     ``(Codebook, PQCodes)`` pair (PQ mode); the two exact forms of one
     matrix give the same tables. A single query is a one-row
     ``generated`` matrix. The query rows are split across one worker
-    per row or CPU, whichever is fewer (``workers.worker_count``,
-    ``workers.map_processes``); each worker fills one tile of training
-    rows at a time, and the result is identical for any count. The scan
-    takes more than one worker only while the process runs no other OS
-    thread (``workers.lone_os_thread``): a BLAS thread pool in each
-    forked worker would oversubscribe the cores and make the scan slower
-    than one worker.
+    per row or CPU, whichever is fewer (``workers.worker_count``), where
+    ``workers.map_processes`` forks, and scanned whole where it does not;
+    each worker fills one tile of training rows at a time, and the
+    result is identical for any count.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -85,9 +82,8 @@ def batch_match(training_repr, generated: EmbeddingMatrix, k: int) -> MatchTable
         check_codes(codes, codebook)
         n, fill, dim = codes.count, partial(decode_into, codebook, codes.codes), codebook.dim
     validate_pair((n, dim), generated)
-    workers = worker_count(generated.count) if lone_os_thread() else 1
-    parts = map_processes(partial(nearest_rows, n, fill, k=k),
-                          np.array_split(generated.data, workers), workers)
+    parts = map_processes(partial(nearest_rows, n, fill, k=k), partial(np.array_split, generated.data),
+                          worker_count(generated.count))
     indices = np.concatenate([idx for idx, _ in parts])
     sq_dists = np.concatenate([sq for _, sq in parts])
     return MatchTables(np.sqrt(sq_dists), indices)

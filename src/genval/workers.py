@@ -1,19 +1,17 @@
-"""Independent work items spread over workers: the caller plus, on
-Linux, child processes forked for the call (``map_processes``).
+"""Independent work items spread over the caller and, on Linux, child
+processes forked for the call (``map_processes``); one worker forks none.
 
-The caller takes items too, rather than waiting on its children, so one
-worker forks no process at all. ``map_processes`` forks only where
-forking is safe: on Linux, from the process's only Python thread, and
-on Python >= 3.12 only while the process has no other OS thread either
-(``lone_os_thread``), as ``os.fork`` then warns (a
-``DeprecationWarning``) that the child may deadlock on a lock another
-thread held; a BLAS thread pool counts. Elsewhere the items run in turn
-on the caller. A child's memory is a copy-on-write image of the
-caller's, so the peak RSS that ``getrusage`` reports for the run
-(``ru_maxrss``) is that of the larger process, not the sum of both.
+Every forked section holds the OpenBLAS this process loaded (``openblas``)
+at one thread, its pool shut down, and gives the caller its thread count
+back however it ends. It forks only from the only Python thread while,
+BLAS held so, no other OS thread runs (``lone_os_thread``): a child then
+copies no lock another thread holds, nor a BLAS pool out of reach.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import itertools
 import os
 import pickle
 import signal
@@ -21,6 +19,12 @@ import sys
 import threading
 
 from .errors import InternalError
+
+_MAPS = "/proc/self/maps"
+# OpenBLAS's thread-count calls in numpy's scipy-openblas build, then a plain one's
+_THREAD_CALLS = ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads")
+_INT_CALL = ctypes.CFUNCTYPE(ctypes.c_int)  # get_num_threads, blas_thread_shutdown_
+_SET_CALL = ctypes.CFUNCTYPE(None, ctypes.c_int)
 
 
 def worker_count(items: int) -> int:
@@ -36,11 +40,23 @@ def lone_os_thread() -> bool:
     return sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
 
 
-def _fork_is_safe() -> bool:
-    """Whether ``map_processes`` may fork (see the module docstring)."""
-    if sys.platform != "linux" or not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    return sys.version_info < (3, 12) or lone_os_thread()
+def openblas() -> tuple | None:
+    """``(get_num_threads, set_num_threads, thread_shutdown)`` of the
+    OpenBLAS this process has loaded, found by its path in ``_MAPS``; None
+    where none is, and off Linux, which reads nothing."""
+    if sys.platform != "linux":
+        return None
+    with open(_MAPS, encoding="utf-8", errors="surrogateescape") as maps:
+        paths = dict.fromkeys(line.split(maxsplit=5)[5].rstrip("\n") for line in maps
+                              if "openblas" in line.rpartition("/")[2])
+    for path, call in itertools.product(paths, _THREAD_CALLS):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            return (_INT_CALL((call % "get", lib)), _SET_CALL((call % "set", lib)),
+                    _INT_CALL(("blas_thread_shutdown_", lib)))
+        except (OSError, AttributeError):  # not loaded, or a call missing
+            continue
+    return None
 
 
 def _share(fn, items: list, w: int, workers: int, catch) -> tuple[list, tuple | None]:
@@ -90,10 +106,11 @@ def _ended(status: int) -> str:
 
 def map_processes(fn, items, workers: int) -> list:
     """``[fn(item) for item in items]``, spread over the caller and
-    ``workers - 1`` forked child processes where forking is safe, and run
-    in turn on the caller otherwise: either way, results come in item
-    order, the exception of the lowest-index failed item is raised, and
-    no item starts after a failure on its worker.
+    ``workers - 1`` forked children where the module's rule lets it fork,
+    else run in turn on the caller: either way, results come in item
+    order, the lowest-index failed item's exception is raised, and no
+    item starts after a failure on its worker. ``items`` may be a function
+    of the worker count the run takes instead (1 where it does not fork).
 
     Worker w runs items i ≡ w (mod workers) in index order, stopping at
     its first failure, and the caller is worker 0; so the lowest-index
@@ -104,12 +121,26 @@ def map_processes(fn, items, workers: int) -> list:
     as its lowest item's failure, an ``InternalError`` that names its
     items. A ``KeyboardInterrupt`` or other ``BaseException`` of the
     caller's own item kills the children at once; every child is reaped
-    before this returns or raises.
+    before this returns or raises. A child's memory is a copy-on-write
+    image of the caller's, so the peak RSS is the larger process's.
     """
-    items = list(items)
-    workers = min(workers, len(items))
-    if workers < 2 or not _fork_is_safe():
-        return [fn(item) for item in items]
+    if not callable(items):
+        items = list(items)
+        workers = min(workers, len(items))
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        with contextlib.ExitStack() as section:
+            if blas := openblas():
+                get_num_threads, set_num_threads, thread_shutdown = blas
+                section.callback(set_num_threads, get_num_threads())
+                set_num_threads(1)  # first: pinning a stopped pool starts it again
+                thread_shutdown()
+            if lone_os_thread():
+                return _forked(fn, items(workers) if callable(items) else items, workers)
+    return [fn(item) for item in (items(1) if callable(items) else items)]
+
+
+def _forked(fn, items: list, workers: int) -> list:
+    """``map_processes``' forked section, for ``workers`` >= 2."""
     children: list[tuple[int, int, int]] = []  # (worker, pid, read end)
     shares = {}
     statuses = {}

@@ -19,6 +19,7 @@ from conftest import (BLAS_ENV, assert_one_error_line, child_env, make_value_csv
                       run_cli_process, traced_peak, write_embx)
 from genval import embeddings, load_embeddings, pq, save_embeddings, search, stats, valuation
 from genval.errors import GenvalError, InternalError
+from genval.workers import openblas
 
 
 @pytest.fixture
@@ -278,8 +279,7 @@ def test_the_scan_in_a_child_process_is_the_same_on_one_and_two_workers(scan_inp
                                                                         command, scans):
     """The real CLI, with BLAS at its default thread count or pinned to 1,
     on one CPU and on two, set by its affinity: on two, it forks one
-    worker a scan only where no other OS thread runs, which pinned BLAS
-    leaves so, and writes one CPU's bytes, printing each line once."""
+    worker a scan, and writes one CPU's bytes, printing each line once."""
     train, gen, index = scan_inputs
     runs = []
     for cpus in (1, 2):
@@ -292,13 +292,60 @@ def test_the_scan_in_a_child_process_is_the_same_on_one_and_two_workers(scan_inp
         got = re.fullmatch(r"cpus=(\d+) lone=([01]) forks=\d+\n", done.stderr)
         assert done.returncode == 0 and got, done.stderr
         assert int(got[1]) == min(cpus, len(os.sched_getaffinity(0)))
-        forks = scans * (int(got[1]) - 1) * int(got[2])
+        forks = scans * (int(got[1]) - 1)
         assert done.stderr == f"cpus={got[1]} lone={got[2]} forks={forks}\n"
         assert done.stdout.count("start\n") == 1
         runs.append((done.stdout, out.read_bytes() if out.exists() else None))
         if blas_threads == 1:
             assert got[2] == "1"
     assert runs[0] == runs[1]
+
+
+# The CLI on two CPUs, cut so by its affinity before numpy starts BLAS at
+# its default thread count. Each forked scan worker sends the BLAS thread
+# count it reads through a pipe; stderr gets the forks, those counts and
+# the caller's count before and after the command.
+BLAS_CHILD = """
+import os, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+import numpy
+from genval import search, workers
+from genval.cli import main
+caller, fork, scan, (read, write) = os.getpid(), os.fork, search.nearest_rows, os.pipe()
+get_num_threads = workers.openblas()[0]
+before, forks = get_num_threads(), []
+
+def counted_fork():
+    forks.append(1)
+    return fork()
+
+def reading_scan(*args, **kwargs):
+    if os.getpid() != caller:
+        os.write(write, b"%d" % get_num_threads())
+    return scan(*args, **kwargs)
+
+os.fork, search.nearest_rows = counted_fork, reading_scan
+code = main(sys.argv[1:])
+os.close(write)
+sys.stderr.write(f"forks={len(forks)} workers={os.read(read, 64).decode()} blas={before},{get_num_threads()}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, scans", [("match", 1), ("value", 1), ("eval-recall", 2)])
+def test_each_forked_scan_worker_of_the_cli_runs_blas_on_one_thread(scan_inputs, tmp_path, command, scans):
+    """At BLAS's default on two CPUs, the CLI forks one worker a scan, each
+    reads one BLAS thread, and the caller's count is the same after."""
+    if openblas() is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs OpenBLAS and two CPUs")
+    train, gen, index = scan_inputs
+    argv = {"match": ["match", "--output", tmp_path / "out"],
+            "value": ["value", "--inline", "--output", tmp_path / "out"],
+            "eval-recall": ["eval-recall", "--index", index]}[command]
+    env = {name: value for name, value in child_env().items() if name not in BLAS_ENV}
+    done = subprocess.run([sys.executable, "-c", BLAS_CHILD, *map(str, argv), "--train", str(train),
+                           "--gen", str(gen), "--k", "5"], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, f"forks={scans} workers={'1' * scans} blas=2,2\n")
 
 
 def test_a_non_finite_row_through_a_forked_scan_worker_is_one_workers_error(tmp_path, rng):

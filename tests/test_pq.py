@@ -402,13 +402,13 @@ def unblocked_assign(points, centroids):
 
 
 def blocked_assign(points, centroids):
-    """``_assign`` with the plan, score buffer and row index ``_lloyd``
+    """``_assign`` with the blocks, score buffer and row index ``_lloyd``
     makes for the shape."""
-    (n, d), k = points.shape, centroids.shape[0]
-    plan = pq._assign_plan(n, k, d)
-    rows = max(hi - lo for lo, hi, _ in plan)
+    n, k = points.shape[0], centroids.shape[0]
+    blocks = pq._assign_blocks(n, k)
+    rows = max(hi - lo for lo, hi in blocks)
     x2 = np.einsum("ij,ij->i", points, points)
-    return pq._assign(points, centroids, x2, plan, np.empty((rows, k)), np.arange(rows))
+    return pq._assign(points, centroids, x2, blocks, np.empty((rows, k)), np.arange(rows))
 
 
 def test_blocked_assign_equals_one_gemm(rng, monkeypatch):
@@ -442,46 +442,6 @@ def test_assign_blocks_fill_a_sixteenth_of_the_budget(n, k, step):
     starts = list(range(0, max(n - step, 0) + 1, step))
     assert blocks == list(zip(starts, starts[1:] + [n]))
     assert all(hi - lo < 2 * step for lo, hi in blocks)
-
-
-@pytest.mark.parametrize("k, d, rows", [
-    (256, 8, 128),  # build-index's default shape: 262 144 multiply-adds
-    (256, 16, 64),
-    (16, 8, 2048),
-    (40, 8, 768),
-    (1000, 8, 64),  # the 64-row floor
-    (65_536, 8, 64),
-])
-def test_gemm_pieces_stay_on_one_blas_thread(k, d, rows):
-    """Guards BLAS threads: a piece of _assign's GEMM is the most 64-row
-    multiples that OpenBLAS runs on one thread (at most 65 536 * 4
-    multiply-adds), at least 64 rows."""
-    assert pq._gemm_rows(k, d) == rows
-    assert rows == 64 or rows * k * d <= 65536 * 4 < (rows + 64) * k * d
-
-
-def test_gemm_pieces_equal_one_gemm(rng, monkeypatch):
-    # 128-row steps of 64-row pieces: 357 rows make blocks of 128 and 229
-    # rows, and pieces of 64, 64 and 64, 64, 101 rows
-    monkeypatch.setattr(embeddings, "BLOCK_BYTES", 16 * 128 * 8 * 40)
-    monkeypatch.setattr(pq, "_GEMM_ONE_THREAD", 64 * 40 * 8)
-    points = rng.standard_normal((357, 8)) * 3
-    centroids = rng.standard_normal((40, 8))
-    pieces, matmul = [], np.matmul
-
-    def recording_matmul(a, b, **kwargs):
-        pieces.append(a.shape[0])
-        return matmul(a, b, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", recording_matmul)
-    assign, obj = blocked_assign(points, centroids)
-    monkeypatch.setattr(np, "matmul", matmul)
-    assert pieces == [64, 64, 64, 64, 101]
-    want_assign, want_obj = unblocked_assign(points, centroids)
-    np.testing.assert_array_equal(assign, want_assign)
-    assert obj == want_obj
-    assert pq._assign_blocks(357, 40) == [(0, 128), (128, 357)]
-    assert pq._gemm_rows(40, 8) == 64
 
 
 def test_training_does_not_depend_on_the_block_size(rng, monkeypatch):

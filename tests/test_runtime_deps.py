@@ -67,6 +67,18 @@ def test_only_the_cli_touches_the_standard_streams():
     assert {name: uses for name, uses in found.items() if uses} == {"textio.py": {("open_text", "sys.stdin")}}
 
 
+def test_only_workers_reaches_blas():
+    """``workers`` holds the one BLAS rule of every forked section, so no
+    other module imports ``ctypes`` or names the memory map that the
+    loaded BLAS library is found in."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        maps = any(isinstance(node, ast.Constant) and "/proc/self/maps" in str(node.value) for node in ast.walk(tree))
+        found[path.name] = {"ctypes"} & top_level_imports(path) | ({"/proc/self/maps"} if maps else set())
+    assert {name: uses for name, uses in found.items() if uses} == {"workers.py": {"ctypes", "/proc/self/maps"}}
+
+
 def test_the_package_imports_only_the_standard_library_and_numpy():
     found = {path.name: top_level_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert "numpy" in set().union(*found.values())

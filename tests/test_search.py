@@ -27,7 +27,7 @@ from genval import (
     write_match_jsonl,
 )
 from genval.errors import ConfigError, CorruptionError, FormatError, ValidationError
-from genval.workers import map_processes
+from genval.workers import map_processes, openblas
 
 
 def mat(rows):
@@ -344,6 +344,39 @@ def test_off_linux_the_scan_reads_no_proc(rng, monkeypatch, eight_cpus):
     two = batch_match(train, gen, k=6)
     assert one.indices.tobytes() == two.indices.tobytes()
     assert one.distances.tobytes() == two.distances.tobytes()
+
+
+def test_scan_workers_forked_after_training_run_blas_on_one_thread(rng, monkeypatch):
+    """One process at default BLAS on two CPUs trains, which forks and so
+    shuts BLAS's pool down, then scans: each forked scan worker still
+    reads one BLAS thread, and the caller's count is back after."""
+    blas = openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS is loaded")
+    get_num_threads, set_num_threads, _ = blas
+    threads = get_num_threads()
+    fake_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    caller, scan, (read, write) = os.getpid(), search.nearest_rows, os.pipe()
+
+    def reading_scan(*args, **kwargs):
+        if os.getpid() != caller:
+            os.write(write, bytes([get_num_threads()]))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(search, "nearest_rows", reading_scan)
+    train = mat(rng.standard_normal((400, 8)))
+    try:
+        set_num_threads(2)  # BLAS's default on two CPUs
+        train_codebooks(train, PQConfig(num_subspaces=2, codebook_size=8, kmeans_iters=2))
+        batch_match(train, mat(rng.standard_normal((20, 8))), k=3)
+        after = get_num_threads()
+    finally:
+        set_num_threads(threads)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            read_by_workers = pipe.read()
+    assert (len(forks), read_by_workers, after) == (2, b"\x01", 2)
 
 
 # ------------------------------------------------------------ gemm shortlist

@@ -1,14 +1,17 @@
+import builtins
 import os
 import signal
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from conftest import fake_cpus
+from conftest import fake_cpus, fake_os_threads
+from genval import workers
 from genval.errors import InternalError
-from genval.workers import lone_os_thread, map_processes, worker_count
+from genval.workers import lone_os_thread, map_processes, openblas, worker_count
 
 
 @pytest.fixture
@@ -196,11 +199,10 @@ def test_one_worker_forks_no_child(monkeypatch):
     assert map_processes(lambda i: os.getpid(), range(3), 1) == [os.getpid()] * 3
 
 
-def test_from_python_3_12_another_os_thread_keeps_the_work_in_process(monkeypatch):
-    """There os.fork warns whenever the process has another OS thread,
-    such as a BLAS pool, which /proc/self/task lists."""
+def test_another_os_thread_keeps_the_work_in_process(monkeypatch):
+    """A child would copy a lock another OS thread may hold, or a BLAS
+    pool this module cannot reach: /proc/self/task lists them."""
     listdir = os.listdir
-    monkeypatch.setattr(sys, "version_info", (3, 12, 0))
     monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"] if path == "/proc/self/task" else listdir(path))
     assert map_processes(lambda i: os.getpid(), range(4), 2) == [os.getpid()] * 4
     monkeypatch.setattr(os, "listdir", lambda path: ["1"] if path == "/proc/self/task" else listdir(path))
@@ -221,3 +223,97 @@ def test_off_linux_lone_os_thread_reads_nothing(monkeypatch):
     monkeypatch.setattr(sys, "platform", "darwin")
     monkeypatch.setattr(os, "listdir", no_proc)
     assert lone_os_thread() is False
+
+
+def test_a_function_of_the_worker_count_gives_the_items(monkeypatch):
+    """Called with the workers the run takes: two where it forks, one
+    where it runs in turn."""
+    def split(workers):
+        return [(workers, part) for part in range(workers)]
+
+    fake_os_threads(monkeypatch, 1)
+    assert map_processes(lambda item: item, split, 2) == [(2, 0), (2, 1)]
+    fake_os_threads(monkeypatch, 2)
+    assert map_processes(lambda item: item, split, 2) == [(1, 0)]
+
+
+def numpy_blas_is_openblas() -> bool:
+    return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.fixture
+def blas():
+    """The handle on this process's OpenBLAS, at 2 threads for the test
+    and at its own count again after it; skips where none is found."""
+    found = openblas()
+    if found is None:
+        pytest.skip("no OpenBLAS is loaded")
+    get_num_threads, set_num_threads, _ = found
+    threads = get_num_threads()
+    set_num_threads(2)
+    yield found
+    set_num_threads(threads)
+
+
+def test_the_loaded_openblas_is_found_in_the_memory_map():
+    if sys.platform != "linux" or not numpy_blas_is_openblas():
+        pytest.skip("numpy runs another BLAS, or not on Linux")
+    get_num_threads, set_num_threads, _ = openblas()
+    threads = get_num_threads()
+    try:
+        for count in (2, 1):
+            set_num_threads(count)
+            assert get_num_threads() == count
+    finally:
+        set_num_threads(threads)
+    assert get_num_threads() == threads
+
+
+def test_a_map_without_openblas_gives_no_handle_and_the_os_threads_decide(tmp_path, monkeypatch):
+    maps = tmp_path / "maps"
+    with open("/proc/self/maps") as real:
+        maps.write_text("".join(line for line in real if "openblas" not in line))
+    monkeypatch.setattr(workers, "_MAPS", str(maps))
+    assert openblas() is None
+    fake_os_threads(monkeypatch, 2)
+    assert map_processes(lambda i: os.getpid(), range(4), 2) == [os.getpid()] * 4
+    fake_os_threads(monkeypatch, 1)
+    assert os.getpid() not in map_processes(lambda i: os.getpid(), range(4), 2)[1::2]
+
+
+def test_off_linux_a_section_reads_nothing_under_proc(monkeypatch):
+    def no_proc(read):
+        def guarded(path, *args, **kwargs):
+            if str(path).startswith("/proc"):
+                raise AssertionError(f"{path} was read")
+            return read(path, *args, **kwargs)
+
+        return guarded
+
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(os, "listdir", no_proc(os.listdir))
+    monkeypatch.setattr(builtins, "open", no_proc(builtins.open))
+    assert openblas() is None
+    assert map_processes(lambda i: os.getpid(), range(4), 2) == [os.getpid()] * 4
+
+
+@pytest.mark.parametrize("raised", [None, ValueError, KeyboardInterrupt])
+def test_the_callers_blas_threads_come_back_however_the_section_ends(blas, monkeypatch, raised):
+    """Every worker, the caller too, runs BLAS on one thread in a forked
+    section; the caller's count is back after a plain section, a failing
+    item (a child's) and an interrupt of the caller's own item."""
+    get_num_threads = blas[0]
+    fake_os_threads(monkeypatch, 1)
+
+    def work(i):
+        if (raised, i) in ((ValueError, 3), (KeyboardInterrupt, 0)):
+            raise raised
+        return get_num_threads(), os.getpid()
+
+    if raised is None:
+        got = map_processes(work, range(4), 2)
+        assert [threads for threads, _ in got] == [1] * 4 and got[1][1] != os.getpid()
+    else:
+        with pytest.raises(raised):
+            map_processes(work, range(4), 2)
+    assert get_num_threads() == 2
