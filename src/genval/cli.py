@@ -207,8 +207,7 @@ def cmd_build_index(args) -> int:
         )
         cfg.validate(train.dim, train.count)
         output = _required(args, "output")
-        codebook = pq.train_codebooks(train, cfg)
-        codes = pq.encode(train, codebook)
+        codebook, codes = pq.train_codebooks(train, cfg)
         pq.save_index(codebook, codes, output)
         qe = pq.quantization_error(train, codebook, codes)
     print("quantization_error=" + VALUE_FORMAT % qe)

@@ -488,7 +488,10 @@ def nearest_rows(n: int, fill, queries: np.ndarray, k: int) -> tuple[np.ndarray,
     rows lo..hi-1 into a float32 block (copying, decoding or reading them
     from a file), one tile at a time through ``filled_tiles``, and a
     ``fill`` that raises ends the scan. ``queries`` are float32, possibly
-    strided. Returns ``(m, min(k, n))`` index and squared-distance
+    strided, or float64 holding float32 values, to the same bits: |q|² is
+    float64 either way, w's power-of-two scaling is exact in float64 and
+    rounds once into float32, and the recheck subtracts in float64.
+    Returns ``(m, min(k, n))`` index and squared-distance
     tables, each row sorted ascending by distance with ties to the lower
     index; the distances are bitwise those of a full scan of the corpus
     by ``exact_sq_dists``, whatever the tile sizes.

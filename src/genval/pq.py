@@ -5,9 +5,9 @@ subspace is quantized with Lloyd's k-means (k-means++ seeding). Every
 random draw comes from a Philox counter-based generator keyed by
 ``(seed, subspace_index)``, so each codebook is a pure function of its
 own column block and the config, down to the bit: the subspaces are
-independent, and ``train_codebooks`` trains up to one per CPU at once
-with the same bytes as one after another: on Linux each further worker
-is a forked process running BLAS on one thread (``workers.map_processes``),
+independent, and ``train_codebooks`` trains and codes up to one per CPU
+at once, with the bytes of one after another: on Linux each further
+worker is a forked process running BLAS on one thread (``map_processes``),
 as training is many short numpy calls that threads would take turns at.
 The draws are numpy's Philox4x64-10 stream seeded by
 ``SeedSequence([seed, subspace_index])``, computed by ``philox.Philox``
@@ -294,28 +294,31 @@ def _lloyd(points: np.ndarray, k: int, iters: int, rng: Philox) -> tuple[np.ndar
     return centroids, objectives
 
 
-def train_codebooks(data: EmbeddingMatrix, cfg: PQConfig) -> Codebook:
-    """Train one k-means codebook per subspace; deterministic in (data, cfg).
+def train_codebooks(data: EmbeddingMatrix, cfg: PQConfig) -> tuple[Codebook, PQCodes]:
+    """Train one k-means codebook per subspace and code ``data`` with it,
+    as ``encode`` would; deterministic in (data, cfg).
 
     Subspaces are trained side by side, up to one per CPU, each further
     worker a forked process where ``map_processes`` forks;
     each depends on its own columns and random stream only, so the count
     changes no bit. Each worker reads a subspace's columns through
     ``data.fill``, a small block of rows at a time, into a float64
-    subspace; it never holds the corpus.
+    subspace, never holding the corpus, and codes it once trained.
     """
     cfg.validate(data.dim, data.count)
     sub_dim = data.dim // cfg.num_subspaces
 
-    def train(s: int) -> np.ndarray:
+    def train(s: int) -> tuple[np.ndarray, np.ndarray]:
         sub = np.empty((data.count, sub_dim))
         for lo, tile in filled_tiles(data.count, data.dim, data.fill, embeddings.SMALL_BYTES):
             sub[lo : lo + tile.shape[0]] = tile[:, s * sub_dim : (s + 1) * sub_dim]
-        rng = _subspace_rng(cfg.seed, s)
-        return _lloyd(sub, cfg.codebook_size, cfg.kmeans_iters, rng)[0].astype(np.float32)
+        table = EmbeddingMatrix(_lloyd(sub, cfg.codebook_size, cfg.kmeans_iters, _subspace_rng(cfg.seed, s))[0])
+        codes = nearest_rows(table.count, table.fill, sub, 1)[0][:, 0]
+        return table.data, codes.astype(_code_dtype(cfg.codebook_size))
 
     m = cfg.num_subspaces
-    return Codebook(np.stack(map_processes(train, range(m), worker_count(m))))
+    tables, codes = zip(*map_processes(train, range(m), worker_count(m)))
+    return Codebook(np.stack(tables)), PQCodes(np.stack(codes, axis=1))
 
 
 def _code_dtype(codebook_size: int) -> np.dtype:

@@ -6,6 +6,8 @@ at one thread, its pool shut down, and gives the caller its thread count
 back however it ends. It forks only from the only Python thread while,
 BLAS held so, no other OS thread runs (``lone_os_thread``): a child then
 copies no lock another thread holds, nor a BLAS pool out of reach.
+Where ``/proc`` cannot tell (``openblas`` or ``lone_os_thread`` raises
+``OSError``), the items run in turn, BLAS untouched.
 """
 from __future__ import annotations
 
@@ -129,12 +131,15 @@ def map_processes(fn, items, workers: int) -> list:
         workers = min(workers, len(items))
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         with contextlib.ExitStack() as section:
-            if blas := openblas():
-                get_num_threads, set_num_threads, thread_shutdown = blas
-                section.callback(set_num_threads, get_num_threads())
-                set_num_threads(1)  # first: pinning a stopped pool starts it again
-                thread_shutdown()
-            if lone_os_thread():
+            fork = False
+            with contextlib.suppress(OSError):  # no /proc to read
+                if blas := openblas():
+                    get_num_threads, set_num_threads, thread_shutdown = blas
+                    section.callback(set_num_threads, get_num_threads())
+                    set_num_threads(1)  # first: pinning a stopped pool starts it again
+                    thread_shutdown()
+                fork = lone_os_thread()
+            if fork:
                 return _forked(fn, items(workers) if callable(items) else items, workers)
     return [fn(item) for item in (items(1) if callable(items) else items)]
 

@@ -128,6 +128,22 @@ def fake_os_threads(monkeypatch, count):
     monkeypatch.setattr(os, "listdir", lambda path=".": tasks if path == "/proc/self/task" else listdir(path))
 
 
+def unreadable_proc(monkeypatch, tmp_path, entry):
+    """Make ``/proc/self/maps`` or ``/proc/self/task`` (``entry``) fail to
+    be read, as where no ``/proc`` is mounted."""
+    if entry == "maps":
+        monkeypatch.setattr("genval.workers._MAPS", str(tmp_path / "no-proc" / "maps"))
+        return
+    listdir = os.listdir
+
+    def no_tasks(path="."):
+        if path == "/proc/self/task":
+            raise FileNotFoundError(2, "No such file or directory", path)
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", no_tasks)
+
+
 def forbidden_fork():
     raise AssertionError("a process was forked")
 

@@ -207,7 +207,7 @@ def test_lossless_codebook_matches_exact_search():
             num_subspaces=1, codebook_size=n, kmeans_iters=25,
             seed=int(rng.integers(1 << 30)),
         )
-        codebook = train_codebooks(train, cfg)
+        codebook, _ = train_codebooks(train, cfg)
         assert quantization_error(train, codebook) == 0.0
         codes = encode(train, codebook)
         for _ in range(int(rng.integers(1, 6))):
@@ -247,7 +247,7 @@ def test_compressed_recall_floor():
     train = sample_mixture(spec, 10_000, stream=0)
     queries = simulate_generated(train, spec)
     cfg = PQConfig(num_subspaces=32, codebook_size=256, kmeans_iters=25, seed=7)
-    codebook = train_codebooks(train, cfg)
+    codebook, _ = train_codebooks(train, cfg)
     codes = encode(train, codebook)
     qe = quantization_error(train, codebook)
     exact = batch_match(train, queries, k=10)

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import genval.cli as cli
 import reference
-from conftest import (BLAS_ENV, assert_one_error_line, child_env, make_value_csv, on_cpus, run_cli,
-                      run_cli_process, traced_peak, write_embx)
+from conftest import (BLAS_ENV, assert_one_error_line, child_env, counted_forks, fake_cpus, fake_os_threads,
+                      forbidden_fork, make_value_csv, on_cpus, run_cli, run_cli_process, traced_peak,
+                      unreadable_proc, write_embx)
 from genval import embeddings, load_embeddings, pq, save_embeddings, search, stats, valuation
 from genval.errors import GenvalError, InternalError
 from genval.workers import openblas
@@ -76,18 +77,27 @@ def test_build_index_and_quantization_report(exp_dir, tmp_path):
     assert idx.read_bytes()[:4] == b"GMVI"
 
 
-def test_build_index_encodes_once(exp_dir, tmp_path, monkeypatch):
-    encoded = []
-    encode = pq.encode
-    monkeypatch.setattr(pq, "encode", lambda *a: encoded.append(a) or encode(*a))
+def test_build_index_never_encodes(exp_dir, tmp_path, monkeypatch):
+    """The training workers code the corpus: build-index calls no
+    ``pq.encode``, gives their codes to ``quantization_error`` and prints
+    the error of ``encode``'s codes."""
+    given = []
+    quantization_error = pq.quantization_error
+
+    def never(*args):
+        raise AssertionError("pq.encode ran")
+
+    monkeypatch.setattr(pq, "encode", never)
+    monkeypatch.setattr(pq, "quantization_error", lambda *a: given.append(a[2]) or quantization_error(*a))
     r = run_cli(
         "build-index", "--train", exp_dir / "x_train.embx", "--output", tmp_path / "i.gmvi",
         "--num-subspaces", 2, "--codebook-size", 8, "--kmeans-iters", 5,
     )
-    assert r.code == 0
-    assert len(encoded) == 1
+    monkeypatch.undo()
+    assert r.code == 0, r.stderr
     train = load_embeddings(exp_dir / "x_train.embx")
-    codebook, _ = pq.load_index(tmp_path / "i.gmvi")
+    codebook, codes = pq.load_index(tmp_path / "i.gmvi")
+    assert [c.codes.tobytes() for c in given] == [codes.codes.tobytes()]
     assert r.stdout == "quantization_error=%.9g\n" % pq.quantization_error(train, codebook)
 
 
@@ -302,14 +312,14 @@ def test_the_scan_in_a_child_process_is_the_same_on_one_and_two_workers(scan_inp
 
 
 # The CLI on two CPUs, cut so by its affinity before numpy starts BLAS at
-# its default thread count. Each forked scan worker sends the BLAS thread
-# count it reads through a pipe; stderr gets the forks, those counts and
-# the caller's count before and after the command.
+# its default thread count. Each forked worker sends the BLAS thread
+# count it reads through a pipe as it scans or codes; stderr gets the
+# forks, those counts and the caller's count before and after the command.
 BLAS_CHILD = """
 import os, sys
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
 import numpy
-from genval import search, workers
+from genval import pq, search, workers
 from genval.cli import main
 caller, fork, scan, (read, write) = os.getpid(), os.fork, search.nearest_rows, os.pipe()
 get_num_threads = workers.openblas()[0]
@@ -324,7 +334,7 @@ def reading_scan(*args, **kwargs):
         os.write(write, b"%d" % get_num_threads())
     return scan(*args, **kwargs)
 
-os.fork, search.nearest_rows = counted_fork, reading_scan
+os.fork, search.nearest_rows, pq.nearest_rows = counted_fork, reading_scan, reading_scan
 code = main(sys.argv[1:])
 os.close(write)
 sys.stderr.write(f"forks={len(forks)} workers={os.read(read, 64).decode()} blas={before},{get_num_threads()}\\n")
@@ -332,20 +342,56 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("command, scans", [("match", 1), ("value", 1), ("eval-recall", 2)])
-def test_each_forked_scan_worker_of_the_cli_runs_blas_on_one_thread(scan_inputs, tmp_path, command, scans):
-    """At BLAS's default on two CPUs, the CLI forks one worker a scan, each
-    reads one BLAS thread, and the caller's count is the same after."""
+@pytest.mark.parametrize("command, forks, scans", [("match", 1, 1), ("value", 1, 1), ("eval-recall", 2, 2),
+                                                   ("build-index", 1, 2)])
+def test_each_forked_scan_worker_of_the_cli_runs_blas_on_one_thread(scan_inputs, tmp_path, command, forks, scans):
+    """At BLAS's default on two CPUs, the CLI forks one worker a scan, or
+    one for build-index's 4 subspaces, which codes the 2 it trains; each
+    scan reads one BLAS thread, and the caller's count is the same after."""
     if openblas() is None or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs OpenBLAS and two CPUs")
     train, gen, index = scan_inputs
-    argv = {"match": ["match", "--output", tmp_path / "out"],
-            "value": ["value", "--inline", "--output", tmp_path / "out"],
-            "eval-recall": ["eval-recall", "--index", index]}[command]
+    scan = ["--gen", gen, "--k", 5]
+    argv = {"match": ["match", "--output", tmp_path / "out", *scan],
+            "value": ["value", "--inline", "--output", tmp_path / "out", *scan],
+            "eval-recall": ["eval-recall", "--index", index, *scan],
+            "build-index": ["build-index", "--output", tmp_path / "out", "--num-subspaces", 4,
+                            "--codebook-size", 16, "--kmeans-iters", 2]}[command]
     env = {name: value for name, value in child_env().items() if name not in BLAS_ENV}
-    done = subprocess.run([sys.executable, "-c", BLAS_CHILD, *map(str, argv), "--train", str(train),
-                           "--gen", str(gen), "--k", "5"], capture_output=True, text=True, env=env, timeout=120)
-    assert (done.returncode, done.stderr) == (0, f"forks={scans} workers={'1' * scans} blas=2,2\n")
+    done = subprocess.run([sys.executable, "-c", BLAS_CHILD, *map(str, argv), "--train", str(train)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, f"forks={forks} workers={'1' * scans} blas=2,2\n")
+    if command == "build-index":
+        assert (tmp_path / "out").read_bytes() == index.read_bytes()
+
+
+@pytest.mark.parametrize("entry", ["maps", "task"])
+def test_a_proc_that_cannot_be_read_gives_the_bytes_of_a_forked_run(scan_inputs, tmp_path, monkeypatch, entry):
+    """On two CPUs with /proc/self/maps or /proc/self/task unreadable, as
+    where no /proc is mounted, every command runs its sections in turn,
+    forking nothing, and writes what it writes when it forks."""
+    train, gen, index = scan_inputs
+    scan = ["--gen", gen, "--k", 5]
+    commands = {"match": ["match", *scan], "value": ["value", "--inline", *scan],
+                "eval-recall": ["eval-recall", "--index", index, *scan],
+                "build-index": ["build-index", "--num-subspaces", 4, "--codebook-size", 16, "--kmeans-iters", 2]}
+
+    def runs(name):
+        got = {}
+        for command, argv in commands.items():
+            out = tmp_path / f"{name}-{command}"
+            r = run_cli(*argv, "--train", train, *(["--output", out] if command != "eval-recall" else []))
+            got[command] = (r.code, r.stdout, r.stderr, out.read_bytes() if out.exists() else None)
+        return got
+
+    fake_cpus(monkeypatch, 2)
+    fake_os_threads(monkeypatch, 1)
+    forks = counted_forks(monkeypatch)
+    forked = runs("forked")
+    assert len(forks) == 5 and all(code == 0 for code, *_ in forked.values())
+    unreadable_proc(monkeypatch, tmp_path, entry)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    assert runs("in-turn") == forked
 
 
 def test_a_non_finite_row_through_a_forked_scan_worker_is_one_workers_error(tmp_path, rng):

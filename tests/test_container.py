@@ -138,7 +138,7 @@ def test_a_damaged_training_file_fails_each_exact_scan_with_one_line(tmp_path, m
     rows = rng.standard_normal((40, 4)).astype(np.float32)
     save_embeddings(EmbeddingMatrix(rows), "train.embx")
     save_embeddings(EmbeddingMatrix(rng.standard_normal((5, 4)).astype(np.float32)), "gen.embx")
-    codebook = train_codebooks(EmbeddingMatrix(rows), PQConfig(2, 4, 3, seed=0))
+    codebook, _ = train_codebooks(EmbeddingMatrix(rows), PQConfig(2, 4, 3, seed=0))
     save_index(codebook, encode(EmbeddingMatrix(rows), codebook), "i.gmvi")
     path = tmp_path / "train.embx"
     if damage == "directory":
@@ -435,7 +435,7 @@ def mutation_runs(tmp_path_factory):
     train = EmbeddingMatrix(rng.standard_normal((40, 8)).astype(np.float32))
     save_embeddings(train, d / "train.embx")
     save_embeddings(EmbeddingMatrix(rng.standard_normal((6, 8)).astype(np.float32)), d / "gen.embx")
-    codebook = train_codebooks(train, PQConfig(2, 4, 3, seed=0))
+    codebook, _ = train_codebooks(train, PQConfig(2, 4, 3, seed=0))
     save_index(codebook, encode(train, codebook), d / "index.gmvi")
     train, gen, index = d / "train.embx", d / "gen.embx", d / "index.gmvi"
     target = {fmt: d / f"target.{fmt}" for fmt in FORMATS}

@@ -5,13 +5,14 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 import reference
-from conftest import (BLAS_ENV, child_env, fake_cpus, fake_os_threads, forbidden_fork, run_cli, traced_peak,
-                      write_embx)
+from conftest import (BLAS_ENV, child_env, counted_forks, fake_cpus, fake_os_threads, forbidden_fork, run_cli,
+                      traced_peak, write_embx)
 from genval import embeddings, pq
 from genval import (
     Codebook,
@@ -46,7 +47,7 @@ def test_kmeans_two_clusters_1d():
     """{0,1,10,11} with two centroids: enumeration says {0.5, 10.5} at 0.25/point."""
     data = mat([[0.0], [1.0], [10.0], [11.0]])
     cfg = PQConfig(num_subspaces=1, codebook_size=2, kmeans_iters=25, seed=0)
-    cb = train_codebooks(data, cfg)
+    cb, _ = train_codebooks(data, cfg)
     got = sorted(cb.centroids[0, :, 0].tolist())
 
     expect, per_point = reference.best_two_centroids_1d([0, 1, 10, 11])
@@ -211,7 +212,7 @@ def test_philox_rejection_loops_redraw(n, draw):
 def test_each_point_its_own_centroid(rng):
     data = mat(rng.standard_normal((6, 4)))
     cfg = PQConfig(num_subspaces=2, codebook_size=6, kmeans_iters=5, seed=1)
-    cb = train_codebooks(data, cfg)
+    cb, _ = train_codebooks(data, cfg)
     assert quantization_error(data, cb) == pytest.approx(0.0, abs=1e-10)
     # decode(encode(x)) must give back x exactly once the error hits zero
     assert decode(encode(data, cb), cb) == data
@@ -220,22 +221,43 @@ def test_each_point_its_own_centroid(rng):
 def test_identical_points_single_centroid():
     data = mat([[2.5, -1.0]] * 7)
     cfg = PQConfig(num_subspaces=1, codebook_size=1, kmeans_iters=3, seed=0)
-    cb = train_codebooks(data, cfg)
+    cb, _ = train_codebooks(data, cfg)
     np.testing.assert_array_equal(cb.centroids[0, 0], [2.5, -1.0])
 
 
 def test_training_is_deterministic(rng):
     data = mat(rng.standard_normal((200, 8)))
     cfg = PQConfig(num_subspaces=4, codebook_size=16, kmeans_iters=10, seed=9)
-    a = train_codebooks(data, cfg)
-    b = train_codebooks(data, cfg)
+    a, _ = train_codebooks(data, cfg)
+    b, _ = train_codebooks(data, cfg)
     assert a.centroids.tobytes() == b.centroids.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("source", ["matrix", "embx"])
+@pytest.mark.parametrize("codebook_size, dtype", [(16, np.uint8), (300, np.uint16)])
+def test_training_codes_are_the_codes_encode_gives(rng, tmp_path, monkeypatch, cpus, source, codebook_size, dtype):
+    """Each worker codes the subspace it trained: the codes equal
+    ``encode``'s against the trained codebook, bit for bit and in its
+    dtype, from a matrix or an EMBX file, on one worker and on two."""
+    fake_cpus(monkeypatch, cpus)
+    fake_os_threads(monkeypatch, 1)
+    forks = counted_forks(monkeypatch)
+    rows = rng.standard_normal((600, 8))
+    rows[300:310] = rows[:10]  # copied rows code alike
+    opened = embeddings.open_rows(write_embx(tmp_path / "x.embx", rows)) if source == "embx" else nullcontext(mat(rows))
+    with opened as data:
+        codebook, codes = train_codebooks(data, PQConfig(4, codebook_size, 3, seed=2))
+        encoded = encode(data, codebook)
+    assert len(forks) == cpus - 1
+    assert codes.codes.dtype == encoded.codes.dtype == dtype
+    assert codes.codes.tobytes() == encoded.codes.tobytes()
 
 
 def test_seed_changes_training(rng):
     data = mat(rng.standard_normal((200, 8)))
-    a = train_codebooks(data, PQConfig(4, 16, 10, seed=9))
-    b = train_codebooks(data, PQConfig(4, 16, 10, seed=10))
+    a, _ = train_codebooks(data, PQConfig(4, 16, 10, seed=9))
+    b, _ = train_codebooks(data, PQConfig(4, 16, 10, seed=10))
     assert a.centroids.tobytes() != b.centroids.tobytes()
 
 
@@ -243,7 +265,7 @@ def test_training_beats_random_centroid_choice(rng):
     """The trained objective must undercut centroids taken as raw data rows."""
     data = mat(rng.standard_normal((300, 6)))
     cfg = PQConfig(num_subspaces=2, codebook_size=8, kmeans_iters=20, seed=3)
-    cb = train_codebooks(data, cfg)
+    cb, _ = train_codebooks(data, cfg)
     pick = rng.choice(300, size=8, replace=False)
     naive = Codebook(
         np.stack(
@@ -315,7 +337,7 @@ def test_decode_rejects_out_of_range_code():
 def test_encode_decode_idempotent(rng):
     data = mat(rng.standard_normal((80, 6)))
     cfg = PQConfig(num_subspaces=3, codebook_size=8, kmeans_iters=8, seed=2)
-    cb = train_codebooks(data, cfg)
+    cb, _ = train_codebooks(data, cfg)
     codes = encode(data, cb)
     again = encode(decode(codes, cb), cb)
     np.testing.assert_array_equal(codes.codes, again.codes)
@@ -324,7 +346,7 @@ def test_encode_decode_idempotent(rng):
 def test_quantization_error_permutation_invariant(rng):
     data = rng.standard_normal((40, 4)).astype(np.float32)
     cfg = PQConfig(num_subspaces=2, codebook_size=5, kmeans_iters=8, seed=5)
-    cb = train_codebooks(mat(data), cfg)
+    cb, _ = train_codebooks(mat(data), cfg)
     shuffled = data[rng.permutation(40)]
     assert quantization_error(mat(data), cb) == pytest.approx(
         quantization_error(mat(shuffled), cb), rel=1e-12
@@ -357,7 +379,7 @@ def test_encode_equals_subtraction_encode(rng, monkeypatch):
     # of 10 rows (9 bytes a pair and 4 bytes an entry of the query row)
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 4 * 10 * (9 * 16 + 4 * 4))
     data = mat(rng.standard_normal((300, 12)))
-    trained = train_codebooks(data, PQConfig(num_subspaces=3, codebook_size=16, kmeans_iters=5, seed=4))
+    trained, _ = train_codebooks(data, PQConfig(num_subspaces=3, codebook_size=16, kmeans_iters=5, seed=4))
     # a coarse lattice: many exactly equidistant centroids
     grid = mat(rng.integers(-2, 3, size=(300, 12)) * 0.5)
     lattice = Codebook(rng.integers(-2, 3, size=(3, 16, 4)).astype(np.float32))
@@ -447,9 +469,9 @@ def test_assign_blocks_fill_a_sixteenth_of_the_budget(n, k, step):
 def test_training_does_not_depend_on_the_block_size(rng, monkeypatch):
     data = mat(rng.standard_normal((700, 8)))
     cfg = PQConfig(num_subspaces=2, codebook_size=32, kmeans_iters=10, seed=3)
-    one_block = train_codebooks(data, cfg)
+    one_block, _ = train_codebooks(data, cfg)
     monkeypatch.setattr(embeddings, "BLOCK_BYTES", 1)
-    blocked = train_codebooks(data, cfg)
+    blocked, _ = train_codebooks(data, cfg)
     assert one_block.centroids.tobytes() == blocked.centroids.tobytes()
 
 
@@ -513,7 +535,7 @@ def test_build_index_stages_hold_less_than_the_corpus(tmp_path, rng, monkeypatch
     out = {}
     with embeddings.open_rows(path) as data:
         stages = {
-            "train": traced_peak(lambda: out.update(codebook=train_codebooks(data, PQConfig(8, 16, 2, seed=0)))),
+            "train": traced_peak(lambda: out.update(zip(("codebook", "codes"), train_codebooks(data, PQConfig(8, 16, 2, seed=0))))),
             "encode": traced_peak(lambda: out.update(codes=encode(data, out["codebook"]))),
             "error": traced_peak(lambda: quantization_error(data, out["codebook"], out["codes"])),
         }
@@ -544,7 +566,7 @@ def test_training_does_not_depend_on_the_worker_count(rng, monkeypatch, shape, c
     tables = []
     for cpus in (1, 8):
         fake_cpus(monkeypatch, cpus)
-        tables.append(train_codebooks(data, cfg).centroids.tobytes())
+        tables.append(train_codebooks(data, cfg)[0].centroids.tobytes())
     assert tables[0] == tables[1] == train_one_by_one(data, cfg).tobytes()
 
 
@@ -557,7 +579,7 @@ def test_an_affinity_of_one_cpu_forks_no_training_worker(rng, monkeypatch):
     monkeypatch.setattr(os, "fork", forbidden_fork)
     data = mat(rng.standard_normal((300, 16)))
     cfg = PQConfig(num_subspaces=4, codebook_size=8, kmeans_iters=4, seed=2)
-    assert train_codebooks(data, cfg).centroids.tobytes() == train_one_by_one(data, cfg).tobytes()
+    assert train_codebooks(data, cfg)[0].centroids.tobytes() == train_one_by_one(data, cfg).tobytes()
 
 
 def failing_lloyd(data, sub_dim, subspace, exc):
@@ -707,7 +729,7 @@ def test_quantization_error_rejects_codes_of_other_data(rng):
 
 def test_quantization_error_reuses_given_codes(rng):
     data = mat(rng.standard_normal((90, 6)))
-    cb = train_codebooks(data, PQConfig(num_subspaces=3, codebook_size=8, kmeans_iters=6, seed=1))
+    cb, _ = train_codebooks(data, PQConfig(num_subspaces=3, codebook_size=8, kmeans_iters=6, seed=1))
     assert quantization_error(data, cb, encode(data, cb)) == quantization_error(data, cb)
 
 
@@ -717,7 +739,7 @@ def test_quantization_error_reuses_given_codes(rng):
 def test_index_roundtrip(tmp_path, rng):
     data = mat(rng.standard_normal((60, 8)))
     cfg = PQConfig(num_subspaces=4, codebook_size=16, kmeans_iters=6, seed=11)
-    cb = train_codebooks(data, cfg)
+    cb, _ = train_codebooks(data, cfg)
     codes = encode(data, cb)
     path = tmp_path / "idx.gmvi"
     save_index(cb, codes, path)
@@ -730,7 +752,7 @@ def test_index_wide_codes_roundtrip(tmp_path, rng):
     """codebook_size above 256 forces 16-bit code storage."""
     data = mat(rng.standard_normal((400, 2)))
     cfg = PQConfig(num_subspaces=1, codebook_size=300, kmeans_iters=4, seed=0)
-    cb = train_codebooks(data, cfg)
+    cb, _ = train_codebooks(data, cfg)
     codes = encode(data, cb)
     assert codes.codes.dtype == np.uint16
     path = tmp_path / "wide.gmvi"
@@ -743,7 +765,7 @@ def test_index_wide_codes_roundtrip(tmp_path, rng):
 def test_index_header_prefix(tmp_path):
     data = mat(np.eye(4, dtype=np.float32))
     cfg = PQConfig(num_subspaces=2, codebook_size=2, kmeans_iters=2, seed=0)
-    cb = train_codebooks(data, cfg)
+    cb, _ = train_codebooks(data, cfg)
     path = tmp_path / "i.gmvi"
     save_index(cb, encode(data, cb), path)
     assert path.read_bytes()[:4] == b"GMVI"
@@ -761,7 +783,7 @@ def test_index_header_prefix(tmp_path):
 def test_index_rejects_malformed_files(tmp_path, mutate, message):
     data = mat(np.eye(4, dtype=np.float32))
     cfg = PQConfig(num_subspaces=2, codebook_size=2, kmeans_iters=2, seed=0)
-    cb = train_codebooks(data, cfg)
+    cb, _ = train_codebooks(data, cfg)
     path = tmp_path / "i.gmvi"
     save_index(cb, encode(data, cb), path)
     path.write_bytes(mutate(path.read_bytes()))
@@ -772,7 +794,7 @@ def test_index_rejects_malformed_files(tmp_path, mutate, message):
 def test_index_rejects_out_of_range_stored_code(tmp_path):
     data = mat(np.eye(4, dtype=np.float32))
     cfg = PQConfig(num_subspaces=2, codebook_size=2, kmeans_iters=2, seed=0)
-    cb = train_codebooks(data, cfg)
+    cb, _ = train_codebooks(data, cfg)
     path = tmp_path / "i.gmvi"
     save_index(cb, encode(data, cb), path)
     blob = bytearray(path.read_bytes())

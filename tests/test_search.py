@@ -136,7 +136,7 @@ def test_both_routes_reject_empty_sets(route):
 def test_adc_equals_exact_on_zero_error_codebook(rng):
     pts = rng.standard_normal((9, 4))
     train = mat(pts)
-    cb = train_codebooks(train, PQConfig(2, 9, 4, seed=0))
+    cb, _ = train_codebooks(train, PQConfig(2, 9, 4, seed=0))
     codes = encode(train, cb)
     assert quantization_error(train, cb) == 0.0
     q = query(rng.standard_normal(4))
@@ -150,7 +150,7 @@ def test_adc_equals_exact_on_zero_error_codebook(rng):
 def test_adc_single_subspace_full_codebook(rng):
     pts = rng.standard_normal((7, 3))
     train = mat(pts)
-    cb = train_codebooks(train, PQConfig(1, 7, 3, seed=1))
+    cb, _ = train_codebooks(train, PQConfig(1, 7, 3, seed=1))
     codes = encode(train, cb)
     for q in rng.standard_normal((5, 3)):
         assert (
@@ -732,25 +732,34 @@ def test_ties_across_tiles_go_to_the_earlier_tile(rng, monkeypatch, route):
 
 
 @pytest.mark.parametrize("order", ["tiny_huge_unit", "huge_tiny_unit", "unit_huge_tiny"])
-@pytest.mark.parametrize("queries", ["small", "with_huge"])
+@pytest.mark.parametrize("queries", ["small", "with_huge", "float64"])
 def test_scale_changes_between_tiles(rng, monkeypatch, order, queries):
     """Tiles of rows near 1e-23, near 1e30 and near 1 in turn: each tile
     scales by its own largest norm, so the running k-th distance of one
     tile bounds the next at another scale; a huge query forces a small
-    scale on every tile instead."""
+    scale on every tile instead. Float64 queries holding the float32
+    values, subnormal entries among them, scanned on such tiles, give
+    ``nearest_rows`` the bits of the float32 queries."""
     parts = {"tiny": rng.standard_normal((8, 6)) * 1e-23, "huge": rng.standard_normal((8, 6)) * 1e30,
              "unit": rng.standard_normal((8, 6))}
     train = mat(np.concatenate([parts[name] for name in order.split("_")]))
     q = [parts["tiny"][:3] * 0.5, parts["unit"][:3] + 0.1, np.zeros((1, 6))]
-    if queries == "with_huge":
+    if queries != "small":
         q.append(parts["huge"][:2] * 1.01)
+    if queries == "float64":
+        q.append(rng.standard_normal((3, 6)) * 1e-40)
     gen = mat(np.concatenate(q))
+    assert queries != "float64" or 0 < np.abs(gen.data[-3:]).max() < np.finfo(np.float32).tiny
     training_blocks_of(4, gen.dim, monkeypatch)
     for k in (1, 3, 5, 9, 24):
         t = batch_match(train, gen, k=k)
         idx, dist = subtraction_scan(train, gen, k)
         assert t.indices.tobytes() == idx.tobytes()
         assert t.distances.tobytes() == dist.tobytes()
+        if queries == "float64":
+            wide = embeddings.nearest_rows(train.count, train.fill, gen.data.astype(np.float64), k)
+            assert wide[0].tobytes() == idx.tobytes()
+            assert np.sqrt(wide[1]).tobytes() == dist.tobytes()
 
 
 def running_bound_floor(dk, q2, s, beta, d):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fake_cpus, fake_os_threads
+from conftest import fake_cpus, fake_os_threads, forbidden_fork, unreadable_proc
 from genval import workers
 from genval.errors import InternalError
 from genval.workers import lone_os_thread, map_processes, openblas, worker_count
@@ -279,6 +279,19 @@ def test_a_map_without_openblas_gives_no_handle_and_the_os_threads_decide(tmp_pa
     assert map_processes(lambda i: os.getpid(), range(4), 2) == [os.getpid()] * 4
     fake_os_threads(monkeypatch, 1)
     assert os.getpid() not in map_processes(lambda i: os.getpid(), range(4), 2)[1::2]
+
+
+@pytest.mark.parametrize("entry", ["maps", "task"])
+def test_a_proc_that_cannot_be_read_runs_the_items_in_turn(blas, tmp_path, monkeypatch, entry):
+    """Where it cannot tell whether a BLAS pool or another OS thread runs,
+    a section forks nothing and runs every item on the caller, at the
+    caller's BLAS thread count."""
+    fake_os_threads(monkeypatch, 1)
+    unreadable_proc(monkeypatch, tmp_path, entry)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    get_num_threads = blas[0]
+    assert map_processes(lambda i: (get_num_threads(), os.getpid()), range(4), 2) == [(2, os.getpid())] * 4
+    assert get_num_threads() == 2
 
 
 def test_off_linux_a_section_reads_nothing_under_proc(monkeypatch):
